@@ -21,6 +21,12 @@ overrides; scaled-down runs scale the floor proportionally).  The
 snapshot *build* is also timed (``first_request``), and must at least
 break even with a single object-path request at acceptance scale.
 
+``append_then_advise`` times the columnar request that follows an
+append of 200 new points in a warm process: the cached snapshot is
+extended with just the new rows, so it must beat the full build of
+``columnar_first`` by >= 5x at acceptance scale (scaled like the other
+floors), and its advice must equal the objects engine's.
+
 Before any clock starts, an equivalence gate asserts both engines
 return identical advice (measured and spot capacity) — byte-identical
 rows, not approximately equal.  Every measurement runs in its own
@@ -58,7 +64,13 @@ SPEEDUP_FLOOR = 10.0
 #: First columnar request (snapshot build included) must not lose to a
 #: single object-path request at acceptance scale.
 FIRST_REQUEST_FLOOR = 1.0
-#: Corpus for the CI smoke run (floor scales down with it).
+#: A columnar request right after an append (snapshot extended by the
+#: new rows) vs the first columnar request (full build), at acceptance
+#: scale.
+APPEND_THEN_ADVISE_FLOOR = 5.0
+#: Points appended before each timed append-then-advise request.
+APPEND_BATCH = 200
+#: Corpus for the CI smoke run (floors scale down with it).
 CI_SMOKE_POINTS = 5_000
 
 SKUS = ("Standard_HB120rs_v3", "Standard_HB120rs_v2", "Standard_HC44rs")
@@ -72,14 +84,15 @@ def _env_float(name: str, default: float) -> float:
 # -- corpus ---------------------------------------------------------------------
 
 
-def synthetic_points(n: int, deployment: str):
+def synthetic_points(n: int, deployment: str, start: int = 0):
     """A mixed corpus: 3 SKUs x 6 node counts, ~9% measured spot rows
     (with preemptions) so the spot advice path exercises both the
-    measured-spot passthrough and the modeled-risk branch."""
+    measured-spot passthrough and the modeled-risk branch.  ``start``
+    continues the sequence (for appended batches)."""
     from repro.core.dataset import DataPoint
 
     points = []
-    for i in range(n):
+    for i in range(start, start + n):
         spot = i % 11 == 0
         points.append(DataPoint(
             appname="lammps",
@@ -138,6 +151,18 @@ def _advise(session, deployment: str, engine: str, capacity=None):
         deployment=deployment, engine=engine, capacity=capacity or ""))
 
 
+def assert_same_advice(objects, columnar, capacity) -> None:
+    left, right = objects.to_dict(), columnar.to_dict()
+    assert left.pop("engine") == "objects"
+    assert right.pop("engine") == "columnar"
+    left.pop("engine_fallback"), right.pop("engine_fallback")
+    assert left == right, (
+        f"engines disagree for capacity={capacity!r}"
+    )
+    assert json.dumps(left, sort_keys=True) == json.dumps(
+        right, sort_keys=True)
+
+
 def check_equivalence(state_dir: str, deployment: str) -> None:
     """Both engines must return byte-identical advice before any timing."""
     from repro.api.session import AdvisorSession
@@ -152,15 +177,7 @@ def check_equivalence(state_dir: str, deployment: str) -> None:
         columnar = _advise(
             AdvisorSession(store=StateStore(root=state_dir)),
             deployment, "columnar", capacity)
-        left, right = objects.to_dict(), columnar.to_dict()
-        assert left.pop("engine") == "objects"
-        assert right.pop("engine") == "columnar"
-        left.pop("engine_fallback"), right.pop("engine_fallback")
-        assert left == right, (
-            f"engines disagree for capacity={capacity!r}"
-        )
-        assert json.dumps(left, sort_keys=True) == json.dumps(
-            right, sort_keys=True)
+        assert_same_advice(objects, columnar, capacity)
 
 
 # -- measurement (one subprocess per mode) --------------------------------------
@@ -174,7 +191,11 @@ def timed_request(mode: str, state_dir: str, deployment: str,
     request (one warm-up, then best of 2 — for columnar the warm-up
     builds the snapshot, for objects it only warms the page cache);
     ``columnar-first`` times the first columnar request of the process,
-    snapshot build included, after an objects-path warm-up."""
+    snapshot build included, after an objects-path warm-up;
+    ``append-then-advise`` builds the snapshot, then twice appends
+    :data:`APPEND_BATCH` new points and times the next columnar request
+    (best of 2), and checks the last one against the objects engine.
+    It grows the stored corpus, so it runs last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = (os.path.join(REPO_ROOT, "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
@@ -205,6 +226,19 @@ def _worker(mode: str, state_dir: str, deployment: str,
     if mode == "columnar-first":
         once("objects")  # warm imports, sqlite, and the page cache
         seconds = once("columnar")  # snapshot miss: fetch + build + math
+    elif mode == "append-then-advise":
+        once("columnar")  # builds the snapshot
+        store = session.data_store(deployment)
+        start = store.count_points()
+        seconds = float("inf")
+        for batch in range(2):
+            store.append_points(synthetic_points(
+                APPEND_BATCH, deployment, start + batch * APPEND_BATCH))
+            began = time.perf_counter()
+            served = _advise(session, deployment, "columnar", cap)
+            seconds = min(seconds, time.perf_counter() - began)
+        assert_same_advice(_advise(session, deployment, "objects", cap),
+                           served, cap)
     else:
         once(mode)  # warm-up (for columnar: builds the snapshot)
         seconds = min(once(mode) for _ in range(2))
@@ -222,6 +256,7 @@ def run_benchmark(n_points: int, check: bool = True,
                        max(2.0, SPEEDUP_FLOOR * scale))
     first_floor = _env_float("BENCH_ADVICE_FIRST_FLOOR",
                              FIRST_REQUEST_FLOOR)
+    append_floor = max(2.0, APPEND_THEN_ADVISE_FLOOR * scale)
     workdir = tempfile.mkdtemp(prefix="bench-advice-path-")
     try:
         state_dir = os.path.join(workdir, "state")
@@ -235,6 +270,7 @@ def run_benchmark(n_points: int, check: bool = True,
             ("columnar", "columnar", ""),
             ("objects_spot", "objects", "spot"),
             ("columnar_spot", "columnar", "spot"),
+            ("append_then_advise", "append-then-advise", ""),
         ):
             timings[label] = timed_request(mode, state_dir, deployment,
                                            capacity)
@@ -245,14 +281,19 @@ def run_benchmark(n_points: int, check: bool = True,
                               / timings["columnar_first"]),
             "uncached_spot_request": (timings["objects_spot"]
                                       / timings["columnar_spot"]),
+            "append_then_advise": (timings["columnar_first"]
+                                   / timings["append_then_advise"]),
         }
         results = {
             "config": {"points": n_points,
                        "acceptance_points": ACCEPTANCE_POINTS,
                        "floor": floor, "first_request_floor": first_floor,
+                       "append_then_advise_floor": append_floor,
+                       "append_batch": APPEND_BATCH,
                        "cpu_cores": os.cpu_count() or 1},
             "equivalence": "rows byte-identical "
-                           "(measured, ondemand, spot)",
+                           "(measured, ondemand, spot; measured after "
+                           "appends)",
             "seconds": timings,
             "speedup": speedups,
         }
@@ -263,8 +304,8 @@ def run_benchmark(n_points: int, check: bool = True,
 
         print(f"\n=== advice read path @ {n_points} points ===")
         for label in ("objects", "columnar_first", "columnar",
-                      "objects_spot", "columnar_spot"):
-            print(f"{label:15}: {timings[label] * 1e3:9.2f} ms/request")
+                      "objects_spot", "columnar_spot", "append_then_advise"):
+            print(f"{label:18}: {timings[label] * 1e3:9.2f} ms/request")
         print(f"uncached advice speedup: "
               f"{speedups['uncached_request']:.1f}x (floor {floor:.1f}x)")
         print(f"first-request speedup:   "
@@ -272,12 +313,20 @@ def run_benchmark(n_points: int, check: bool = True,
               f"(build amortized after one request)")
         print(f"uncached spot speedup:   "
               f"{speedups['uncached_spot_request']:.1f}x")
+        print(f"append-then-advise vs first request: "
+              f"{speedups['append_then_advise']:.1f}x "
+              f"(floor {append_floor:.1f}x)")
 
         if check:
             assert speedups["uncached_request"] >= floor, (
                 f"uncached advice speedup "
                 f"{speedups['uncached_request']:.1f}x below the "
                 f"{floor:.1f}x floor"
+            )
+            assert speedups["append_then_advise"] >= append_floor, (
+                f"append-then-advise "
+                f"{speedups['append_then_advise']:.1f}x vs the first "
+                f"columnar request, below the {append_floor:.1f}x floor"
             )
             if n_points >= ACCEPTANCE_POINTS:
                 assert speedups["first_request"] >= first_floor, (
@@ -310,7 +359,7 @@ def main(argv=None) -> int:
     parser.add_argument("--points", type=int, default=_configured_points())
     parser.add_argument("--ci-smoke", action="store_true",
                         help=f"scaled-down run ({CI_SMOKE_POINTS} points, "
-                             f"proportional floor)")
+                             f"proportional floors)")
     parser.add_argument("--no-check", action="store_true",
                         help="report without asserting the floors")
     args = parser.parse_args(argv)

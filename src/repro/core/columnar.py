@@ -173,25 +173,37 @@ def _task_cost(nnodes: np.ndarray, hourly: np.ndarray,
 
 def _rates_per_row(snap: ColumnarSnapshot,
                    eviction: EvictionModel) -> np.ndarray:
-    """``eviction.rate_per_hour(sku, nnodes)`` per row, deduped."""
-    pairs = np.stack([snap.sku_codes.astype(np.int64), snap.nnodes],
-                     axis=1)
-    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    """``eviction.rate_per_hour(sku, nnodes)`` per row, deduped on one
+    packed (sku code, node count) integer key."""
+    low = int(snap.nnodes.min())
+    span = int(snap.nnodes.max()) - low + 1
+    keys = snap.sku_codes.astype(np.int64) * span + (snap.nnodes - low)
+    uniq, inverse = np.unique(keys, return_inverse=True)
     rates = np.asarray([
-        eviction.rate_per_hour(snap.skus[int(code)], int(nodes))
-        for code, nodes in uniq
+        eviction.rate_per_hour(snap.skus[int(key) // span],
+                               int(key) % span + low)
+        for key in uniq
     ], dtype=np.float64)
     return rates[np.asarray(inverse).reshape(-1)]
 
 
-def _dedup_kernel(values: np.ndarray, rates: np.ndarray,
-                  kernel) -> np.ndarray:
-    """Apply ``kernel(exec_time, rate)`` once per unique pair."""
-    pairs = np.stack([values, rates], axis=1)
-    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    out = np.asarray([kernel(float(v), float(r)) for v, r in uniq],
-                     dtype=np.float64)
-    return out[np.asarray(inverse).reshape(-1)]
+def _unique_pairs(values: np.ndarray,
+                  rates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct ``(value, rate)`` pair, each row's
+    pair number), grouped on the raw float64 bits.
+
+    Grouping by bits is never coarser than grouping by value, so the
+    row that stands for a group holds exactly every member's inputs.
+    """
+    left, right = values.view(np.uint64), rates.view(np.uint64)
+    order = np.lexsort((right, left))
+    left, right = left[order], right[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    starts[1:] = (left[1:] != left[:-1]) | (right[1:] != right[:-1])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def capacity_columns(
@@ -240,26 +252,27 @@ def capacity_columns(
         model = eviction if eviction is not None else EvictionModel(
             region=region
         )
-        rates = _rates_per_row(snap, model) if snap.n else \
-            np.empty(0, dtype=np.float64)
-        p95 = _dedup_kernel(
-            snap.exec_time_s, rates,
-            lambda t, r: p95_spot_runtime_cached(
-                t, r, recovery, checkpoint_interval_s,
-                checkpoint_overhead_s, samples=p95_samples,
-                seed=model.seed,
-            ),
-        ) if snap.n else np.empty(0, dtype=np.float64)
+        if snap.n:
+            rates = _rates_per_row(snap, model)
+            firsts, inverse = _unique_pairs(snap.exec_time_s, rates)
+            pairs = list(zip(snap.exec_time_s[firsts].tolist(),
+                             rates[firsts].tolist()))
+            p95 = np.asarray([
+                p95_spot_runtime_cached(
+                    t, r, recovery, checkpoint_interval_s,
+                    checkpoint_overhead_s, samples=p95_samples,
+                    seed=model.seed)
+                for t, r in pairs], dtype=np.float64)[inverse]
+            expected = np.asarray([
+                expected_spot_runtime_cached(
+                    t, r, recovery, checkpoint_interval_s,
+                    checkpoint_overhead_s)
+                for t, r in pairs], dtype=np.float64)[inverse]
+        else:
+            p95 = expected = np.empty(0, dtype=np.float64)
         measured_spot = np.asarray(
             [c == "spot" for c in snap.capacities], dtype=bool
         )[snap.capacity_codes] if snap.n else np.empty(0, dtype=bool)
-        expected = _dedup_kernel(
-            snap.exec_time_s, rates,
-            lambda t, r: expected_spot_runtime_cached(
-                t, r, recovery, checkpoint_interval_s,
-                checkpoint_overhead_s,
-            ),
-        ) if snap.n else np.empty(0, dtype=np.float64)
         hourly = _price_per_sku(snap, catalog, region, spot=True)
         spot_cost = _task_cost(snap.nnodes, hourly[snap.sku_codes],
                                expected)

@@ -44,6 +44,26 @@ POINT_COLUMN_FIELDS = (
     "infra_metrics", "tags", "deployment",
 )
 
+
+class ColumnRows(list):
+    """Rows from :meth:`StoreBackend.fetch_point_columns`, with the
+    store state they were read at.
+
+    ``signature`` is the :meth:`StoreBackend.dataset_signature` and
+    ``cursor`` the position after the last row, both read in the same
+    transaction as the rows.  ``delta`` is True when the rows are only
+    those after the cursor the caller passed, False when they are the
+    whole corpus.
+    """
+
+    def __init__(self, rows: Iterable[tuple], signature: Tuple,
+                 cursor: Tuple, delta: bool) -> None:
+        super().__init__(rows)
+        self.signature = signature
+        self.cursor = cursor
+        self.delta = delta
+
+
 _OP_SECONDS = global_registry().histogram(
     "advisor_store_op_seconds",
     "Store backend operation latency, by backend kind and operation.",
@@ -109,13 +129,16 @@ class StoreBackend(abc.ABC):
     supports_column_fetch: bool = False
 
     def fetch_point_columns(
-            self, query: Optional[Query] = None) -> Optional[List[tuple]]:
-        """Raw point rows in :data:`POINT_COLUMN_FIELDS` order.
+            self, cursor: Optional[Tuple] = None) -> Optional[ColumnRows]:
+        """Raw point rows in :data:`POINT_COLUMN_FIELDS` order, in
+        append order.
 
         Mapping fields (``appinputs``/``app_vars``/``infra_metrics``/
-        ``tags``) are JSON object text.  ``None`` means the engine has
-        no columnar fast path (or cannot fully push the query down);
-        callers fall back to :meth:`query_points`.
+        ``tags``) are JSON object text.  With the ``cursor`` of an
+        earlier fetch, only the rows appended since are returned while
+        that cursor is still valid (``ColumnRows.delta``); otherwise,
+        and without a cursor, every row.  ``None`` means the engine has
+        no columnar fast path; callers fall back to :meth:`query_points`.
         """
         return None
 

@@ -11,7 +11,9 @@ dictionary-encoded tables (strings and mappings), and an in-process
 Freshness is keyed on the *same* change token the service's ETag
 response cache uses — :meth:`StoreBackend.dataset_signature` — so a
 snapshot can never serve data an ETag would have revalidated: whenever
-the ETag key changes, the snapshot misses and rebuilds, and vice versa.
+the ETag key changes, the snapshot misses, and vice versa.  A miss after
+appends extends the cached snapshot with just the new rows when the
+store can fetch them by cursor (SQLite); anything else rebuilds it.
 
 Row order is store order (``ORDER BY id`` / file order), identical to
 ``query_points()``, so positional indices agree with the object path.
@@ -19,6 +21,7 @@ Row order is store order (``ORDER BY id`` / file order), identical to
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -46,7 +49,8 @@ __all__ = [
 
 _BUILDS = global_registry().counter(
     "advisor_snapshot_builds",
-    "Columnar snapshot materializations, by store backend kind.",
+    "Columnar snapshot materializations, by store backend kind and mode"
+    " (full rebuild or delta extension).",
 )
 _HITS = global_registry().counter(
     "advisor_snapshot_hits",
@@ -58,7 +62,7 @@ _ROWS = global_registry().gauge(
 )
 _BUILD_SECONDS = global_registry().histogram(
     "advisor_snapshot_build_seconds",
-    "Columnar snapshot build latency, by store backend kind.",
+    "Columnar snapshot build latency, by store backend kind and mode.",
 )
 
 
@@ -80,19 +84,25 @@ class _Encoder:
         return got
 
 
-def _encode_column(raw: Sequence[Any], decode) -> Tuple[list, _Encoder]:
+def _encode_column(raw: Sequence[Any], decode,
+                   base: Optional[_Encoder] = None) -> Tuple[list, _Encoder]:
     """Dictionary-encode one column in a single comprehension.
 
     ``setdefault(v, len(index))`` reads the current size *before* the
     (possible) insert, so unseen values get the next code in first-seen
     order; ``decode`` then runs once per unique value, not once per row.
+    Starting from a copy of ``base`` (the encoder of the rows before
+    these, left unchanged) gives every row the code one pass over all
+    the rows would give.
     """
-    index: Dict[Any, int] = {}
+    index: Dict[Any, int] = dict(base.codes) if base is not None else {}
+    known = len(index)
     nxt = index.setdefault
     codes = [nxt(v, len(index)) for v in raw]
     enc = _Encoder()
     enc.codes = index
-    enc.values = [decode(v) for v in index]
+    enc.values = (base.values if base is not None else []) + [
+        decode(v) for v in itertools.islice(index, known, None)]
     return codes, enc
 
 
@@ -102,6 +112,33 @@ def _parse_str_map(text: str) -> Dict[str, str]:
 
 def _parse_float_map(text: str) -> Dict[str, float]:
     return {str(k): float(v) for k, v in (json.loads(text) or {}).items()}
+
+
+#: Numeric columns: (build key, field, dtype).
+_NUMERIC = (
+    ("exec", "exec_time_s", np.float64),
+    ("cost", "cost_usd", np.float64),
+    ("ts", "timestamp", np.float64),
+    ("wasted", "wasted_node_s", np.float64),
+    ("makespan", "makespan_s", np.float64),
+    ("nnodes", "nnodes", np.int64),
+    ("ppn", "ppn", np.int64),
+    ("preempt", "preemptions", np.int64),
+    ("pred", "predicted", bool),
+)
+#: Dictionary-coded columns: (build key, code field, values field).
+_CODED = (
+    ("app", "appname_codes", "appnames"),
+    ("sku", "sku_codes", "skus"),
+    ("cap", "capacity_codes", "capacities"),
+    ("dep", "deployment_codes", "deployments"),
+    ("inp", "appinputs_codes", "appinputs_groups"),
+    ("var", "app_vars_codes", "app_vars_groups"),
+    ("infra", "infra_codes", "infra_groups"),
+    ("tag", "tags_codes", "tags_groups"),
+)
+#: Every per-row array field.
+_ARRAYS = tuple(f for _, f, _ in _NUMERIC) + tuple(f for _, f, _ in _CODED)
 
 
 @dataclass
@@ -143,6 +180,13 @@ class ColumnarSnapshot:
     #: The store's ``dataset_signature()`` at build time (None for
     #: ad-hoc snapshots over in-memory points or filtered views).
     signature: Optional[Tuple] = None
+    #: The store's fetch cursor after the last row (None: the snapshot
+    #: cannot be extended, only rebuilt).
+    cursor: Optional[Tuple] = None
+    #: The encoders that built the coded columns, by build key (what
+    #: ``from_column_rows(base=...)`` continues from).
+    _codebooks: Dict[str, _Encoder] = field(default_factory=dict,
+                                            repr=False)
     _lazy: Dict[str, Any] = field(default_factory=dict, repr=False)
 
     # -- derived tables (computed once per snapshot) -----------------------------
@@ -183,8 +227,9 @@ class ColumnarSnapshot:
     @classmethod
     def from_points(cls, points: Sequence[DataPoint],
                     signature: Optional[Tuple] = None) -> "ColumnarSnapshot":
-        appname_e, sku_e, cap_e, dep_e = (_Encoder() for _ in range(4))
-        inputs_e, vars_e, infra_e, tags_e = (_Encoder() for _ in range(4))
+        encoders = {key: _Encoder() for key, _, _ in _CODED}
+        (appname_e, sku_e, cap_e, dep_e,
+         inputs_e, vars_e, infra_e, tags_e) = encoders.values()
         cols: Dict[str, list] = {k: [] for k in (
             "exec", "cost", "ts", "wasted", "makespan", "nnodes", "ppn",
             "preempt", "pred", "app", "sku", "cap", "dep", "inp", "var",
@@ -214,12 +259,13 @@ class ColumnarSnapshot:
                              dict(p.infra_metrics)))
             cols["tag"].append(
                 tags_e.code(tuple(p.tags.items()), dict(p.tags)))
-        return cls._assemble(cols, appname_e, sku_e, cap_e, dep_e,
-                             inputs_e, vars_e, infra_e, tags_e, signature)
+        return cls._assemble(cols, encoders, signature)
 
     @classmethod
     def from_column_rows(cls, rows: Sequence[tuple],
                          signature: Optional[Tuple] = None,
+                         base: Optional["ColumnarSnapshot"] = None,
+                         cursor: Optional[Tuple] = None,
                          ) -> "ColumnarSnapshot":
         """Build from raw store rows (``StoreBackend.fetch_point_columns``).
 
@@ -230,6 +276,13 @@ class ColumnarSnapshot:
         column-at-a-time — one transpose, then one dictionary-encoding
         comprehension per string/mapping column — which roughly halves
         the Python cost of a 50k-row build versus a per-row loop.
+
+        With ``base`` — a snapshot built by this method from the rows
+        that precede ``rows`` — the result is ``base`` plus ``rows``:
+        only the new rows are encoded, against copies of ``base``'s code
+        dictionaries, and the arrays are concatenated.  Codes keep their
+        first-seen order, so it equals a build over all the rows at
+        once; ``base`` itself is left unchanged.
         """
         if rows:
             (app_c, sku_c, nnodes_c, ppn_c, cap_c, pred_c, exec_c,
@@ -245,51 +298,34 @@ class ColumnarSnapshot:
             "nnodes": nnodes_c, "ppn": ppn_c, "preempt": preempt_c,
             "pred": pred_c,
         }
-        encoders = []
-        for name, raw, decode in (
+        books = base._codebooks if base is not None else {}
+        encoders = {}
+        for key, raw, decode in (
                 ("app", app_c, str), ("sku", sku_c, str),
                 ("cap", cap_c, str), ("dep", dep_c, str),
                 ("inp", inp_c, _parse_str_map),
                 ("var", var_c, _parse_str_map),
                 ("infra", infra_c, _parse_float_map),
                 ("tag", tag_c, _parse_str_map)):
-            cols[name], enc = _encode_column(raw, decode)
-            encoders.append(enc)
-        return cls._assemble(cols, *encoders, signature)
+            cols[key], encoders[key] = _encode_column(raw, decode,
+                                                      books.get(key))
+        return cls._assemble(cols, encoders, signature, base, cursor)
 
     @classmethod
-    def _assemble(cls, cols, appname_e, sku_e, cap_e, dep_e,
-                  inputs_e, vars_e, infra_e, tags_e, signature):
-        codes = dict(dtype=np.int32)
-        return cls(
-            n=len(cols["exec"]),
-            exec_time_s=np.asarray(cols["exec"], dtype=np.float64),
-            cost_usd=np.asarray(cols["cost"], dtype=np.float64),
-            timestamp=np.asarray(cols["ts"], dtype=np.float64),
-            wasted_node_s=np.asarray(cols["wasted"], dtype=np.float64),
-            makespan_s=np.asarray(cols["makespan"], dtype=np.float64),
-            nnodes=np.asarray(cols["nnodes"], dtype=np.int64),
-            ppn=np.asarray(cols["ppn"], dtype=np.int64),
-            preemptions=np.asarray(cols["preempt"], dtype=np.int64),
-            predicted=np.asarray(cols["pred"], dtype=bool),
-            appname_codes=np.asarray(cols["app"], **codes),
-            appnames=tuple(appname_e.values),
-            sku_codes=np.asarray(cols["sku"], **codes),
-            skus=tuple(sku_e.values),
-            capacity_codes=np.asarray(cols["cap"], **codes),
-            capacities=tuple(cap_e.values),
-            deployment_codes=np.asarray(cols["dep"], **codes),
-            deployments=tuple(dep_e.values),
-            appinputs_codes=np.asarray(cols["inp"], **codes),
-            appinputs_groups=tuple(inputs_e.values),
-            app_vars_codes=np.asarray(cols["var"], **codes),
-            app_vars_groups=tuple(vars_e.values),
-            infra_codes=np.asarray(cols["infra"], **codes),
-            infra_groups=tuple(infra_e.values),
-            tags_codes=np.asarray(cols["tag"], **codes),
-            tags_groups=tuple(tags_e.values),
-            signature=signature,
-        )
+    def _assemble(cls, cols, encoders, signature, base=None, cursor=None):
+        fields: Dict[str, Any] = {
+            name: np.asarray(cols[key], dtype=dtype)
+            for key, name, dtype in _NUMERIC
+        }
+        for key, codes, values in _CODED:
+            fields[codes] = np.asarray(cols[key], dtype=np.int32)
+            fields[values] = tuple(encoders[key].values)
+        if base is not None:
+            for name in _ARRAYS:
+                fields[name] = np.concatenate((getattr(base, name),
+                                               fields[name]))
+        return cls(n=len(fields["exec_time_s"]), signature=signature,
+                   cursor=cursor, _codebooks=encoders, **fields)
 
     # -- filtering ---------------------------------------------------------------
 
@@ -358,32 +394,8 @@ class ColumnarSnapshot:
         return ColumnarSnapshot(
             n=int(np.count_nonzero(mask)) if mask.dtype == bool
             else len(mask),
-            exec_time_s=self.exec_time_s[mask],
-            cost_usd=self.cost_usd[mask],
-            timestamp=self.timestamp[mask],
-            wasted_node_s=self.wasted_node_s[mask],
-            makespan_s=self.makespan_s[mask],
-            nnodes=self.nnodes[mask],
-            ppn=self.ppn[mask],
-            preemptions=self.preemptions[mask],
-            predicted=self.predicted[mask],
-            appname_codes=self.appname_codes[mask],
-            appnames=self.appnames,
-            sku_codes=self.sku_codes[mask],
-            skus=self.skus,
-            capacity_codes=self.capacity_codes[mask],
-            capacities=self.capacities,
-            deployment_codes=self.deployment_codes[mask],
-            deployments=self.deployments,
-            appinputs_codes=self.appinputs_codes[mask],
-            appinputs_groups=self.appinputs_groups,
-            app_vars_codes=self.app_vars_codes[mask],
-            app_vars_groups=self.app_vars_groups,
-            infra_codes=self.infra_codes[mask],
-            infra_groups=self.infra_groups,
-            tags_codes=self.tags_codes[mask],
-            tags_groups=self.tags_groups,
-            signature=None,
+            **{name: getattr(self, name)[mask] for name in _ARRAYS},
+            **{values: getattr(self, values) for _, _, values in _CODED},
             _lazy={k: v for k, v in self._lazy.items()
                    if k in ("skus_lower", "inputs_keys")},
         )
@@ -501,9 +513,13 @@ def snapshot_for_store(backend,
                        ) -> ColumnarSnapshot:
     """The backend's current corpus as a snapshot, via the LRU.
 
-    A fresh entry (same ``dataset_signature``) is returned as-is; a
-    stale or missing one triggers a rebuild — through the backend's
-    column fetch when it has one, else through ``query_points``.
+    A fresh entry (same ``dataset_signature``) is returned as-is.  A
+    stale one is extended with the rows appended since it was built
+    when the backend's column fetch can resume from its cursor (mode
+    ``delta``); otherwise the snapshot is rebuilt from every row,
+    through the column fetch when the backend has one, else through
+    ``query_points`` (mode ``full``).  A published snapshot is never
+    mutated, so readers holding an older one keep a consistent view.
     """
     cache = cache if cache is not None else _CACHE
     signature = backend.dataset_signature()
@@ -513,17 +529,26 @@ def snapshot_for_store(backend,
         _HITS.labels(kind=backend.kind).inc()
         return snap
     start = time.perf_counter()
-    rows = backend.fetch_point_columns()
+    entry = cache.peek(key)
+    base = entry[1] if entry is not None else None
+    rows = backend.fetch_point_columns(
+        base.cursor if base is not None else None)
     if rows is not None:
-        snap = ColumnarSnapshot.from_column_rows(rows, signature=signature)
+        # The rows carry the signature of their own read transaction,
+        # which may be newer than the one looked up above.
+        base = base if rows.delta else None
+        snap = ColumnarSnapshot.from_column_rows(
+            rows, rows.signature, base=base, cursor=rows.cursor)
     else:
+        base = None
         snap = ColumnarSnapshot.from_points(backend.query_points(),
                                             signature=signature)
-    _BUILD_SECONDS.labels(kind=backend.kind).observe(
+    mode = "full" if base is None else "delta"
+    _BUILD_SECONDS.labels(kind=backend.kind, mode=mode).observe(
         time.perf_counter() - start)
-    _BUILDS.labels(kind=backend.kind).inc()
+    _BUILDS.labels(kind=backend.kind, mode=mode).inc()
     _ROWS.labels(kind=backend.kind).set(float(snap.n))
-    cache.put(key, signature, snap)
+    cache.put(key, snap.signature, snap)
     return snap
 
 

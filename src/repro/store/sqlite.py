@@ -20,10 +20,12 @@ task records.  Design points:
   workers read while a sweep writes; writers additionally serialize on
   the state directory's advisory file locks, same as the JSONL layout.
 
-Freshness tokens combine SQLite's ``data_version`` pragma (bumped by
-*other* connections' commits) with this connection's ``total_changes``
-(bumped by our own writes), so session caches see both local and
-external updates without polling file mtimes.
+Freshness tokens are ``(inode, points_epoch, generation)``.  The
+per-table generation counter is bumped in the transaction of every
+write, whichever connection makes it; ``points_epoch`` is a random token
+written when the database is created and rotated by ``replace_points``,
+so a database deleted and recreated at the same path (where the inode
+and the counter can both repeat) never matches an older token.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.core.dataset import DataPoint
 from repro.core.query import Query
 from repro.core.taskdb import TaskRecord
 from repro.errors import DatasetError
-from repro.store.base import StoreBackend
+from repro.store.base import ColumnRows, StoreBackend
 
 #: Mapping-filter keys safe to inline into a JSON path expression
 #: (SQLite's ``$.name`` form requires a plain identifier).
@@ -51,6 +53,11 @@ def _dumps(payload: dict) -> str:
     ``", "``/``": "`` separators are pure write amplification — on a
     50k-row corpus the whitespace alone is megabytes of WAL traffic."""
     return json.dumps(payload, separators=(",", ":"))
+
+
+def _new_epoch() -> str:
+    return os.urandom(8).hex()
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS datapoints (
@@ -94,6 +101,14 @@ class SqliteStore(StoreBackend):
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
+        if self._conn.execute(
+                "SELECT 1 FROM meta WHERE key = 'points_epoch'"
+        ).fetchone() is None:
+            # OR IGNORE: another connection may create it meanwhile.
+            self._conn.execute(
+                "INSERT OR IGNORE INTO meta (key, value)"
+                " VALUES ('points_epoch', ?)", (_new_epoch(),)
+            )
         self._conn.commit()
         self._ino = self._stat_ino()
         self._closed = False
@@ -139,12 +154,6 @@ class SqliteStore(StoreBackend):
             (counter,),
         )
 
-    def _gen(self, counter: str) -> int:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (counter,)
-        ).fetchone()
-        return int(row[0]) if row is not None else 0
-
     def replace_points(self, points: Sequence[DataPoint]) -> None:
         rows = [
             (p.appname, p.sku, p.sku.lower(), p.nnodes, p.ppn, p.capacity,
@@ -152,10 +161,16 @@ class SqliteStore(StoreBackend):
             for p in points
         ]
         # One transaction: a crash mid-replace must never leave an
-        # emptied corpus, and no reader may observe the gap.
+        # emptied corpus, and no reader may observe the gap.  Row ids
+        # restart, so the epoch rotates with them: no snapshot cursor
+        # taken before the replace can match after it.
         with self._lock:
             try:
                 self._conn.execute("DELETE FROM datapoints")
+                self._conn.execute(
+                    "INSERT OR REPLACE INTO meta (key, value)"
+                    " VALUES ('points_epoch', ?)", (_new_epoch(),)
+                )
                 if rows:
                     self._conn.executemany(
                         "INSERT INTO datapoints (appname, sku, sku_lower,"
@@ -226,20 +241,27 @@ class SqliteStore(StoreBackend):
     )
 
     def fetch_point_columns(
-            self, query: Optional[Query] = None) -> Optional[List[tuple]]:
-        query = query or Query()
-        where, params, fully_pushed = self._translate(query)
-        if not fully_pushed:
-            return None
-        sql = self._COLUMN_SELECT + where + " ORDER BY id"
-        if query.limit is not None or query.offset:
-            sql += " LIMIT ? OFFSET ?"
-            params = params + [
-                -1 if query.limit is None else query.limit,
-                query.offset,
-            ]
+            self, cursor: Optional[Tuple] = None) -> ColumnRows:
         with self._timed("query"), self._lock:
-            return self._conn.execute(sql, params).fetchall()
+            # One read transaction: the signature, the cursor and the
+            # rows describe the same commit, so an append committed
+            # between the reads is neither duplicated nor lost.
+            self._conn.execute("BEGIN")
+            try:
+                signature = self._signature("points_gen")
+                last_id = self._conn.execute(
+                    "SELECT COALESCE(MAX(id), 0) FROM datapoints"
+                ).fetchone()[0]
+                # Appends take ids above every existing one; only
+                # replace_points reuses ids, and it rotates the epoch.
+                delta = cursor is not None and cursor[:2] == signature[:2]
+                return ColumnRows(
+                    self._conn.execute(
+                        self._COLUMN_SELECT + " WHERE id > ? ORDER BY id",
+                        (cursor[2] if delta else 0,)),
+                    signature, signature[:2] + (last_id,), delta)
+            finally:
+                self._conn.commit()
 
     def aggregate_points(
             self, query: Optional[Query] = None) -> Optional[Dict]:
@@ -391,8 +413,13 @@ class SqliteStore(StoreBackend):
             # The per-table generation counter is bumped inside every
             # write transaction (ours or another connection's), so a
             # task upsert never invalidates the dataset cache and a
-            # point append never invalidates the task cache.
-            return (ino, self._gen(counter))
+            # point append never invalidates the task cache.  The epoch
+            # is read in the same statement (module docstring).
+            epoch, gen = self._conn.execute(
+                "SELECT (SELECT value FROM meta WHERE key = 'points_epoch'),"
+                " (SELECT value FROM meta WHERE key = ?)", (counter,)
+            ).fetchone()
+        return (ino, epoch, int(gen) if gen is not None else 0)
 
     def dataset_signature(self) -> Tuple:
         return self._signature("points_gen")

@@ -5,33 +5,45 @@ request, ``engine="columnar"`` returns *byte-identical* results to the
 legacy per-DataPoint oracle (``engine="objects"``) — including error
 messages.  Hypothesis drives random corpora and request shapes through
 both engines over both store backends; separate tests pin snapshot
-invalidation (append -> stale snapshot rebuilt) and the agreement
+invalidation (append -> stale snapshot extended on SQLite, rebuilt
+otherwise, always equal to a from-scratch build) and the agreement
 between the service ETag and the snapshot generation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import sys
 import tempfile
+import threading
+import time
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.requests import ADVICE_ENGINE_CHOICES, AdviseRequest
 from repro.api.session import AdvisorSession
-from repro.core.columnar import (ADVICE_ENGINES, compare_snapshots,
+from repro.cloud.eviction import EvictionModel
+from repro.cloud.pricing import PriceCatalog
+from repro.core.columnar import (ADVICE_ENGINES, capacity_columns,
+                                 compare_snapshots,
                                  describe_advice_engines,
                                  resolve_advice_engine)
 from repro.core.compare import compare_datasets
+from repro.core.cost import P95_METRIC, capacity_view
 from repro.core.dataset import Dataset, DataPoint
 from repro.core.query import Query
 from repro.core.statefiles import StateStore
 from repro.errors import AdvisorError, ReproError
 from repro.predict.predictor import PerformancePredictor
+from repro.store import JsonlStore, SqliteStore
 from repro.store.snapshot import (ColumnarSnapshot, SnapshotCache,
                                   snapshot_for_store, snapshot_status)
+from repro.telemetry import global_registry
 from tests.conftest import make_config
 
 SKUS = ("Standard_HB120rs_v3", "Standard_HC44rs")
@@ -73,6 +85,29 @@ advise_params = st.fixed_dictionaries({
     "nnodes": st.sampled_from([(), (2, 4)]),
     "eviction_rate": st.sampled_from([None, 12.0]),
 })
+
+
+@st.composite
+def grouped_points(draw):
+    """``datapoints`` spread over more SKUs, appinputs, tag and metric
+    groups, so a later append batch brings codes earlier ones lack."""
+    return dataclasses.replace(
+        draw(datapoints()),
+        sku=draw(st.sampled_from(SKUS + ("Standard_D64s_v5",))),
+        appinputs={"BOXFACTOR": draw(st.sampled_from(["4", "8", "16"]))},
+        tags=draw(st.sampled_from([{}, {"run": "a"},
+                                   {"site": "x", "run": "b"}])),
+        infra_metrics=draw(st.sampled_from([{}, {"net_mbps": 1.5}])),
+    )
+
+
+#: Fixed points for the snapshot tests: distinct times, mixed groups.
+POINTS = [
+    DataPoint(appname="lammps", sku=SKUS[i % 2], nnodes=1 + i % 4, ppn=4,
+              exec_time_s=10.0 + i, cost_usd=1.0 + i,
+              appinputs={"BOXFACTOR": str(4 + i % 3)})
+    for i in range(12)
+]
 
 
 def advise_outcome(session, name: str, engine: str, params) -> tuple:
@@ -125,6 +160,29 @@ class TestAdviceEquivalence:
                 columnar = advise_outcome(session, info.name, "columnar",
                                           params)
                 assert objects == columnar, (backend, params)
+
+
+class TestSpotRiskDedup:
+    def test_every_row_gets_its_own_pairs_kernels(self):
+        """Execution times repeat across SKUs and node counts (so across
+        eviction rates), and whole (time, rate) pairs repeat: every
+        row's spot columns equal the per-point object view bit for bit,
+        so the kernels are deduplicated per pair, never per time."""
+        points = [
+            DataPoint(appname="lammps", sku=SKUS[(i // 2) % 2],
+                      nnodes=1 + (i // 4) % 3, ppn=4,
+                      exec_time_s=3600.0 * (1 + i % 2), cost_usd=1.0)
+            for i in range(24)
+        ]
+        catalog, model = PriceCatalog(), EvictionModel()
+        view = capacity_view(Dataset(points), catalog, "spot",
+                             eviction=model).points()
+        cols = capacity_columns(ColumnarSnapshot.from_points(points),
+                                catalog, "spot", eviction=model)
+        assert cols.makespan_s.tolist() == [p.makespan_s for p in view]
+        assert cols.cost_usd.tolist() == [p.cost_usd for p in view]
+        assert cols.p95.tolist() == [p.infra_metrics[P95_METRIC]
+                                     for p in view]
 
 
 class TestCompareEquivalence:
@@ -221,6 +279,267 @@ class TestSnapshotInvalidation:
         assert (snapshot_for_store(data, cache=cache).signature
                 == data.dataset_signature())
 
+    # -- extension after appends ----------------------------------------------
+
+    @staticmethod
+    def _open(root, backend):
+        if backend == "sqlite":
+            return SqliteStore(os.path.join(root, "store.sqlite"))
+        return JsonlStore(os.path.join(root, "dataset.jsonl"),
+                          os.path.join(root, "tasks.json"))
+
+    @staticmethod
+    def _reopen(store):
+        """A second handle on the same files, as another process has."""
+        if store.kind == "sqlite":
+            return SqliteStore(store.db_path)
+        return JsonlStore(store.dataset_path, store.taskdb_path)
+
+    @staticmethod
+    def _full_build(store):
+        """A from-scratch snapshot of the store's corpus as it is now."""
+        rows = store.fetch_point_columns()
+        if rows is None:
+            return ColumnarSnapshot.from_points(
+                store.query_points(), signature=store.dataset_signature())
+        return ColumnarSnapshot.from_column_rows(rows, rows.signature,
+                                                 cursor=rows.cursor)
+
+    @staticmethod
+    def _fields(snap):
+        """Every public field: arrays as dtype plus bytes, mapping groups
+        with their key order."""
+        out = {}
+        for spec in dataclasses.fields(snap):
+            if spec.name.startswith("_"):
+                continue
+            value = getattr(snap, spec.name)
+            if isinstance(value, np.ndarray):
+                value = (value.dtype.str, value.tobytes())
+            elif value and isinstance(value, tuple) \
+                    and isinstance(value[0], dict):
+                value = [list(group.items()) for group in value]
+            out[spec.name] = value
+        return out
+
+    @staticmethod
+    def _builds(kind, mode):
+        return global_registry().counter("advisor_snapshot_builds").labels(
+            kind=kind, mode=mode).value
+
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=st.lists(st.tuples(st.lists(grouped_points(), max_size=6),
+                                    st.booleans()),
+                          min_size=1, max_size=6))
+    @example(steps=[(POINTS[:2], True),
+                    ([dataclasses.replace(
+                        POINTS[2], sku="Standard_D64s_v5",
+                        appinputs={"BOXFACTOR": "32"},
+                        tags={"run": "new"})], True),
+                    ([], True)])
+    def test_every_snapshot_equals_a_full_build(self, backend, steps):
+        """Append batches with lookups in between: every snapshot
+        returned equals a from-scratch build of the corpus at that
+        moment, and none changes after it is returned.  SQLite extends
+        the cached snapshot after its first build (and any earlier
+        snapshot still extends to the current corpus); JSONL rebuilds."""
+        with tempfile.TemporaryDirectory() as root:
+            store = self._open(root, backend)
+            cache = SnapshotCache()
+            fulls = self._builds(backend, "full")
+            returned = []
+            for batch, lookup in steps + [([], True)]:
+                store.append_points(batch)
+                if lookup:
+                    snap = snapshot_for_store(store, cache=cache)
+                    assert (self._fields(snap)
+                            == self._fields(self._full_build(store)))
+                    returned.append((snap, self._fields(snap)))
+            now = self._fields(self._full_build(store))
+            for snap, frozen in returned:
+                assert self._fields(snap) == frozen
+                if backend == "sqlite":
+                    rows = store.fetch_point_columns(snap.cursor)
+                    assert rows.delta
+                    assert self._fields(ColumnarSnapshot.from_column_rows(
+                        rows, rows.signature, base=snap,
+                        cursor=rows.cursor)) == now
+            store.close()
+            if backend == "sqlite":
+                assert self._builds(backend, "full") - fulls == 1
+
+    def test_concurrent_lookups_during_appends(self, tmp_path):
+        """Reader threads (more than cores, each with its own handle)
+        share one cache while another handle appends batches that bring
+        new groups: two readers may extend the same cached snapshot at
+        once, so every snapshot any of them gets must still decode to a
+        prefix of the final corpus."""
+        store = SqliteStore(str(tmp_path / "store.sqlite"))
+        writer = SqliteStore(store.db_path)
+        cache = SnapshotCache()
+        stop = threading.Event()
+        seen, errors = [], []
+
+        def read():
+            handle = SqliteStore(store.db_path)
+            try:
+                while not stop.is_set():
+                    snap = snapshot_for_store(handle, cache=cache)
+                    if not seen or seen[-1] is not snap:
+                        seen.append(snap)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                handle.close()
+
+        def rows(snap):
+            return [(snap.skus[s], snap.appinputs_groups[a],
+                     snap.tags_groups[t], float(x))
+                    for s, a, t, x in zip(snap.sku_codes,
+                                          snap.appinputs_codes,
+                                          snap.tags_codes,
+                                          snap.exec_time_s)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for i in range(60):
+                writer.append_points([dataclasses.replace(
+                    POINTS[i % len(POINTS)], exec_time_s=100.0 + i,
+                    sku=f"Standard_S{i % 7}",
+                    appinputs={"BOXFACTOR": str(i % 9)},
+                    tags={"batch": str(i)})])
+                time.sleep(0.002)  # the readers miss together
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in readers)
+            assert not errors
+            final = snapshot_for_store(store, cache=cache)
+            assert final.n == 60
+            assert self._fields(final) == self._fields(
+                self._full_build(store))
+            expected = rows(final)
+            for snap in seen:
+                assert rows(snap) == expected[:snap.n]
+        finally:
+            store.close()
+            writer.close()
+
+    def test_empty_delta_equals_the_base(self, tmp_path):
+        store = SqliteStore(str(tmp_path / "store.sqlite"))
+        try:
+            store.append_points(POINTS[:3])
+            snap = snapshot_for_store(store, cache=SnapshotCache())
+            rows = store.fetch_point_columns(snap.cursor)
+            assert rows == [] and rows.delta
+            assert rows.cursor == snap.cursor
+            extended = ColumnarSnapshot.from_column_rows(
+                rows, rows.signature, base=snap, cursor=rows.cursor)
+            assert self._fields(extended) == self._fields(snap)
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
+    def test_other_handle_appends_and_replaces(self, tmp_path, backend):
+        """Writes through a second handle (another process): an append
+        is taken in as a delta on SQLite; a replace, which restarts the
+        row ids, always forces a full build."""
+        store = self._open(str(tmp_path), backend)
+        other = self._reopen(store)
+        cache = SnapshotCache()
+        append_mode = "delta" if backend == "sqlite" else "full"
+        try:
+            store.append_points(POINTS[:3])
+            snapshot_for_store(store, cache=cache)
+
+            before = self._builds(backend, append_mode)
+            other.append_points(POINTS[3:4])
+            snap = snapshot_for_store(store, cache=cache)
+            assert self._builds(backend, append_mode) == before + 1
+            assert self._fields(snap) == self._fields(self._full_build(store))
+
+            # More rows than before, so a cursor that outlived the
+            # replace would splice old rows onto new ones.
+            before = self._builds(backend, "full")
+            other.replace_points(POINTS[4:10])
+            snap = snapshot_for_store(store, cache=cache)
+            assert self._builds(backend, "full") == before + 1
+            assert snap.n == 6
+            assert self._fields(snap) == self._fields(self._full_build(store))
+
+            other.append_points(POINTS[10:12])
+            snap = snapshot_for_store(store, cache=cache)
+            assert snap.n == 8
+            assert self._fields(snap) == self._fields(self._full_build(store))
+        finally:
+            store.close()
+            other.close()
+
+    @pytest.mark.parametrize("backend,window", [("sqlite", "lookup"),
+                                                ("sqlite", "fetch"),
+                                                ("jsonl", "lookup")])
+    def test_append_between_signature_and_rows(self, tmp_path, monkeypatch,
+                                               backend, window):
+        """An append committed after a signature read but before the
+        row fetch — after the lookup's freshness check, or inside the
+        fetch itself — is neither duplicated nor dropped."""
+        store = self._open(str(tmp_path), backend)
+        other = self._reopen(store)
+        cache = SnapshotCache()
+        pending = []
+
+        def inject(read):
+            def wrapper(*args):
+                result = read(*args)
+                if pending:
+                    other.append_points(pending.pop())
+                return result
+            return wrapper
+
+        try:
+            store.append_points(POINTS[:2])
+            snapshot_for_store(store, cache=cache)
+            store.append_points(POINTS[2:4])
+            if window == "lookup":
+                pending.append(POINTS[4:6])
+                monkeypatch.setattr(store, "dataset_signature",
+                                    inject(store.dataset_signature))
+            else:
+                fetch = store.fetch_point_columns
+
+                def armed_fetch(cursor=None):
+                    pending.append(POINTS[4:6])
+                    return fetch(cursor)
+
+                monkeypatch.setattr(store, "_signature",
+                                    inject(store._signature))
+                monkeypatch.setattr(store, "fetch_point_columns",
+                                    armed_fetch)
+            racing = snapshot_for_store(store, cache=cache)
+            assert not pending  # the injected append happened
+            monkeypatch.undo()
+
+            final = snapshot_for_store(store, cache=cache)
+            assert final.n == store.count_points() == 6
+            assert self._fields(final) == self._fields(self._full_build(store))
+            assert (final.exec_time_s[:racing.n].tobytes()
+                    == racing.exec_time_s.tobytes())
+            if window == "fetch":
+                # Rows and signature come from one read transaction.
+                assert racing.n == 4
+                assert racing.signature != final.signature
+        finally:
+            store.close()
+            other.close()
 
 class TestServiceEtagAgreement:
     def test_append_moves_etag_and_advice_together(self, tmp_path):

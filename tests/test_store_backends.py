@@ -367,6 +367,38 @@ class TestSignatures:
             a.close()
             b.close()
 
+    def test_sqlite_recreated_database_gets_new_signatures(
+            self, tmp_path, monkeypatch):
+        """Regression: signatures were (inode, generation).  A database
+        deleted and recreated at the same path — a purge, then a
+        redeploy under the freed name — often gets the freed inode back
+        and restarts the counters, so a *different* first point came
+        out under the old signatures."""
+        # Whether ext4 hands the freed inode straight back depends on
+        # its allocator; pin the reuse so the test does not.
+        monkeypatch.setattr(SqliteStore, "_stat_ino", lambda self: 4242)
+        db_path = str(tmp_path / "again.sqlite")
+        store = SqliteStore(db_path)
+        store.append_point(DataPoint(
+            appname="lammps", sku=_SKUS[0], nnodes=1, ppn=1,
+            exec_time_s=1.0, cost_usd=0.1,
+        ))
+        old = (store.dataset_signature(), store.tasks_signature())
+        store.close()
+        for path in store.data_paths:
+            if os.path.exists(path):
+                os.unlink(path)
+        store = SqliteStore(db_path)
+        try:
+            store.append_point(DataPoint(
+                appname="wrf", sku=_SKUS[1], nnodes=2, ppn=1,
+                exec_time_s=2.0, cost_usd=0.2,
+            ))
+            assert store.dataset_signature() != old[0]
+            assert store.tasks_signature() != old[1]
+        finally:
+            store.close()
+
     def test_jsonl_signature_sees_appends(self, tmp_path):
         store = JsonlStore(str(tmp_path / "d.jsonl"),
                            str(tmp_path / "t.json"))
