@@ -57,10 +57,6 @@ class AzureBatchBackend(ExecutionBackend):
         return "azurebatch"
 
     @property
-    def supports_concurrency(self) -> bool:
-        return True
-
-    @property
     def supports_preemption(self) -> bool:
         return True
 
@@ -72,12 +68,6 @@ class AzureBatchBackend(ExecutionBackend):
         return pool_id_for(sku_name, self.capacity)
 
     # -- capacity ----------------------------------------------------------------
-
-    def ensure_capacity(self, sku_name: str, nodes: int) -> None:
-        op = self.submit_provision(sku_name, nodes)
-        if op.ready_at > self.service.clock.now:
-            self.service.clock.advance_to(op.ready_at)
-        op.finish()
 
     def submit_provision(self, sku_name: str, nodes: int) -> AsyncOp:
         pool_id = self._pool_id(sku_name)
@@ -99,7 +89,7 @@ class AzureBatchBackend(ExecutionBackend):
         else:
             ready_at = self.service.clock.now
         # Boot waits count as provisioning overhead even when they overlap
-        # other pools' work (the per-pool sum, as in the sequential sweep).
+        # other pools' work (the per-pool sum, as with one pool at a time).
         self._provisioning_s += ready_at - self.service.clock.now
         return AsyncOp(ready_at, pool.finish_resize)
 
@@ -126,15 +116,6 @@ class AzureBatchBackend(ExecutionBackend):
     def needs_setup(self, sku_name: str) -> bool:
         return not self._setup_done.get(self._pool_id(sku_name), False)
 
-    def run_setup(self, sku_name: str, script: AppScript) -> bool:
-        if not self.needs_setup(sku_name):
-            return True
-        self.ensure_capacity(sku_name, 1)
-        op = self.submit_setup(sku_name, script)
-        if op.ready_at > self.service.clock.now:
-            self.service.clock.advance_to(op.ready_at)
-        return bool(op.finish())
-
     def submit_setup(self, sku_name: str, script: AppScript) -> AsyncOp:
         pool_id = self._pool_id(sku_name)
         if self._setup_done.get(pool_id):
@@ -153,15 +134,6 @@ class AzureBatchBackend(ExecutionBackend):
             return self._setup_done[pool_id]
 
         return AsyncOp(self._finish_eta(task), finalize)
-
-    def run_scenario(self, scenario: Scenario, script: AppScript) -> ScenarioRunResult:
-        self.ensure_capacity(scenario.sku_name, scenario.nnodes)
-        op = self.submit_scenario(scenario, script)
-        if op.ready_at > self.service.clock.now:
-            self.service.clock.advance_to(op.ready_at)
-        result = op.finish()
-        assert isinstance(result, ScenarioRunResult)
-        return result
 
     def submit_scenario(self, scenario: Scenario, script: AppScript,
                         resume_from_s: float = 0.0,

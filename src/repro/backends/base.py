@@ -4,6 +4,12 @@ A back-end owns compute resources pinned to one VM type at a time (an Azure
 Batch pool, a Slurm partition) and can run the application's setup script
 and per-scenario compute jobs on them.  Algorithm 1's pool-recycling logic
 lives in the collector; the back-end only exposes the primitives.
+
+The primitives are split-phase: each ``submit_*`` call starts an operation
+on the back-end's simulated clock and returns an :class:`AsyncOp` saying
+when it completes.  The collector's event queue waits out many ops at
+once (one timeline per VM type); code that needs one op done before it
+goes on — the batched kernel, tests — waits it out with :func:`drive`.
 """
 
 from __future__ import annotations
@@ -80,6 +86,17 @@ class AsyncOp:
         return self._interrupt()
 
 
+def drive(clock: SimClock, op: AsyncOp) -> object:
+    """Wait out ``op`` on ``clock`` and finalize it.
+
+    Advances the clock to ``op.ready_at`` (never backwards: an op that is
+    already due leaves the clock alone) and returns ``op.finish()``.
+    """
+    if op.ready_at > clock.now:
+        clock.advance_to(op.ready_at)
+    return op.finish()
+
+
 def resumed_wall_s(full_wall_s: float, resume_from_s: float,
                    restart_overhead_s: float) -> float:
     """Attempt wall time of a (possibly resumed) scenario execution.
@@ -95,94 +112,47 @@ def resumed_wall_s(full_wall_s: float, resume_from_s: float,
 
 
 class ExecutionBackend(abc.ABC):
-    """Primitive operations Algorithm 1 needs from a resource manager."""
+    """Primitive operations Algorithm 1 needs from a resource manager.
+
+    A back-end that blocks on its resource manager still fits: it does
+    the work inside ``submit_*`` and returns ``AsyncOp(clock.now,
+    finalize)``, an op that is already due.
+    """
 
     @property
     @abc.abstractmethod
     def name(self) -> str:
         """Back-end identifier (e.g. ``azurebatch``, ``slurm``)."""
 
-    @abc.abstractmethod
-    def ensure_capacity(self, sku_name: str, nodes: int) -> None:
-        """Make ``nodes`` nodes of ``sku_name`` available.
-
-        Called when Algorithm 1 switches VM type (fresh pool) and when a
-        scenario needs more nodes than currently provisioned (the paper's
-        incremental resize).
-        """
-
-    @abc.abstractmethod
-    def run_setup(self, sku_name: str, script: AppScript) -> bool:
-        """Run the application setup for the current VM type's resources."""
-
-    @abc.abstractmethod
-    def run_scenario(self, scenario: Scenario, script: AppScript) -> ScenarioRunResult:
-        """Execute one scenario and return its measurement."""
-
-    # -- spot capacity (preemption-aware back-ends) -------------------------------
-    #
-    # Back-ends that can run on interruptible capacity set ``capacity``
-    # to ``"spot"``, report ``supports_preemption``, honour the
-    # resume/overhead parameters of :meth:`submit_scenario`, and attach
-    # an interrupt hook to scenario ops.  The defaults keep third-party
-    # back-ends valid: the collector refuses spot sweeps on them.
-
     @property
-    def supports_preemption(self) -> bool:
-        """True when scenario ops can be interrupted mid-run (spot)."""
-        return False
-
     @abc.abstractmethod
-    def release_capacity(self, sku_name: str, delete: bool) -> None:
-        """Shrink to zero (``delete=False``) or delete the SKU's resources."""
-
-    @abc.abstractmethod
-    def teardown(self) -> None:
-        """Release everything (end of collection)."""
-
-    # -- non-blocking primitives (concurrent sweeps) ------------------------------
-    #
-    # Back-ends that can keep several SKU pools in flight at once override
-    # these submit/poll primitives and report ``supports_concurrency``.
-    # The defaults keep third-party blocking-only back-ends valid: the
-    # collector falls back to the sequential Algorithm-1 loop for them.
-
-    @property
-    def supports_concurrency(self) -> bool:
-        """True when the submit_* primitives below are implemented."""
-        return False
-
-    @property
     def clock(self) -> SimClock:
         """The simulated clock shared by this back-end's resources.
 
-        Required for concurrent collection (the sweep scheduler runs an
-        event queue on it); blocking-only back-ends need not provide it.
+        Every op's ``ready_at`` is a timestamp on this clock; the sweep
+        scheduler runs its event queue on it.
         """
-        raise NotImplementedError(f"{self.name} backend exposes no clock")
 
-    def needs_setup(self, sku_name: str) -> bool:
-        """True when the SKU's resources still need the application setup."""
-        return True
-
+    @abc.abstractmethod
     def submit_provision(self, sku_name: str, nodes: int) -> AsyncOp:
         """Start making ``nodes`` nodes of ``sku_name`` available.
 
-        Non-blocking counterpart of :meth:`ensure_capacity`: quota is
-        allocated and billing starts immediately, but the boot wait is
-        returned as the op's ``ready_at`` instead of advancing the clock.
+        Called when Algorithm 1 switches VM type (fresh pool) and when a
+        scenario needs more nodes than currently provisioned (the paper's
+        incremental resize).  Quota is allocated and billing starts
+        immediately; the boot wait is the op's ``ready_at``.
         ``finish()`` returns ``None``.
         """
-        raise NotImplementedError(f"{self.name} backend is blocking-only")
 
+    @abc.abstractmethod
     def submit_setup(self, sku_name: str, script: AppScript) -> AsyncOp:
         """Start the application setup task; ``finish()`` returns bool.
 
         The caller must have provisioned at least one node (via a finished
         :meth:`submit_provision`) first.
         """
-        raise NotImplementedError(f"{self.name} backend is blocking-only")
 
+    @abc.abstractmethod
     def submit_scenario(self, scenario: Scenario, script: AppScript,
                         resume_from_s: float = 0.0,
                         restart_overhead_s: float = 0.0) -> AsyncOp:
@@ -197,7 +167,31 @@ class ExecutionBackend(abc.ABC):
         ignore them (the collector only passes non-zero values after an
         interruption, which requires ``supports_preemption``).
         """
-        raise NotImplementedError(f"{self.name} backend is blocking-only")
+
+    @abc.abstractmethod
+    def release_capacity(self, sku_name: str, delete: bool) -> None:
+        """Shrink to zero (``delete=False``) or delete the SKU's resources."""
+
+    @abc.abstractmethod
+    def teardown(self) -> None:
+        """Release everything (end of collection)."""
+
+    def needs_setup(self, sku_name: str) -> bool:
+        """True when the SKU's resources still need the application setup."""
+        return True
+
+    # -- spot capacity (preemption-aware back-ends) -------------------------------
+    #
+    # Back-ends that can run on interruptible capacity set ``capacity``
+    # to ``"spot"``, report ``supports_preemption``, honour the
+    # resume/overhead parameters of :meth:`submit_scenario`, and attach
+    # an interrupt hook to scenario ops.  The default keeps third-party
+    # back-ends valid: the collector refuses spot sweeps on them.
+
+    @property
+    def supports_preemption(self) -> bool:
+        """True when scenario ops can be interrupted mid-run (spot)."""
+        return False
 
     # -- cost/observability -------------------------------------------------------
 

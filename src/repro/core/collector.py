@@ -27,7 +27,9 @@ makespan roughly by the number of VM types while keeping the collected
 measurements identical (executions are deterministic per scenario, so
 only timestamps and the makespan depend on the interleaving).  With
 ``max_parallel_pools=1`` the schedule degenerates to Algorithm 1's
-sequential walk and reproduces it exactly, timestamps included.
+sequential walk, timestamps included.  The batched kernel
+(:mod:`repro.simd`, ``engine="batched"``) runs that one-pool walk as a
+single flat loop and reproduces it byte for byte.
 
 **Spot capacity** (``capacity="spot"``): scenarios run on discounted,
 interruptible nodes.  An :class:`~repro.cloud.eviction.EvictionModel`
@@ -148,9 +150,9 @@ class CollectionReport:
     provisioning_overhead_s: float = 0.0
     #: Last task completion minus first task start (task-level span).
     simulated_wall_s: float = 0.0
-    #: Simulated sweep duration including provisioning, under the
-    #: concurrency actually used; equals the sequential duration when
-    #: ``max_parallel_pools`` is 1.
+    #: Simulated sweep duration under the concurrency actually used:
+    #: how far the clock moved during the sweep, pool boots and setup
+    #: tasks included.
     makespan_s: float = 0.0
     max_parallel_pools: int = 1
     #: Capacity tier the sweep ran on (``ondemand`` or ``spot``).
@@ -220,8 +222,7 @@ class DataCollector:
     retry_failed: int = 0
     #: How many SKU pool lifecycles may be in flight at once.  1 reproduces
     #: the paper's sequential Algorithm 1 exactly; higher values overlap
-    #: pools in simulated time (needs a back-end with
-    #: ``supports_concurrency``).
+    #: pools in simulated time.
     max_parallel_pools: int = 1
     #: Capacity tier: ``ondemand`` (the paper's billing) or ``spot``
     #: (discounted, interruptible; needs a back-end with
@@ -307,7 +308,7 @@ class DataCollector:
         self._spot_draws = {}
         if not scenarios:
             self._total_scenarios = 0
-            report = self._new_report(self.max_parallel_pools)
+            report = self._new_report()
             report.profile = self._profiler.as_dict()
             return report
 
@@ -327,12 +328,9 @@ class DataCollector:
                 with self.dataset.deferred_sync(), self.taskdb.deferred_sync():
                     self._register_scenarios(scenarios)
                     report = self._collect_batched(ordered)
-            elif self.backend.supports_concurrency:
-                self._register_scenarios(scenarios)
-                report = self._collect_scheduled(ordered)
             else:
                 self._register_scenarios(scenarios)
-                report = self._collect_sequential(ordered)
+                report = self._collect_scheduled(ordered)
         except BaseException:
             # An aborted sweep (e.g. cooperative cancellation raised from
             # on_progress) still persists what it measured: the task DB
@@ -397,18 +395,19 @@ class DataCollector:
     def _collect_batched(self, ordered: List[Scenario]) -> CollectionReport:
         """Run the sweep on the :mod:`repro.simd` batched kernel.
 
-        The kernel is a flat transliteration of the sequential walk below
-        over the same substrate (see :mod:`repro.simd.engine`); spot
-        recovery, retries, sampling, and reporting reproduce it byte for
-        byte — the goldens in ``tests/test_batched_kernel.py`` pin this.
+        The kernel is a flat transliteration of the scheduled walk below
+        at ``max_parallel_pools=1`` over the same substrate (see
+        :mod:`repro.simd.engine`); spot recovery, retries, sampling, and
+        reporting reproduce it byte for byte — the goldens in
+        ``tests/test_batched_kernel.py`` pin this.
         """
         from repro.simd.engine import run_batched_sweep
 
         return run_batched_sweep(self, ordered)
 
-    def _new_report(self, max_parallel_pools: int) -> CollectionReport:
+    def _new_report(self) -> CollectionReport:
         return CollectionReport(
-            max_parallel_pools=max_parallel_pools,
+            max_parallel_pools=self.max_parallel_pools,
             capacity=self.capacity,
             recovery=self.recovery if self.capacity == "spot" else "",
         )
@@ -423,19 +422,17 @@ class DataCollector:
         if self.on_progress is not None:
             self.on_progress(report, getattr(self, "_total_scenarios", 0))
 
-    # -- event-driven schedule (concurrency-capable back-ends) ----------------
+    # -- event-driven schedule ------------------------------------------------
 
     def _collect_scheduled(self, ordered: List[Scenario]) -> CollectionReport:
         """Run per-SKU pool lifecycles on an event queue.
 
-        Lifecycles are launched in the sequential walk's SKU order; at most
+        Lifecycles are launched in Algorithm 1's SKU order; at most
         ``max_parallel_pools`` are in flight, and a finished lifecycle's
         slot is handed to the next SKU immediately (list scheduling).
         """
         engine = EventQueue(self.backend.clock)
-        state = _SweepState(
-            report=self._new_report(self.max_parallel_pools)
-        )
+        state = _SweepState(report=self._new_report())
         sweep_start = self.backend.clock.now
 
         groups: Dict[str, List[Scenario]] = {}
@@ -528,74 +525,7 @@ class DataCollector:
                 sku, delete=self.delete_pool_on_switch
             )
 
-    # -- sequential walk (blocking-only back-ends) -----------------------------
-
-    def _collect_sequential(self, ordered: List[Scenario]) -> CollectionReport:
-        """The paper's literal one-task-at-a-time loop."""
-        report = self._new_report(1)
-        previous_vmtype: Optional[str] = None
-        # The backend's overhead counter is cumulative across collect()
-        # calls; the makespan needs only this sweep's share.
-        provisioning_before = self.backend.provisioning_overhead_s
-
-        for scenario in ordered:
-            record = self.taskdb.get(scenario.scenario_id)
-            if record.status is not TaskStatus.PENDING or record.skipped_by_sampler:
-                continue  # resumed sweep: already handled
-            if not self._should_run(scenario, report):
-                continue
-
-            # -- Algorithm 1 lines 3-7: pool lifecycle ------------------------
-            if previous_vmtype != scenario.sku_name:
-                if previous_vmtype is not None:
-                    with self._profiler.stage("provision"):
-                        self.backend.release_capacity(
-                            previous_vmtype,
-                            delete=self.delete_pool_on_switch,
-                        )
-                with self._profiler.stage("setup"):
-                    setup_ok = self.backend.run_setup(scenario.sku_name,
-                                                      self.script)
-                if not setup_ok:
-                    self._fail_setup_group(scenario.sku_name, ordered, report)
-                    previous_vmtype = scenario.sku_name
-                    continue
-            with self._profiler.stage("provision"):
-                self.backend.ensure_capacity(scenario.sku_name,
-                                             scenario.nnodes)
-
-            # -- Algorithm 1 lines 8-11: execute and store --------------------
-            result = self._run_blocking(scenario)
-            attempts = 0
-            while not result.succeeded and attempts < self.retry_failed:
-                attempts += 1
-                if self.capacity == "spot":
-                    # A losing spot attempt may have ended in an
-                    # eviction that reclaimed the node(s); grow the
-                    # pool back before retrying.
-                    with self._profiler.stage("provision"):
-                        self.backend.ensure_capacity(
-                            scenario.sku_name, scenario.nnodes
-                        )
-                result = self._run_blocking(scenario)
-            self._record_result(scenario, result, report)
-            if not result.succeeded and self.stop_on_failure:
-                previous_vmtype = scenario.sku_name
-                break
-            previous_vmtype = scenario.sku_name
-
-        # -- Algorithm 1 lines 13-14: final pool cleanup --------------------------
-        if previous_vmtype is not None:
-            with self._profiler.stage("provision"):
-                self.backend.release_capacity(
-                    previous_vmtype, delete=self.delete_pool_on_switch
-                )
-        report.makespan_s = report.simulated_wall_s + (
-            self.backend.provisioning_overhead_s - provisioning_before
-        )
-        return report
-
-    # -- execution primitives (shared by both walks) ------------------------------
+    # -- execution primitives -------------------------------------------------
 
     def _run_scheduled(
         self, scenario: Scenario
@@ -609,34 +539,6 @@ class DataCollector:
         result = run_op.finish()
         assert isinstance(result, ScenarioRunResult)
         return result
-
-    def _run_blocking(self, scenario: Scenario) -> ScenarioRunResult:
-        """One scenario execution for the sequential walk.
-
-        Spot dynamics need mid-task interruption, which only exists on the
-        submit/interrupt primitives; the sequential walk drives the same
-        generator as the scheduler, advancing the clock itself.
-        """
-        if self.capacity == "spot":
-            # The whole interruption/retry drive is the recovery stage;
-            # a zero-eviction spot sweep makes it scenario time in all
-            # but name.
-            with self._profiler.stage("recovery"):
-                return self._drive(self._spot_execute(scenario))
-        with self._profiler.stage("scenario"):
-            return self.backend.run_scenario(scenario, self.script)
-
-    def _drive(self, process: Generator[float, None, ScenarioRunResult]
-               ) -> ScenarioRunResult:
-        """Run a timestamp-yielding process to completion, blocking-style."""
-        clock = self.backend.clock
-        while True:
-            try:
-                wake_at = next(process)
-            except StopIteration as stop:
-                return stop.value
-            if wake_at > clock.now:
-                clock.advance_to(wake_at)
 
     def _spot_execute(
         self, scenario: Scenario

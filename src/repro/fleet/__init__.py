@@ -1,7 +1,7 @@
 """repro.fleet: the advisor's multi-worker serving tier.
 
-Where :mod:`repro.service` is one HTTP process with an in-process job
-manager, this subsystem scales the same API horizontally:
+Where :mod:`repro.service` is the HTTP API of one process, this
+subsystem runs its jobs and scales the same API horizontally:
 
 * :class:`FleetJobStore` — the job queue as a SQLite table
   (``<state-dir>/fleet.sqlite``) with atomic claim-by-lease semantics:
@@ -9,11 +9,10 @@ manager, this subsystem scales the same API horizontally:
   renews its lease while the sweep grinds, and a dead worker's expired
   lease makes the job claimable again — partial progress preserved —
   instead of going stale.
-* :class:`FleetJobManager` — drop-in replacement for the service's
-  :class:`~repro.service.jobs.JobManager` surface (submit / get / list /
-  counts / cancel / wait / close) whose executor threads claim from the
-  shared store, so N server processes over one state directory form one
-  queue.
+* :class:`FleetJobManager` — the service's job manager (submit / get /
+  list / counts / cancel / wait / close), whose executor threads claim
+  from the shared store, so N server processes over one state directory
+  form one queue.
 * :class:`ResponseCache` — generation-keyed response cache for hot
   ``GET /v1/advice`` / ``GET /v1/datapoints`` reads, surfaced on the
   wire as ``ETag`` / ``If-None-Match`` / ``304``.

@@ -1,9 +1,8 @@
 """The fleet's job queue: one SQLite table, claimed by lease.
 
-The single-process service keeps job records as JSON files that only
-their own :class:`~repro.service.jobs.JobManager` reads.  The fleet
-moves them into one WAL-mode SQLite database per state directory
-(``<state-dir>/fleet.sqlite``) so *any* worker — thread or process —
+Every service process keeps its job records (:class:`JobRecord`) in one
+WAL-mode SQLite database per state directory
+(``<state-dir>/fleet.sqlite``), so *any* worker — thread or process —
 sees one queue:
 
 * **Atomic claim** — :meth:`FleetJobStore.claim` takes the oldest
@@ -37,7 +36,9 @@ sees one queue:
   corrupting the winner's record.
 
 The store also keeps a ``workers`` registry (pid + heartbeat per server
-worker) that powers the fleet-aware ``/healthz``.
+worker) that powers the fleet-aware ``/healthz``.  Job records written
+as ``jobs/<id>.json`` files by servers that predate the fleet are
+imported once, on start-up (:meth:`FleetJobStore.import_legacy_jobs`).
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""The fleet's job executor: JobManager surface over the shared store.
+"""The fleet's job executor: the service's job manager over the shared store.
 
-:class:`FleetJobManager` is what a fleet *worker process* runs: the same
+:class:`FleetJobManager` is what every service process runs — a single
+``serve`` as much as each ``fleet serve`` worker.  It exposes the
 ``submit / get / list / counts / cancel / wait / close`` surface the
-router already speaks (so it drops into :class:`ServiceState.jobs`
-unchanged), but with every record living in the shared
-:class:`~repro.fleet.jobstore.FleetJobStore` instead of per-process
-JSON.  Consequences:
+router speaks (:class:`ServiceState.jobs`), with every record living in
+the shared :class:`~repro.fleet.jobstore.FleetJobStore`.  Consequences:
 
 * a job submitted through any worker can be executed by any worker;
 * a worker that dies mid-job (``kill -9`` included) loses its lease and
@@ -40,8 +39,7 @@ from repro import telemetry
 #: Environment knob: seconds slept per progress event (load shaping).
 SCENARIO_DELAY_ENV = "REPRO_FLEET_SCENARIO_DELAY_S"
 
-#: Shared lifecycle family — same name the legacy JobManager uses, so
-#: dashboards see one stream whichever queue implementation serves.
+#: Job lifecycle transitions, by kind and entered state.
 _TRANSITIONS = telemetry.global_registry().counter(
     "advisor_jobs_transitions_total",
     "Job lifecycle transitions, by kind and entered state.",
@@ -59,9 +57,10 @@ class _JobControl:
 class FleetJobManager:
     """Store-backed job manager (module docstring).
 
-    Parameters mirror :class:`~repro.service.jobs.JobManager` where they
-    overlap; ``store`` is the shared queue, ``worker_id`` names this
-    process in job records and the worker registry.
+    ``store`` is the shared queue; ``workers`` is the number of executor
+    threads; ``retention`` caps how many finished jobs the store keeps;
+    ``worker_id`` names this process in job records and the worker
+    registry.
     """
 
     #: Minimum seconds between progress writes to the store per job;
@@ -110,7 +109,7 @@ class FleetJobManager:
         )
         self._heartbeat_thread.start()
 
-    # -- JobManager surface ------------------------------------------------------
+    # -- job manager surface -----------------------------------------------------
 
     def submit(self, kind: str, request: Dict[str, Any],
                trace: str = "") -> JobRecord:

@@ -2,9 +2,11 @@
 
 Three pieces:
 
-* :mod:`repro.service.jobs` — a persistent async job manager: collect/
-  predict sweeps run on a bounded worker pool, every state transition is
-  a JSON record under the state dir, and job listings survive restarts;
+* :mod:`repro.service.jobs` — the job record and its lifecycle states;
+  the jobs themselves run on the fleet queue
+  (:class:`~repro.fleet.manager.FleetJobManager`), which keeps every
+  record in the state dir's ``fleet.sqlite`` so listings survive
+  restarts;
 * :mod:`repro.service.router` — the HTTP-agnostic JSON router over the
   :class:`~repro.api.AdvisorSession` facade, reusing the frozen request/
   result dataclasses for every payload;
@@ -19,7 +21,6 @@ from repro.service.jobs import (
     JOB_STATES,
     TERMINAL_STATES,
     JobCancelled,
-    JobManager,
     JobRecord,
 )
 from repro.service.metrics import Metrics
@@ -28,7 +29,7 @@ from repro.service.app import build_state, make_server, serve
 
 __all__ = [
     "JOB_KINDS", "JOB_STATES", "TERMINAL_STATES",
-    "JobCancelled", "JobManager", "JobRecord",
+    "JobCancelled", "JobRecord",
     "Metrics", "Response", "Router", "ServiceState",
     "build_state", "make_server", "serve",
 ]

@@ -3,7 +3,8 @@
 Socket handling only — every request is delegated to the shared
 :class:`repro.service.router.Router`.  ``ThreadingHTTPServer`` gives one
 thread per connection, so advice/listing calls stay responsive while the
-job manager's workers grind through collect sweeps in the background.
+fleet job manager's workers grind through collect sweeps in the
+background.
 
 Programmatic use (tests, examples)::
 
@@ -23,8 +24,6 @@ from typing import Optional
 
 from repro.api.session import AdvisorSession
 from repro.core.statefiles import StateStore, resolve_state_dir
-from repro.errors import ConfigError
-from repro.service.jobs import JobManager
 from repro.service.router import Router, ServiceState
 
 #: Environment knob: set to 0/false/no to disable the response cache
@@ -114,7 +113,6 @@ def _cache_enabled() -> bool:
 
 
 def build_state(state_dir: str, workers: int = 4,
-                jobs_backend: str = "fleet",
                 worker_id: Optional[str] = None) -> ServiceState:
     """The service's state over a directory: shared session + job manager.
 
@@ -123,11 +121,9 @@ def build_state(state_dir: str, workers: int = 4,
     control-plane session; the advisory file locks keep the shared files
     consistent.
 
-    ``jobs_backend`` selects the queue: ``"fleet"`` (default) puts job
-    records in the shared ``fleet.sqlite`` queue — required for (and the
-    whole point of) running several server processes over one state
-    directory — after a one-shot import of any pre-fleet ``jobs/*.json``
-    records; ``"legacy"`` keeps the per-process JSON job manager.
+    Job records live in the shared ``fleet.sqlite`` queue, so several
+    server processes over one state directory form one queue.  Any
+    pre-fleet ``jobs/*.json`` records are imported once first.
     """
     # Deferred: repro.fleet itself imports repro.service (jobs, and this
     # module via the package __init__); importing it at module scope
@@ -141,24 +137,12 @@ def build_state(state_dir: str, workers: int = 4,
     session_factory = lambda: AdvisorSession(  # noqa: E731
         store=StateStore(root=store.root)
     )
-    if jobs_backend == "fleet":
-        fleet_store = FleetJobStore(fleet_db_path(store.root))
-        fleet_store.import_legacy_jobs(store.jobs_dir())
-        jobs = FleetJobManager(
-            fleet_store, session_factory=session_factory,
-            workers=workers, worker_id=worker_id, owns_store=True,
-        )
-    elif jobs_backend == "legacy":
-        jobs = JobManager(
-            jobs_dir=store.jobs_dir(),
-            session_factory=session_factory,
-            workers=workers,
-        )
-    else:
-        raise ConfigError(
-            f"unknown jobs backend {jobs_backend!r}; "
-            "expected 'fleet' or 'legacy'"
-        )
+    fleet_store = FleetJobStore(fleet_db_path(store.root))
+    fleet_store.import_legacy_jobs(store.jobs_dir())
+    jobs = FleetJobManager(
+        fleet_store, session_factory=session_factory,
+        workers=workers, worker_id=worker_id, owns_store=True,
+    )
     cache = ResponseCache() if _cache_enabled() else None
     return ServiceState(session=session, jobs=jobs, cache=cache)
 

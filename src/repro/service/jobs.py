@@ -1,64 +1,35 @@
-"""Persistent async job manager for the advisor service.
+"""Job records: the type and lifecycle states of a service job.
 
 Collect and predict sweeps are long-running: the service accepts them as
-*jobs*, runs them on a bounded worker-thread pool, and persists every
-state transition as a JSON record under the state directory
-(``<state-dir>/jobs/<id>.json``).  The lifecycle::
+*jobs* and runs them on the fleet queue (:mod:`repro.fleet`), which
+keeps one :class:`JobRecord` per job in ``<state-dir>/fleet.sqlite``.
+The lifecycle::
 
     queued -> running -> done
                       -> failed
     queued ----------> cancelled         (cancelled before a worker took it)
     running ---------> cancelled         (cooperative, between scenarios)
-    running ---------> stale             (server died; found on restart)
+    running ---------> stale             (see below)
 
-Design points:
+A running job whose worker dies is not lost: its lease expires and
+another worker re-claims it, resuming the sweep from the task DB.  A job
+only goes ``stale`` when it burns through the fleet's claim limit, or
+when it is imported from a pre-fleet ``jobs/<id>.json`` directory with
+a dead lease (:meth:`~repro.fleet.jobstore.FleetJobStore.import_legacy_jobs`).
 
-* **Per-deployment serialization** — a worker holds the deployment's
-  lock for the whole job, so two jobs can never race one task DB or
-  dataset file, while jobs on *different* deployments run concurrently.
-* **Fresh session per job** — each job executes on its own
-  :class:`~repro.api.AdvisorSession` over the shared state directory,
-  exactly like a separate CLI process would; the facade's
-  signature-based cache invalidation and the advisory file locks in
-  :mod:`repro.core.statefiles` make that safe.
-* **Restart recovery** — on start-up the manager reloads every record:
-  finished jobs are listed as-is, ``queued`` jobs are re-enqueued, and
-  ``running`` jobs are judged by their *lease*: a running worker renews
-  ``lease_expires_at`` while its job runs, so only an **expired** lease
-  marks the job ``stale`` (its worker is truly gone).  A running record
-  with a live lease belongs to another live process sharing the state
-  directory and is listed as-is — lease expiry is the only staleness
-  signal.  (The store-backed :mod:`repro.fleet` queue goes further and
-  *re-claims* expired leases instead of staling them.)
-* **Live progress** — the collector's ``on_progress`` callback feeds
-  executed/completed/failed counters and the task-level simulated span
-  (``simulated_wall_s``) into the job record while the sweep runs; the
-  true makespan arrives with the final result.
+While a collect job runs, the collector's ``on_progress`` callback feeds
+executed/completed/failed counters and the task-level simulated span
+(``simulated_wall_s``) into ``progress``; the true makespan arrives with
+the final result.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
-import time
-import uuid
-from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional
 
-from repro.api.requests import CollectRequest, PredictRequest
 from repro.api.serde import DictMixin
-from repro.core.statefiles import atomic_write
-from repro.errors import ConfigError, JobNotFound, JobStateError, ReproError
-from repro import telemetry
-
-#: Job lifecycle transitions, shared with the fleet manager so one
-#: family covers both queue implementations.
-_TRANSITIONS = telemetry.global_registry().counter(
-    "advisor_jobs_transitions_total",
-    "Job lifecycle transitions, by kind and entered state.",
-)
+from repro.errors import ReproError
 
 #: States a job can be observed in.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "stale")
@@ -66,7 +37,7 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "stale")
 #: States a job never leaves.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled", "stale"})
 
-#: Job kinds the manager knows how to execute.
+#: Job kinds the fleet knows how to execute.
 JOB_KINDS = ("collect", "predict")
 
 
@@ -111,476 +82,3 @@ class JobRecord(DictMixin):
     @property
     def finished(self) -> bool:
         return self.state in TERMINAL_STATES
-
-
-class JobManager:
-    """Bounded worker pool + JSON-persisted job records (module docstring)."""
-
-    def __init__(
-        self,
-        jobs_dir: str,
-        session_factory: Callable[[], Any],
-        workers: int = 4,
-        retention: int = 1000,
-        lease_s: float = 15.0,
-    ) -> None:
-        """``retention`` caps how many *finished* jobs are kept (in memory
-        and on disk); the oldest are pruned as new jobs are submitted, so
-        a long-running server's job history stays bounded.  ``lease_s``
-        is how long a running job's record stays credible without a
-        heartbeat renewal (see the module docstring's recovery policy)."""
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        if retention < 1:
-            raise ConfigError(f"retention must be >= 1, got {retention}")
-        if lease_s <= 0:
-            raise ConfigError(f"lease_s must be > 0, got {lease_s}")
-        self.retention = retention
-        self.lease_s = lease_s
-        self.jobs_dir = jobs_dir
-        self.worker_id = f"proc-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        os.makedirs(jobs_dir, exist_ok=True)
-        self._session_factory = session_factory
-        self._lock = threading.Lock()
-        self._records: Dict[str, JobRecord] = {}
-        self._cancel_flags: Dict[str, threading.Event] = {}
-        self._deployment_locks: Dict[str, threading.Lock] = {}
-        #: deployment -> job ids parked behind that deployment's lock.
-        self._parked: Dict[str, deque] = {}
-        self._progress_flushed: Dict[str, float] = {}
-        self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
-        self._stop_heartbeat = threading.Event()
-        self._recover()
-        self._workers = [
-            threading.Thread(target=self._worker, daemon=True,
-                             name=f"advisor-job-worker-{i}")
-            for i in range(workers)
-        ]
-        for thread in self._workers:
-            thread.start()
-        self._heartbeat_thread = threading.Thread(
-            target=self._heartbeat_loop, daemon=True,
-            name="advisor-job-heartbeat",
-        )
-        self._heartbeat_thread.start()
-
-    # -- submission & queries ---------------------------------------------------
-
-    def submit(self, kind: str, request: Dict[str, Any],
-               trace: str = "") -> JobRecord:
-        """Queue a job; returns its initial (``queued``) record.
-
-        ``trace`` is the submitting request's serialized span context
-        (``traceparent``); it rides on the record so the executing
-        worker links its spans into the submitter's trace.
-        """
-        if kind not in JOB_KINDS:
-            raise ConfigError(
-                f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
-            )
-        # Validate eagerly so a bad request fails the submit call with a
-        # 400, not the job minutes later.
-        typed = self._request_type(kind).from_dict(request)
-        if not typed.deployment:
-            raise ConfigError("job request needs a deployment name")
-        record = JobRecord(
-            id=f"job-{uuid.uuid4().hex[:12]}",
-            kind=kind,
-            deployment=typed.deployment,
-            state="queued",
-            request=dict(request),
-            created_at=time.time(),
-            trace=trace,
-        )
-        _TRANSITIONS.inc(kind=kind, state="queued")
-        # Persist before registering: if the write fails, the caller gets
-        # the error and no ghost "queued" record lingers in listings.
-        self._save(record)
-        with self._lock:
-            self._records[record.id] = record
-            self._cancel_flags[record.id] = threading.Event()
-        self._queue.put(record.id)
-        self._prune_finished()
-        return record
-
-    def _prune_finished(self) -> None:
-        """Evict the oldest finished jobs beyond the retention cap."""
-        evicted = []
-        with self._lock:
-            finished = sorted(
-                (r for r in self._records.values() if r.finished),
-                key=lambda r: (r.created_at, r.id),
-            )
-            for record in finished[:max(0, len(finished) - self.retention)]:
-                del self._records[record.id]
-                self._cancel_flags.pop(record.id, None)
-                self._progress_flushed.pop(record.id, None)
-                evicted.append(record.id)
-        for job_id in evicted:
-            try:
-                os.unlink(self._record_path(job_id))
-            except OSError:
-                pass  # already gone; memory is pruned either way
-
-    def get(self, job_id: str) -> JobRecord:
-        with self._lock:
-            record = self._records.get(job_id)
-        if record is None:
-            raise JobNotFound(f"no job {job_id!r}")
-        return record
-
-    def list(self, deployment: Optional[str] = None,
-             state: Optional[str] = None) -> List[JobRecord]:
-        """All known jobs (newest first), optionally filtered."""
-        with self._lock:
-            records = list(self._records.values())
-        if deployment is not None:
-            records = [r for r in records if r.deployment == deployment]
-        if state is not None:
-            records = [r for r in records if r.state == state]
-        return sorted(records, key=lambda r: (-r.created_at, r.id))
-
-    def counts(self) -> Dict[str, int]:
-        """Job count per state (zero-filled), for /healthz and /metrics."""
-        out = {state: 0 for state in JOB_STATES}
-        with self._lock:
-            for record in self._records.values():
-                out[record.state] = out.get(record.state, 0) + 1
-        return out
-
-    def cancel(self, job_id: str) -> JobRecord:
-        """Cancel a job.
-
-        Queued jobs become ``cancelled`` immediately; running jobs get
-        their cancel flag set and stop cooperatively at the next scenario
-        boundary.  Cancelling a finished job is an error.
-        """
-        to_save = None
-        with self._lock:
-            record = self._records.get(job_id)
-            if record is None:
-                raise JobNotFound(f"no job {job_id!r}")
-            if record.finished:
-                raise JobStateError(
-                    f"job {job_id} already finished ({record.state})"
-                )
-            self._cancel_flags[job_id].set()
-            if record.state == "queued":
-                record = to_save = self._transition_locked(
-                    record, state="cancelled", finished_at=time.time(),
-                    error="cancelled while queued",
-                )
-                # Drop a parked entry so a lock release never wastes its
-                # one wake-up on a job that will no-op.
-                parked = self._parked.get(record.deployment)
-                if parked and job_id in parked:
-                    parked.remove(job_id)
-        # Persist exactly the record transitioned under the lock.  A
-        # running job is not saved here at all: the worker owns its
-        # terminal write, and re-reading + saving outside the lock could
-        # clobber a concurrent `done` with a stale `running` snapshot.
-        if to_save is not None:
-            self._save(to_save)
-        return record
-
-    def wait(self, job_id: str, timeout: float = 60.0,
-             poll: float = 0.02) -> JobRecord:
-        """Block until the job finishes; returns its final record."""
-        deadline = time.monotonic() + timeout
-        while True:
-            record = self.get(job_id)
-            if record.finished:
-                return record
-            if time.monotonic() >= deadline:
-                raise JobStateError(
-                    f"job {job_id} still {record.state} after {timeout}s"
-                )
-            time.sleep(poll)
-
-    def close(self, wait: bool = True, drain_timeout: float = 30.0) -> None:
-        """Stop the workers (after draining, when ``wait``).
-
-        The drain waits for queued *and parked* jobs: a sentinel enqueued
-        while a job sits parked behind a deployment lock could otherwise
-        retire the worker that would have run it, stranding it ``queued``
-        until the next restart.
-        """
-        if wait:
-            deadline = time.monotonic() + drain_timeout
-            while time.monotonic() < deadline:
-                with self._lock:
-                    busy = any(not r.finished
-                               for r in self._records.values())
-                if not busy:
-                    break
-                time.sleep(0.02)
-        for _ in self._workers:
-            self._queue.put(None)
-        self._stop_heartbeat.set()
-        if wait:
-            for thread in self._workers:
-                thread.join(timeout=30)
-            self._heartbeat_thread.join(timeout=5)
-
-    # -- worker side ------------------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            job_id = self._queue.get()
-            if job_id is None:
-                return
-            try:
-                self._run_one(job_id)
-            except Exception:  # pragma: no cover - belt and braces
-                # _run_one records failures itself; a bug in the recording
-                # path must not kill the worker thread.
-                pass
-
-    def _run_one(self, job_id: str) -> None:
-        record = self.get(job_id)
-        if record.state != "queued":
-            # Cancelled while queued, or a duplicate dispatch of a job
-            # that already ran.  This dispatch consumed a wake-up, so
-            # pass it on: without this, a waiter parked behind a free
-            # lock would sleep forever.
-            self._dispatch_parked(record.deployment)
-            return
-        # Serialize per deployment: never two jobs racing one task DB.
-        # Blocked jobs *park* (per-deployment deque) instead of pinning a
-        # worker or spinning through the queue; the lock holder
-        # re-dispatches one parked job when it releases.
-        deployment = record.deployment
-        dep_lock = self._deployment_lock(deployment)
-        if not dep_lock.acquire(blocking=False):
-            with self._lock:
-                self._parked.setdefault(deployment, deque()).append(job_id)
-            # Re-try once after parking: if the holder released in the
-            # gap above, nobody would ever wake the parked entry.
-            if not dep_lock.acquire(blocking=False):
-                return  # parked; the holder re-dispatches on release
-            with self._lock:
-                parked = self._parked.get(deployment)
-                if parked and job_id in parked:
-                    parked.remove(job_id)
-                # else: the releaser already re-queued it; the duplicate
-                # dispatch will find the job past `queued` and no-op.
-        try:
-            with self._lock:
-                record = self._records[job_id]
-                if record.state != "queued":  # cancelled while we waited
-                    return
-                record = self._transition_locked(
-                    record, state="running", started_at=time.time(),
-                    worker_id=self.worker_id,
-                    lease_expires_at=time.time() + self.lease_s,
-                    attempts=record.attempts + 1,
-                )
-            _TRANSITIONS.inc(kind=record.kind, state="running")
-            try:
-                # The save sits inside the handled region: a persistence
-                # failure (jobs dir gone, disk full) must finish the job
-                # as `failed`, not strand it `running` with no worker.
-                self._save(record)
-                result = self._execute(self.get(job_id))
-            except JobCancelled:
-                self._finish(job_id, state="cancelled",
-                             error="cancelled while running")
-            except ReproError as exc:
-                self._finish(job_id, state="failed", error=str(exc))
-            except Exception as exc:  # noqa: BLE001 - job must not hang
-                self._finish(job_id, state="failed",
-                             error=f"{type(exc).__name__}: {exc}")
-            else:
-                self._finish(job_id, state="done", result=result.to_dict())
-        finally:
-            dep_lock.release()
-            self._dispatch_parked(deployment)
-
-    def _heartbeat_loop(self) -> None:
-        """Renew the lease on every running job this process owns.
-
-        The renewal (memory + disk) happens under ``self._lock`` so it
-        can never clobber a worker's concurrent terminal write with a
-        stale ``running`` snapshot; the writes are tiny and happen at
-        most every ``lease_s / 4`` seconds."""
-        interval = max(self.lease_s / 4.0, 0.05)
-        while not self._stop_heartbeat.wait(interval):
-            with self._lock:
-                renewed = [
-                    self._transition_locked(
-                        record,
-                        lease_expires_at=time.time() + self.lease_s,
-                    )
-                    for record in list(self._records.values())
-                    if record.state == "running"
-                    and record.worker_id == self.worker_id
-                ]
-                for record in renewed:
-                    self._save(record)
-
-    def _dispatch_parked(self, deployment: str) -> None:
-        """Move one job parked behind ``deployment``'s lock to the queue."""
-        with self._lock:
-            parked = self._parked.get(deployment)
-            waiter = parked.popleft() if parked else None
-        if waiter is not None:
-            self._queue.put(waiter)
-
-    def _execute(self, record: JobRecord):
-        # Worker threads do not inherit the submitter's contextvars:
-        # re-adopt the trace from the persisted record (this is also
-        # what carries a trace across *process* boundaries in the
-        # fleet) and aim spans at the deployment's trace ring.
-        trace_token = telemetry.activate(
-            telemetry.parse_traceparent(record.trace)
-        )
-        sink_token = telemetry.set_sink(
-            telemetry.trace_path(os.path.dirname(self.jobs_dir),
-                                 record.deployment)
-            if record.deployment else None
-        )
-        try:
-            with telemetry.span("job.run", job_id=record.id,
-                                kind=record.kind,
-                                worker_id=self.worker_id):
-                return self._execute_request(record)
-        finally:
-            telemetry.reset_sink(sink_token)
-            telemetry.deactivate(trace_token)
-
-    def _execute_request(self, record: JobRecord):
-        session = self._session_factory()
-        cancel = self._cancel_flags[record.id]
-        if cancel.is_set():
-            raise JobCancelled(record.id)
-        if record.kind == "collect":
-            request = CollectRequest.from_dict(record.request)
-
-            def progress(report, total: int) -> None:
-                if cancel.is_set():
-                    raise JobCancelled(record.id)
-                self._update_progress(record.id, {
-                    "total": total,
-                    "executed": report.executed,
-                    "completed": report.completed,
-                    "failed": report.failed,
-                    "skipped": report.skipped,
-                    "predicted": report.predicted,
-                    "preemptions": report.preemptions,
-                    # The true makespan is only known at sweep end; the
-                    # task-level span is the honest live number.
-                    "simulated_wall_s": report.simulated_wall_s,
-                })
-
-            result = session.collect(request, progress=progress)
-            # A cancel that lands after the last scenario (or during a
-            # resumed sweep with no pending work, which never calls
-            # progress) must still end the job `cancelled`, never `done`.
-            # The collected data is already saved and stays — the sweep
-            # remains resumable.
-            if cancel.is_set():
-                raise JobCancelled(record.id)
-            return result
-        request = PredictRequest.from_dict(record.request)
-        result = session.predict(request)
-        # Predict has no mid-run cancellation point; honour a cancel that
-        # arrived while it ran by discarding the result (it is cheap to
-        # recompute), so an acknowledged cancel never ends in `done`.
-        if cancel.is_set():
-            raise JobCancelled(record.id)
-        return result
-
-    # -- record bookkeeping ------------------------------------------------------
-
-    def _request_type(self, kind: str):
-        return CollectRequest if kind == "collect" else PredictRequest
-
-    def _deployment_lock(self, name: str) -> threading.Lock:
-        with self._lock:
-            lock = self._deployment_locks.get(name)
-            if lock is None:
-                lock = self._deployment_locks[name] = threading.Lock()
-            return lock
-
-    def _transition_locked(self, record: JobRecord, **changes) -> JobRecord:
-        """Replace-and-store under ``self._lock`` (caller holds it)."""
-        updated = replace(record, **changes)
-        self._records[updated.id] = updated
-        return updated
-
-    def _finish(self, job_id: str, **changes) -> None:
-        with self._lock:
-            record = self._transition_locked(
-                self._records[job_id], finished_at=time.time(),
-                lease_expires_at=None, **changes
-            )
-        if "state" in changes:
-            _TRANSITIONS.inc(kind=record.kind, state=record.state)
-        self._save(record)
-
-    #: Minimum seconds between progress *disk* writes per job; the
-    #: in-memory record (what GET /v1/jobs/<id> serves) updates on every
-    #: scenario regardless.  Terminal transitions always persist.
-    PROGRESS_FLUSH_INTERVAL_S = 0.2
-
-    def _update_progress(self, job_id: str, progress: Dict[str, Any]) -> None:
-        now = time.monotonic()
-        with self._lock:
-            record = self._transition_locked(
-                self._records[job_id], progress=progress
-            )
-            last = self._progress_flushed.get(job_id)
-            flush = (last is None
-                     or now - last >= self.PROGRESS_FLUSH_INTERVAL_S)
-            if flush:
-                self._progress_flushed[job_id] = now
-        if flush:
-            self._save(record)
-
-    # -- persistence -------------------------------------------------------------
-
-    def _record_path(self, job_id: str) -> str:
-        return os.path.join(self.jobs_dir, f"{job_id}.json")
-
-    def _save(self, record: JobRecord) -> None:
-        # The atomic write needs no lock: each job id is its own path,
-        # and each record has one terminal writer.  A per-path advisory
-        # lock here would leak one lock file and one canonical-lock
-        # entry per job on a long-running server.
-        atomic_write(self._record_path(record.id), record.to_json(indent=1))
-
-    def _recover(self) -> None:
-        """Reload persisted records; see the module docstring for policy."""
-        try:
-            names = sorted(os.listdir(self.jobs_dir))
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.jobs_dir, name)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    record = JobRecord.from_json(fh.read())
-            except (OSError, ReproError):
-                continue  # an unreadable record must not block start-up
-            if record.state == "running":
-                # Lease expiry is the only staleness signal: a live
-                # lease means another process's worker still owns the
-                # job (N servers can share one state dir), so the
-                # record is listed as-is.  Only an expired (or absent,
-                # pre-lease) lease proves the worker is dead.
-                lease = record.lease_expires_at
-                if lease is not None and lease > time.time():
-                    self._records[record.id] = record
-                    self._cancel_flags[record.id] = threading.Event()
-                    continue
-                record = replace(
-                    record, state="stale", finished_at=time.time(),
-                    error="server restarted while the job was running",
-                )
-                self._save(record)
-            self._records[record.id] = record
-            self._cancel_flags[record.id] = threading.Event()
-            if record.state == "queued":
-                self._queue.put(record.id)

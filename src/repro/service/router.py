@@ -39,7 +39,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.api.requests import AdviseRequest, PlotRequest, PredictRequest
@@ -55,9 +55,13 @@ from repro.errors import (
     ServiceError,
 )
 from repro.fleet.cache import ResponseCache, make_key
-from repro.service.jobs import JobManager
 from repro.service.metrics import Metrics
 from repro import telemetry
+
+if TYPE_CHECKING:  # pragma: no cover
+    # repro.fleet.manager imports repro.service (the job record types);
+    # build_state imports it lazily for the same reason.
+    from repro.fleet.manager import FleetJobManager
 
 #: Service protocol version, reported by /healthz.
 API_VERSION = "v1"
@@ -89,13 +93,13 @@ class ServiceState:
 
     The session is the *control plane* (deploy/advise/listings) and is
     guarded by ``lock``; job execution runs on per-job sessions inside
-    the :class:`JobManager`, so a slow sweep never blocks an advice
-    request.  ``jobs`` may be ``None`` (e.g. the GUI's read-only mount),
-    in which case job routes answer 503.
+    the :class:`~repro.fleet.manager.FleetJobManager`, so a slow sweep
+    never blocks an advice request.  ``jobs`` may be ``None`` (e.g. the
+    GUI's read-only mount), in which case job routes answer 503.
     """
 
     session: AdvisorSession
-    jobs: Optional[JobManager] = None
+    jobs: Optional["FleetJobManager"] = None
     metrics: Metrics = field(default_factory=Metrics)
     started_at: float = field(default_factory=time.time)
     #: Optional generation-keyed response cache for the hot GET reads
@@ -269,7 +273,7 @@ class Router:
                 allowed=("POST",))
         raise ResourceNotFound(f"no such route: /v1/jobs/{'/'.join(rest)}")
 
-    def _jobs(self) -> JobManager:
+    def _jobs(self) -> "FleetJobManager":
         if self.state.jobs is None:
             raise ServiceError(
                 "this server has no job manager (read-only API mount)"
@@ -338,9 +342,7 @@ class Router:
         }
         if self.state.jobs is not None:
             payload["jobs"] = self.state.jobs.counts()
-            fleet_health = getattr(self.state.jobs, "fleet_health", None)
-            if fleet_health is not None:
-                payload["fleet"] = fleet_health()
+            payload["fleet"] = self.state.jobs.fleet_health()
         return Response(payload=payload)
 
     def _metrics(self) -> Response:
@@ -351,22 +353,17 @@ class Router:
         if self.state.jobs is not None:
             for state, count in self.state.jobs.counts().items():
                 gauges[f"advisor_jobs_{state}"] = count
-            fleet_health = getattr(self.state.jobs, "fleet_health", None)
-            if fleet_health is not None:
-                health = fleet_health()
-                worker = health["worker_id"]
+            health = self.state.jobs.fleet_health()
+            gauges[telemetry.format_series(
+                "advisor_fleet_worker_up",
+                worker_id=health["worker_id"], pid=os.getpid())] = 1
+            gauges["advisor_fleet_live_workers"] = len(health["workers"])
+            gauges["advisor_fleet_queue_depth"] = health["queue_depth"]
+            for peer in health["workers"]:
                 gauges[telemetry.format_series(
-                    "advisor_fleet_worker_up",
-                    worker_id=worker, pid=os.getpid())] = 1
-                gauges["advisor_fleet_live_workers"] = \
-                    len(health["workers"])
-                gauges["advisor_fleet_queue_depth"] = \
-                    health["queue_depth"]
-                for peer in health["workers"]:
-                    gauges[telemetry.format_series(
-                        "advisor_fleet_worker_heartbeat_age_seconds",
-                        worker_id=peer["worker_id"])] = \
-                        round(peer.get("heartbeat_age_s", 0.0), 3)
+                    "advisor_fleet_worker_heartbeat_age_seconds",
+                    worker_id=peer["worker_id"])] = \
+                    round(peer.get("heartbeat_age_s", 0.0), 3)
         if self.state.cache is not None:
             for name, value in self.state.cache.stats().items():
                 gauges[f"advisor_response_cache_{name}"] = value

@@ -5,8 +5,9 @@ See :mod:`repro.simd.physics` for the pure measurement function and
 billing substrate around it.
 """
 
-from repro.simd.engine import (ENGINE_CHOICES, batch_eligibility,
-                               describe_engines, run_batched_sweep)
+from repro.core.collector import ENGINE_CHOICES
+from repro.simd.engine import (batch_eligibility, describe_engines,
+                               run_batched_sweep)
 from repro.simd.physics import (ADAPTERS, FastPhysics, ScenarioPhysics,
                                 covers, shared_physics, supported_apps)
 from repro.simd.vector import prime_grid, vector_ready

@@ -7,21 +7,23 @@ tight loop over the *real* execution substrate — the wrapped
 billing meters, and the shared clock.  Everything stateful (pool creation
 and resizes, quota, setup tasks staging input data on the shared
 filesystem, spot preemptions, provisioning bookkeeping) happens on those
-objects exactly as the per-object sequential walk would do it; only the
+objects exactly as the per-object scheduled walk would do it; only the
 per-scenario ceremony is gone.  Instead of constructing a
 ``BatchTask``/``TaskContext``/``AsyncOp`` per task and running the plugin
 against the simulated filesystem, the kernel looks the measurement up in
 a memoized :class:`~repro.simd.physics.ScenarioPhysics` table and applies
 the same clock advances, lease transitions, and accounting appends inline.
 
-The loop body is a line-for-line transliteration of
-``DataCollector._collect_sequential`` + ``_spot_execute`` +
+The loop body is a line-for-line transliteration of the collector's
+scheduled walk at ``max_parallel_pools=1``
+(``DataCollector._pool_lifecycle`` + ``_spot_execute``) +
 ``AzureBatchBackend``'s task finalize/interrupt closures — same clock
 advances in the same order, same billing expressions (operand order
 included), same task-id numbering, same eviction draws keyed per
-(scenario, cumulative draw number) — so batched sweeps reproduce the
-sequential walk
-at parallelism 1 byte for byte.  The determinism goldens and the
+(scenario, cumulative draw number) — so batched sweeps reproduce that
+walk byte for byte.  Pool bring-up goes through the
+back-end's own ``submit_provision``/``submit_setup``, waited out with
+:func:`~repro.backends.base.drive`.  The determinism goldens and the
 Hypothesis equivalence suite in ``tests/test_batched_kernel.py`` pin this
 down; anything the kernel cannot reproduce exactly is rejected up front
 by :func:`batch_eligibility` and falls back to the per-object path.
@@ -46,7 +48,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.backends.base import (ExecutionBackend, ScenarioRunResult,
-                                 resumed_wall_s)
+                                 drive, resumed_wall_s)
 from repro.batch.service import TaskAccounting
 from repro.core.dataset import DataPoint
 from repro.core.scenarios import Scenario
@@ -58,11 +60,6 @@ from repro.simd.vector import prime_grid, prime_spot_draws
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.collector import CollectionReport, DataCollector
-
-#: Engine names accepted by the collector / API / CLI.  ``auto`` resolves
-#: to the per-object path today; ``batched`` opts into this module and
-#: falls back per :func:`batch_eligibility`.
-ENGINE_CHOICES = ("auto", "object", "batched")
 
 
 def describe_engines() -> List[dict]:
@@ -102,7 +99,7 @@ def batch_eligibility(backend: ExecutionBackend, max_parallel_pools: int,
         return (f"backend {backend.name!r} is not the plain Azure Batch "
                 "substrate")
     if max_parallel_pools != 1:
-        return ("batched engine reproduces the sequential walk; "
+        return ("batched engine reproduces the one-pool walk; "
                 f"max_parallel_pools={max_parallel_pools} needs the "
                 "per-object scheduler")
     # Inlined covers(): one adapter lookup + key scan per scenario, no
@@ -128,9 +125,9 @@ def run_batched_sweep(collector: "DataCollector",
 
     ``ordered`` is the collector's sorted scenario walk; eligibility
     (:func:`batch_eligibility`) must already have passed.  Returns the
-    same :class:`~repro.core.collector.CollectionReport` the sequential
-    walk would have produced; the collector stamps engine/fallback and
-    infrastructure totals on it afterwards.
+    same :class:`~repro.core.collector.CollectionReport` the scheduled
+    walk at one pool would have produced; the collector stamps
+    engine/fallback and infrastructure totals on it afterwards.
     """
     backend: AzureBatchBackend = collector.backend
     service = backend.service
@@ -153,8 +150,8 @@ def run_batched_sweep(collector: "DataCollector",
     retry_failed = collector.retry_failed
     pending = TaskStatus.PENDING
 
-    report = collector._new_report(1)
-    provisioning_before = backend.provisioning_overhead_s
+    report = collector._new_report()
+    sweep_start = clock.now
     previous_vmtype: Optional[str] = None
     # Per-SKU handles, refreshed on each VM-type switch so the hot loop
     # never re-derives pool ids (string munging) or re-looks-up pools.
@@ -186,7 +183,7 @@ def run_batched_sweep(collector: "DataCollector",
     primed_get = primed.get
 
     # Spot eviction draws: keyed on the sweep-cumulative per-scenario
-    # counter shared with the scalar walks (``DataCollector._spot_draws``),
+    # counter shared with the scalar walk (``DataCollector._spot_draws``),
     # so a retry_failed re-run continues the draw sequence instead of
     # replaying it.  ``draw_plans`` holds the vectorized walk's pre-drawn
     # times per scenario (``prime_spot_draws``), indexed by that same
@@ -198,12 +195,11 @@ def run_batched_sweep(collector: "DataCollector",
     draw_plans_get = draw_plans.get
 
     def run_once(scenario: Scenario) -> ScenarioRunResult:
-        """One spot scenario execution: ``_run_blocking`` transliterated.
+        """One spot scenario execution: ``DataCollector._spot_execute``
+        transliterated, with the backend's submit/finalize/interrupt
+        closures inlined.
 
-        (On-demand executions are inlined in the main loop below.)
-
-        DataCollector._spot_execute transliterated, with the backend's
-        submit/finalize/interrupt closures inlined."""
+        (On-demand executions are inlined in the main loop below.)"""
         nnodes = scenario.nnodes
         preemptions = 0
         checkpointed = 0.0
@@ -366,10 +362,12 @@ def run_batched_sweep(collector: "DataCollector",
                 )
             previous_vmtype = sku_name
             pool = None
-            if not backend.run_setup(sku_name, script):
-                prof_setup += perf() - t0
-                collector._fail_setup_group(sku_name, ordered, report)
-                continue
+            if backend.needs_setup(sku_name):
+                drive(clock, backend.submit_provision(sku_name, 1))
+                if not drive(clock, backend.submit_setup(sku_name, script)):
+                    prof_setup += perf() - t0
+                    collector._fail_setup_group(sku_name, ordered, report)
+                    continue
             pool_id = backend._pool_id(sku_name)
             pool = service.get_pool(pool_id)
             hourly = pool.hourly_price
@@ -427,8 +425,8 @@ def run_batched_sweep(collector: "DataCollector",
                 attempts += 1
                 # A losing spot attempt may have ended in an eviction
                 # that reclaimed the node(s); grow the pool back before
-                # retrying (mirrors the sequential walk exactly).
-                backend.ensure_capacity(sku_name, nnodes)
+                # retrying (mirrors the scheduled walk exactly).
+                drive(clock, backend.submit_provision(sku_name, nnodes))
                 result = run_once(scenario)
             prof_recovery += perf() - t0
             collector._record_result(scenario, result, report)
@@ -436,7 +434,7 @@ def run_batched_sweep(collector: "DataCollector",
                 break
             continue
 
-        # On-demand fast path: run_scenario + retry loop + _record_result
+        # On-demand fast path: submit_scenario + retry loop + _record_result
         # with the intermediate ScenarioRunResult elided.  Field for field
         # identical to the pristine branch of run_once followed by
         # _record_result — preemptions and wasted_node_s stay zero on
@@ -536,9 +534,7 @@ def run_batched_sweep(collector: "DataCollector",
             previous_vmtype, delete=collector.delete_pool_on_switch
         )
         prof_provision += perf() - t0
-    report.makespan_s = report.simulated_wall_s + (
-        backend.provisioning_overhead_s - provisioning_before
-    )
+    report.makespan_s = clock.now - sweep_start
     profiler = collector._profiler
     profiler.add("setup", prof_setup)
     profiler.add("provision", prof_provision)

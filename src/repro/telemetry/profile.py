@@ -1,7 +1,7 @@
 """Sweep profiling: wall-time attribution per collection stage.
 
-A sweep's real-time cost decomposes into five stages shared by all
-three execution walks (sequential, scheduled, batched):
+A sweep's real-time cost decomposes into five stages shared by both
+execution walks (the per-object scheduler and the batched kernel):
 
 * ``provision`` — pool/partition capacity changes (resize, reprovision
   after spot reclaim),
@@ -10,6 +10,12 @@ three execution walks (sequential, scheduled, batched):
 * ``persist``   — dataset appends and task-record syncs through the
   store backend,
 * ``recovery``  — the spot eviction/retry drive around a scenario.
+
+The batched kernel fills ``provision``, ``setup`` and ``persist``, plus
+``scenario`` on on-demand sweeps and ``recovery`` on spot ones.  The
+per-object scheduler runs every lifecycle on one event queue, so it
+fills only ``scenario`` (the queue drive) and ``persist`` (store
+writes, subtracted from the drive).
 
 The profiler is a dict of float accumulators — cheap enough for the
 batched kernel's hot loop (two ``perf_counter`` calls per timed

@@ -27,7 +27,7 @@ Design constraints honored here:
 * **Thread handoff is explicit.**  ``contextvars`` do not flow into
   pre-existing worker threads; code that moves work across threads or
   processes re-activates the parent context from the serialized
-  ``traceparent`` (see ``JobManager._execute``).
+  ``traceparent`` (see ``FleetJobManager._execute``).
 * **Never raises into the caller.**  A full disk or unwritable sink
   must not fail a sweep; emit errors are swallowed.
 """

@@ -18,11 +18,19 @@ from repro.client import (
     RemoteTimeout,
 )
 from repro.errors import ConfigError
+from repro.fleet.jobstore import FleetJobStore, fleet_db_path
+from repro.fleet.manager import FleetJobManager
 from repro.service.app import make_server
-from repro.service.jobs import JobManager
 from repro.service.router import ServiceState
 from repro.api.session import AdvisorSession
 from tests.conftest import make_config
+
+
+def one_worker_jobs(state_dir, session_factory):
+    """The service's job manager with one executor and a custom session."""
+    return FleetJobManager(FleetJobStore(fleet_db_path(state_dir)),
+                           session_factory=session_factory, workers=1,
+                           poll_s=0.02, owns_store=True)
 
 
 @pytest.fixture
@@ -166,8 +174,7 @@ class TestTimeouts:
             make_config(rgprefix="slowrg"))
         state = ServiceState(
             session=AdvisorSession(state_dir=state_dir),
-            jobs=JobManager(jobs_dir=str(tmp_path / "state" / "jobs"),
-                            session_factory=BlockedSession, workers=1),
+            jobs=one_worker_jobs(state_dir, BlockedSession),
         )
         server = make_server(state_dir, port=0, state=state)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -207,8 +214,7 @@ class TestTimeouts:
         info = control.deploy(make_config(rgprefix="failrg"))
         state = ServiceState(
             session=AdvisorSession(state_dir=state_dir),
-            jobs=JobManager(jobs_dir=str(tmp_path / "state" / "jobs"),
-                            session_factory=FailingSession, workers=1),
+            jobs=one_worker_jobs(state_dir, FailingSession),
         )
         server = make_server(state_dir, port=0, state=state)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -253,8 +259,7 @@ class TestCancelOverTheWire:
         info_b = control.deploy(make_config(rgprefix="cxbrg"))
         state = ServiceState(
             session=AdvisorSession(state_dir=state_dir),
-            jobs=JobManager(jobs_dir=str(tmp_path / "state" / "jobs"),
-                            session_factory=BlockedSession, workers=1),
+            jobs=one_worker_jobs(state_dir, BlockedSession),
         )
         server = make_server(state_dir, port=0, state=state)
         thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.appkit.plugins import get_plugin
 from repro.backends.azurebatch import AzureBatchBackend, pool_id_for
-from repro.backends.base import AsyncOp, ExecutionBackend, ScenarioRunResult
+from repro.backends.base import AsyncOp
 from repro.core.collector import DataCollector
 from repro.core.dataset import Dataset
 from repro.core.deployer import Deployer
@@ -50,17 +50,17 @@ class TestDeterminism:
             appinputs={"BOXFACTOR": ["4", "8"]},
         )
 
-    def test_parallel_one_reproduces_sequential_exactly(self, monkeypatch):
-        """The scheduler at 1 pool equals the literal Algorithm-1 walk —
-        every data point byte-identical, timestamps included."""
+    def test_parallel_one_reproduces_sequential_exactly(self):
+        """The scheduler at 1 pool equals the literal Algorithm-1 walk,
+        which the batched kernel runs as one flat loop — every data
+        point byte-identical, timestamps included."""
         config = self.sweep_config()
         scheduled, _ = build(config, max_parallel_pools=1)
         scheduled_report = scheduled.collect(generate_scenarios(config))
 
-        sequential, _ = build(config)
-        monkeypatch.setattr(AzureBatchBackend, "supports_concurrency",
-                            property(lambda self: False))
+        sequential, _ = build(config, engine="batched")
         sequential_report = sequential.collect(generate_scenarios(config))
+        assert sequential_report.engine == "batched"
 
         assert point_dicts(scheduled.dataset) == point_dicts(
             sequential.dataset
@@ -75,7 +75,7 @@ class TestDeterminism:
         assert (scheduled_report.infrastructure_cost_usd
                 == sequential_report.infrastructure_cost_usd)
 
-    def test_parallel_one_reproduces_sequential_with_noise(self, monkeypatch):
+    def test_parallel_one_reproduces_sequential_with_noise(self):
         """Noise is seeded per scenario, so equality survives it."""
         from repro.perf.noise import NoiseModel
 
@@ -84,11 +84,10 @@ class TestDeterminism:
         scheduled.backend.noise = NoiseModel(sigma=0.05, seed=7)
         scheduled.collect(generate_scenarios(config))
 
-        sequential, dep_b = build(config)
+        sequential, dep_b = build(config, engine="batched")
         sequential.backend.noise = NoiseModel(sigma=0.05, seed=7)
-        monkeypatch.setattr(AzureBatchBackend, "supports_concurrency",
-                            property(lambda self: False))
-        sequential.collect(generate_scenarios(config))
+        assert sequential.collect(
+            generate_scenarios(config)).engine == "batched"
 
         assert point_dicts(scheduled.dataset) == point_dicts(
             sequential.dataset
@@ -211,77 +210,6 @@ class FailingSetupBackend(AzureBatchBackend):
         return AsyncOp(op.ready_at, fail)
 
 
-class BlockingStubBackend(ExecutionBackend):
-    """Blocking-only backend recording calls; setup fails on bad_sku."""
-
-    bad_sku = "Standard_HC44rs"
-
-    def __init__(self):
-        self.calls = []
-
-    @property
-    def name(self):
-        return "stub"
-
-    def ensure_capacity(self, sku_name, nodes):
-        self.calls.append(("ensure", sku_name, nodes))
-
-    def run_setup(self, sku_name, script):
-        self.calls.append(("setup", sku_name))
-        return sku_name != self.bad_sku
-
-    def run_scenario(self, scenario, script):
-        self.calls.append(("run", scenario.sku_name, scenario.nnodes))
-        return ScenarioRunResult(
-            succeeded=True, exec_time_s=10.0, cost_usd=0.01,
-            stdout="", started_at=0.0, finished_at=10.0,
-        )
-
-    def release_capacity(self, sku_name, delete):
-        self.calls.append(("release", sku_name))
-
-    def teardown(self):
-        pass
-
-    @property
-    def provisioning_overhead_s(self):
-        return 0.0
-
-    @property
-    def total_infrastructure_cost_usd(self):
-        return 0.0
-
-
-class ProvisioningStub(BlockingStubBackend):
-    """Blocking stub that accrues 33s of boot wait per capacity request,
-    on top of 42s left over from an earlier sweep (cumulative counter)."""
-
-    def __init__(self):
-        super().__init__()
-        self._prov = 42.0
-
-    def ensure_capacity(self, sku_name, nodes):
-        super().ensure_capacity(sku_name, nodes)
-        self._prov += 33.0
-
-    @property
-    def provisioning_overhead_s(self):
-        return self._prov
-
-
-class TestSequentialFallbackMakespan:
-    def test_makespan_includes_this_sweeps_provisioning(self):
-        config = make_config(skus=[THREE_SKUS[2]], nnodes=[1])
-        collector = DataCollector(
-            backend=ProvisioningStub(), script=get_plugin(config.appname),
-            dataset=Dataset(), taskdb=TaskDB(),
-        )
-        report = collector.collect(generate_scenarios(config))
-        # 10s of task time + 33s booted this sweep; the 42s already on
-        # the backend's cumulative counter must not leak in.
-        assert report.makespan_s == pytest.approx(10.0 + 33.0)
-
-
 class TestSetupFailurePoisonsSku:
     """Regression: a failed setup must fail the whole SKU group instead of
     running later scenarios of that SKU on an unprepared pool."""
@@ -318,25 +246,3 @@ class TestSetupFailurePoisonsSku:
         for job in bad_jobs:
             kinds = [t.kind.value for t in job.tasks.values()]
             assert kinds == ["setup"]
-
-    def test_sequential_path_fails_whole_group(self):
-        config = make_config(skus=THREE_SKUS[:2], nnodes=[1, 2])
-        backend = BlockingStubBackend()
-        collector = DataCollector(
-            backend=backend, script=get_plugin(config.appname),
-            dataset=Dataset(), taskdb=TaskDB(),
-        )
-        report = collector.collect(generate_scenarios(config))
-
-        # The poisoned SKU saw exactly one setup attempt — no capacity
-        # request and no scenario execution afterwards.
-        bad = BlockingStubBackend.bad_sku
-        assert ("setup", bad) in backend.calls
-        assert not any(c[0] in ("ensure", "run") and c[1] == bad
-                       for c in backend.calls)
-        failed = [r for r in collector.taskdb.all()
-                  if r.status is TaskStatus.FAILED]
-        assert {r.scenario.sku_name for r in failed} == {bad}
-        assert len(failed) == 2
-        assert report.failed == 2
-        assert report.completed == 2

@@ -263,12 +263,20 @@ class TestRecoveryPolicies:
         assert point.makespan_s > point.exec_time_s
 
 
+class OnDemandOnlyBackend(AzureBatchBackend):
+    """A split-phase back-end that cannot interrupt scenario ops."""
+
+    @property
+    def supports_preemption(self):
+        return False
+
+
 class TestSpotGuards:
     def test_spot_requires_preemption_capable_backend(self):
-        from tests.test_collector_concurrent import BlockingStubBackend
-
+        deployment = Deployer().deploy(make_config())
         collector = DataCollector(
-            backend=BlockingStubBackend(), script=get_plugin("lammps"),
+            backend=OnDemandOnlyBackend(service=deployment.batch),
+            script=get_plugin("lammps"),
             dataset=Dataset(), taskdb=TaskDB(), capacity="spot",
         )
         with pytest.raises(BackendError, match="preemption"):
@@ -293,33 +301,30 @@ class TestSpotGuards:
 class TestDeterminismGoldens:
     """Same ``eviction_seed`` => identical outcome, any schedule."""
 
-    def sweep(self, parallel=1, seed=11, sequential=False,
-              monkeypatch=None):
+    def sweep(self, parallel=1, seed=11, engine="auto"):
         config = spot_config(appinputs={"BOXFACTOR": ["16", "30"]})
         collector, _ = build(
             config, recovery="checkpoint_restart",
             checkpoint_interval_s=5.0, checkpoint_overhead_s=1.0,
             eviction=EvictionModel.flat(FIRM, seed=seed),
             max_preemptions=500, max_parallel_pools=parallel,
+            engine=engine,
         )
-        if sequential:
-            monkeypatch.setattr(
-                AzureBatchBackend, "supports_concurrency",
-                property(lambda self: False),
-            )
         report = collector.collect(generate_scenarios(config))
         return report, collector
 
-    def test_scheduled_equals_sequential_byte_identical(self, monkeypatch):
-        """The event-driven walk at 1 pool reproduces the blocking walk
-        exactly — eviction timestamps included."""
+    def test_scheduled_equals_sequential_byte_identical(self):
+        """The event-driven walk at 1 pool reproduces the literal
+        Algorithm-1 loop the batched kernel runs — eviction timestamps
+        included."""
         _, scheduled = self.sweep(parallel=1)
-        _, sequential = self.sweep(sequential=True, monkeypatch=monkeypatch)
+        report, sequential = self.sweep(engine="batched")
+        assert report.engine == "batched", report.engine_fallback
         assert full_dicts(scheduled.dataset) == full_dicts(sequential.dataset)
         assert ([r.to_dict() for r in scheduled.taskdb.all()]
                 == [r.to_dict() for r in sequential.taskdb.all()])
 
-    def test_same_seed_identical_report_across_parallelism(self, monkeypatch):
+    def test_same_seed_identical_report_across_parallelism(self):
         """ISSUE golden: same eviction_seed => identical CollectionReport
         across max_parallel_pools=1 and >1 (makespan/timestamps aside)."""
         report_1, collector_1 = self.sweep(parallel=1)

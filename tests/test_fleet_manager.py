@@ -1,6 +1,6 @@
 """FleetJobManager: the store-backed executor behind each fleet worker.
 
-Covers the JobManager-compatible surface over the shared queue: multiple
+Covers the job manager surface over the shared queue: multiple
 managers draining one store, cooperative cancel through the store flag,
 and the lease-loss path (a zombie abandons instead of clobbering the
 winner's record).

@@ -1,9 +1,13 @@
 """Paper-constant cross-checks, failure injection, and network properties."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.appkit.plugins import get_plugin
-from repro.backends.base import ExecutionBackend, ScenarioRunResult
+from repro.backends.azurebatch import AzureBatchBackend
+from repro.batch.service import BatchService
+from repro.cloud.provider import CloudProvider
 from repro.core.advisor import Advisor
 from repro.core.collector import DataCollector
 from repro.core.dataset import Dataset
@@ -52,47 +56,28 @@ class TestPaperConstants:
             paperdata.align_rows(paperdata.PAPER_LISTING4, [])
 
 
-class CrashingBackend(ExecutionBackend):
-    """A back-end that dies after N scenarios (control-plane outage)."""
+@dataclass
+class CrashingBackend(AzureBatchBackend):
+    """A back-end whose control plane dies after N scenario submissions."""
 
-    def __init__(self, crash_after: int):
-        self.crash_after = crash_after
-        self.ran = 0
+    crash_after: int = 0
+    ran: int = 0
 
-    @property
-    def name(self):
-        return "crashing"
-
-    def ensure_capacity(self, sku_name, nodes):
-        pass
-
-    def run_setup(self, sku_name, script):
-        return True
-
-    def run_scenario(self, scenario, script) -> ScenarioRunResult:
+    def submit_scenario(self, scenario, script, resume_from_s=0.0,
+                        restart_overhead_s=0.0):
         if self.ran >= self.crash_after:
             raise BackendError("control plane unavailable")
         self.ran += 1
-        return ScenarioRunResult(
-            succeeded=True, exec_time_s=10.0, cost_usd=0.01,
-            stdout="HPCADVISORVAR APPEXECTIME=10\n",
-            app_vars={"APPEXECTIME": "10"},
-            started_at=0.0, finished_at=10.0,
-        )
+        return super().submit_scenario(scenario, script, resume_from_s,
+                                       restart_overhead_s)
 
-    def release_capacity(self, sku_name, delete):
-        pass
 
-    def teardown(self):
-        pass
-
-    @property
-    def provisioning_overhead_s(self):
-        return 0.0
-
-    @property
-    def total_infrastructure_cost_usd(self):
-        return 0.0
+def crashing_backend(crash_after: int) -> CrashingBackend:
+    provider = CloudProvider()
+    service = BatchService(account_name="b", provider=provider,
+                           subscription=provider.register_subscription("t"),
+                           region="southcentralus")
+    return CrashingBackend(service=service, crash_after=crash_after)
 
 
 class TestBackendOutage:
@@ -105,7 +90,7 @@ class TestBackendOutage:
         ]
 
     def test_outage_propagates_but_progress_is_preserved(self):
-        backend = CrashingBackend(crash_after=2)
+        backend = crashing_backend(crash_after=2)
         collector = DataCollector(
             backend=backend,
             script=get_plugin("lammps"),
@@ -122,15 +107,17 @@ class TestBackendOutage:
     def test_resume_after_outage(self):
         scenarios = self.scenarios(4)
         dataset, taskdb = Dataset(), TaskDB()
-        flaky = CrashingBackend(crash_after=2)
-        collector = DataCollector(backend=flaky,
+        backend = crashing_backend(crash_after=2)
+        collector = DataCollector(backend=backend,
                                   script=get_plugin("lammps"),
                                   dataset=dataset, taskdb=taskdb)
         with pytest.raises(BackendError):
             collector.collect(scenarios)
-        # "Repair" the backend and resume the same sweep.
-        healthy = CrashingBackend(crash_after=100)
-        resumed = DataCollector(backend=healthy,
+        # "Repair" the backend and resume the same sweep.  Same instance:
+        # a second backend over the same service would restart the task
+        # ids and collide with the first run's.
+        backend.crash_after = 100
+        resumed = DataCollector(backend=backend,
                                 script=get_plugin("lammps"),
                                 dataset=dataset, taskdb=taskdb)
         report = resumed.collect(scenarios)

@@ -254,7 +254,8 @@ class TestShutdownGuards:
         import os
         import threading
 
-        from repro.service.jobs import JobManager
+        from repro.fleet.jobstore import FleetJobStore
+        from repro.fleet.manager import FleetJobManager
         from repro.service.router import Router, ServiceState
 
         gate = threading.Event()
@@ -271,10 +272,13 @@ class TestShutdownGuards:
         info = deploy(router, prefix="guardrg")
         state = ServiceState(
             session=router.state.session,
-            jobs=JobManager(
-                jobs_dir=os.path.join(
-                    router.state.session.store.root, "jobs-g"),
-                session_factory=BlockedSession, workers=1),
+            # A queue of its own: the fixture's workers must not claim
+            # this job with a real session.
+            jobs=FleetJobManager(
+                FleetJobStore(os.path.join(
+                    router.state.session.store.root, "fleet-g.sqlite")),
+                session_factory=BlockedSession, workers=1, poll_s=0.02,
+                owns_store=True),
         )
         guarded = Router(state)
         try:

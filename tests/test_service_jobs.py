@@ -1,7 +1,11 @@
-"""Job manager tests: lifecycle, persistence, concurrency, edge cases."""
+"""The service's job manager: lifecycle, persistence, restart,
+concurrency, edge cases.
 
-import json
-import os
+The manager is built the way ``build_state`` builds it: the fleet queue
+in ``fleet.sqlite``, after a one-shot import of any pre-fleet
+``jobs/<id>.json`` records.
+"""
+
 import threading
 import time
 
@@ -9,11 +13,9 @@ import pytest
 
 from repro.api.results import CollectResult
 from repro.errors import ConfigError, JobNotFound, JobStateError
-from repro.service.jobs import (
-    TERMINAL_STATES,
-    JobManager,
-    JobRecord,
-)
+from repro.fleet.jobstore import FleetJobStore, fleet_db_path
+from repro.fleet.manager import FleetJobManager
+from repro.service.jobs import TERMINAL_STATES, JobRecord
 
 
 class FakeSession:
@@ -61,13 +63,29 @@ class _FakeReport:
         self.simulated_wall_s = float(executed)
 
 
-def make_manager(tmp_path, session=None, workers=2, **kwargs):
-    return JobManager(
-        jobs_dir=str(tmp_path / "jobs"),
-        session_factory=lambda: session or FakeSession(),
-        workers=workers,
-        **kwargs,
-    )
+def make_manager(tmp_path, session=None, workers=2,
+                 session_factory=None, **kwargs):
+    store = FleetJobStore(fleet_db_path(str(tmp_path)))
+    store.import_legacy_jobs(str(tmp_path / "jobs"))
+    try:
+        return FleetJobManager(
+            store,
+            session_factory=(session_factory
+                             or (lambda: session or FakeSession())),
+            workers=workers, poll_s=0.02, owns_store=True, **kwargs,
+        )
+    except BaseException:
+        store.close()
+        raise
+
+
+def stored(tmp_path, job_id):
+    """The job's record as a separate handle reads it from disk."""
+    store = FleetJobStore(fleet_db_path(str(tmp_path)))
+    try:
+        return store.get(job_id)
+    finally:
+        store.close()
 
 
 class TestJobRecord:
@@ -109,6 +127,7 @@ class TestSubmitAndRun:
     def test_progress_counters_update(self, tmp_path):
         manager = make_manager(tmp_path,
                                session=FakeSession(progress_steps=3))
+        manager.PROGRESS_FLUSH_INTERVAL_S = 0.0  # store every event
         record = manager.submit("collect", {"deployment": "d-000"})
         final = manager.wait(record.id, timeout=10)
         assert final.progress["executed"] == 3
@@ -146,11 +165,9 @@ class TestPersistence:
         manager = make_manager(tmp_path)
         record = manager.submit("collect", {"deployment": "d-000"})
         manager.wait(record.id, timeout=10)
-        path = tmp_path / "jobs" / f"{record.id}.json"
-        assert path.exists()
-        on_disk = json.loads(path.read_text())
-        assert on_disk["state"] == "done"
-        assert on_disk["result"]["completed"] == 2
+        on_disk = stored(tmp_path, record.id)
+        assert on_disk.state == "done"
+        assert on_disk.result["completed"] == 2
         manager.close()
 
     def test_restart_lists_finished_jobs(self, tmp_path):
@@ -164,8 +181,8 @@ class TestPersistence:
         reborn.close()
 
     def test_restart_marks_running_job_stale(self, tmp_path):
-        """A `running` record from a dead server must surface as stale,
-        not hang forever."""
+        """A `running` record from a dead pre-fleet server must surface
+        as stale, not hang forever."""
         jobs_dir = tmp_path / "jobs"
         jobs_dir.mkdir()
         orphan = JobRecord(id="job-dead", kind="collect",
@@ -175,11 +192,13 @@ class TestPersistence:
         manager = make_manager(tmp_path)
         record = manager.get("job-dead")
         assert record.state == "stale"
-        assert "restarted" in record.error
+        assert "dead server" in record.error
         assert record.finished  # wait() would return immediately
-        # ... and the new state is persisted for the next restart too.
-        assert json.loads(
-            (jobs_dir / "job-dead.json").read_text())["state"] == "stale"
+        # ... and the new state is persisted for the next restart too;
+        # the JSON file is retired so it is never imported twice.
+        assert stored(tmp_path, "job-dead").state == "stale"
+        assert not (jobs_dir / "job-dead.json").exists()
+        assert (jobs_dir / "job-dead.json.migrated").exists()
         manager.close()
 
     def test_restart_keeps_running_job_with_live_lease(self, tmp_path):
@@ -201,9 +220,12 @@ class TestPersistence:
         assert not record.finished
         assert record.worker_id == "sibling-server"
         # ... and nothing was rewritten behind the owner's back.
-        assert json.loads(
-            (jobs_dir / "job-alive.json").read_text())["state"] == "running"
+        assert stored(tmp_path, "job-alive") == alive
+        # Closing waits only on this process's own jobs, never on the
+        # sibling's: no drain timeout.
+        started = time.monotonic()
         manager.close()
+        assert time.monotonic() - started < 5
 
     def test_restart_stales_running_job_with_expired_lease(self, tmp_path):
         """The flip side: an *expired* lease proves the worker is dead."""
@@ -218,7 +240,7 @@ class TestPersistence:
         manager = make_manager(tmp_path)
         record = manager.get("job-expired")
         assert record.state == "stale"
-        assert "restarted" in record.error
+        assert "dead server" in record.error
         manager.close()
 
     def test_heartbeat_renews_lease_while_running(self, tmp_path):
@@ -232,10 +254,9 @@ class TestPersistence:
             deadline = time.monotonic() + 10
             lease = None
             while lease is None and time.monotonic() < deadline:
-                on_disk = json.loads(
-                    (tmp_path / "jobs" / f"{record.id}.json").read_text())
-                if on_disk["state"] == "running":
-                    lease = on_disk["lease_expires_at"]
+                on_disk = stored(tmp_path, record.id)
+                if on_disk.state == "running":
+                    lease = on_disk.lease_expires_at
                 time.sleep(0.01)
             assert lease is not None and lease > time.time()
         finally:
@@ -329,11 +350,8 @@ class TestConcurrency:
                     active["count"] -= 1
                 return CollectResult(deployment=request.deployment)
 
-        manager = JobManager(
-            jobs_dir=str(tmp_path / "jobs"),
-            session_factory=TrackedSession,
-            workers=4,
-        )
+        manager = make_manager(tmp_path, session_factory=TrackedSession,
+                               workers=4)
         records = [
             manager.submit("collect", {"deployment": "d-000"})
             for _ in range(3)
@@ -358,11 +376,8 @@ class TestConcurrency:
                     overlap["count"] -= 1
                 return CollectResult(deployment=request.deployment)
 
-        manager = JobManager(
-            jobs_dir=str(tmp_path / "jobs"),
-            session_factory=TrackedSession,
-            workers=4,
-        )
+        manager = make_manager(tmp_path, session_factory=TrackedSession,
+                               workers=4)
         records = [
             manager.submit("collect", {"deployment": f"d-{i:03d}"})
             for i in range(4)
@@ -383,8 +398,7 @@ class TestConcurrency:
 
     def test_workers_validated(self, tmp_path):
         with pytest.raises(ConfigError):
-            JobManager(jobs_dir=str(tmp_path / "jobs"),
-                       session_factory=FakeSession, workers=0)
+            make_manager(tmp_path, workers=0)
 
     def test_wait_times_out(self, tmp_path):
         gate = threading.Event()
@@ -405,13 +419,12 @@ class TestRealPipeline:
         from repro.api import AdvisorSession
         from tests.conftest import make_config
 
-        state_dir = str(tmp_path / "state")
-        control = AdvisorSession(state_dir=state_dir)
+        state_dir = tmp_path / "state"
+        control = AdvisorSession(state_dir=str(state_dir))
         info = control.deploy(make_config(rgprefix="jobrg"))
-        manager = JobManager(
-            jobs_dir=os.path.join(state_dir, "jobs"),
-            session_factory=lambda: AdvisorSession(state_dir=state_dir),
-            workers=2,
+        manager = make_manager(
+            state_dir,
+            session_factory=lambda: AdvisorSession(state_dir=str(state_dir)),
         )
         record = manager.submit("collect", {"deployment": info.name})
         final = manager.wait(record.id, timeout=30)
@@ -428,9 +441,8 @@ class TestRealPipeline:
 class TestParkedJobs:
     def test_cancelled_parked_job_does_not_strand_later_waiters(self,
                                                                 tmp_path):
-        """Regression: with J1 running and J2, J3 parked behind the same
-        deployment's lock, cancelling J2 must not eat the wake-up that
-        J3 needs when J1 releases the lock."""
+        """Regression: with J1 running and J2, J3 waiting behind the same
+        deployment, cancelling J2 must not strand J3 when J1 finishes."""
         gate = threading.Event()
         started = threading.Event()
         session = FakeSession(gate=gate,
@@ -440,15 +452,10 @@ class TestParkedJobs:
         assert started.wait(timeout=5)
         j2 = manager.submit("collect", {"deployment": "d-000"})
         j3 = manager.submit("collect", {"deployment": "d-000"})
-        # Wait until both followers are parked behind d-000's lock.
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            with manager._lock:
-                if len(manager._parked.get("d-000", ())) == 2:
-                    break
-            time.sleep(0.01)
-        else:
-            raise AssertionError("followers never parked")
+        # Both followers wait behind d-000's running job.
+        time.sleep(0.1)
+        assert manager.get(j2.id).state == "queued"
+        assert manager.get(j3.id).state == "queued"
         manager.cancel(j2.id)
         gate.set()
         assert manager.wait(j1.id, timeout=10).state == "done"
@@ -467,11 +474,9 @@ class TestRetention:
             ids.append(record.id)
         manager.submit("collect", {"deployment": "d-next"})  # triggers prune
         listed = {r.id for r in manager.list()}
-        # The two oldest finished jobs are gone, memory and disk.
+        # The two oldest finished jobs are gone from the store.
         assert ids[0] not in listed and ids[1] not in listed
         assert ids[2] in listed and ids[3] in listed
-        remaining = {p.name for p in (tmp_path / "jobs").glob("job-*.json")}
-        assert f"{ids[0]}.json" not in remaining
         with pytest.raises(JobNotFound):
             manager.get(ids[0])
         manager.close()
@@ -498,13 +503,12 @@ class TestRetention:
         from repro.api import AdvisorSession
         from tests.conftest import make_config
 
-        state_dir = str(tmp_path / "state")
-        control = AdvisorSession(state_dir=state_dir)
+        state_dir = tmp_path / "state"
+        control = AdvisorSession(state_dir=str(state_dir))
         info = control.deploy(make_config(rgprefix="resumerg"))
-        manager = JobManager(
-            jobs_dir=os.path.join(state_dir, "jobs"),
-            session_factory=lambda: AdvisorSession(state_dir=state_dir),
-            workers=1,
+        manager = make_manager(
+            state_dir, workers=1,
+            session_factory=lambda: AdvisorSession(state_dir=str(state_dir)),
         )
         first = manager.submit("collect", {"deployment": info.name})
         assert manager.wait(first.id, timeout=30).progress["total"] == 2

@@ -4,8 +4,9 @@ The acceptance contract of the ``repro.store`` refactor:
 
 * a sweep killed mid-flight keeps **every** completed point and task
   status on disk (no end-of-sweep save required) — under both engines;
-* scheduled and sequential collection leave byte-identical JSONL files
-  and row-identical SQLite corpora;
+* the scheduled walk (per-scenario write-through) and the batched
+  engine's one-pool loop (deferred bulk sync) leave byte-identical
+  JSONL files and row-identical SQLite corpora;
 * an existing JSON state directory migrates to SQLite in place with
   identical advice output before and after.
 """
@@ -96,45 +97,45 @@ class TestBackendParity:
             points[backend] = session.dataset(info.name).points()
         assert points["jsonl"] == points["sqlite"]
 
-    def _sweep(self, state_dir, sequential_walk, monkeypatch):
-        """One full sweep; ``sequential_walk`` forces Algorithm 1's
-        literal blocking loop instead of the scheduler at 1 pool."""
-        from repro.backends.azurebatch import AzureBatchBackend
-
-        if sequential_walk:
-            monkeypatch.setattr(AzureBatchBackend, "supports_concurrency",
-                                property(lambda self: False))
+    def _sweep(self, state_dir, engine):
+        """One full sweep at one pool: ``object`` runs the scheduled
+        walk, writing each scenario through to the store; ``batched``
+        runs Algorithm 1's literal loop with one deferred bulk sync."""
         session = AdvisorSession(state_dir=state_dir)
         info = session.deploy(_config())
-        session.collect(deployment=info.name, max_parallel_pools=1)
-        monkeypatch.undo()
+        result = session.collect(deployment=info.name, max_parallel_pools=1,
+                                 engine=engine)
+        assert result.engine == engine, result.engine_fallback
         return session, info
+
+    def _tasks(self, session, name):
+        return [r.to_dict() for r in session.taskdb(name).all()]
 
     def test_scheduled_and_sequential_files_are_byte_identical(
             self, tmp_path, monkeypatch):
         """The incremental write path preserves the scheduler-equals-
         sequential guarantee down to the stored JSONL bytes."""
         monkeypatch.setenv("REPRO_STORE", "jsonl")
-        blobs = {}
-        for label, walk in (("sched", False), ("seq", True)):
-            session, info = self._sweep(str(tmp_path / label), walk,
-                                        monkeypatch)
-            monkeypatch.setenv("REPRO_STORE", "jsonl")
+        blobs, tasks = {}, {}
+        for engine in ("object", "batched"):
+            session, info = self._sweep(str(tmp_path / engine), engine)
             path = session.store.dataset_path(info.name)
             with open(path, "rb") as fh:
-                blobs[label] = fh.read()
-        assert blobs["sched"] == blobs["seq"]
+                blobs[engine] = fh.read()
+            tasks[engine] = self._tasks(session, info.name)
+        assert blobs["object"] == blobs["batched"]
+        assert tasks["object"] == tasks["batched"]
 
     def test_scheduled_and_sequential_sqlite_rows_identical(
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "sqlite")
-        rows = {}
-        for label, walk in (("sched", False), ("seq", True)):
-            session, info = self._sweep(str(tmp_path / label), walk,
-                                        monkeypatch)
-            monkeypatch.setenv("REPRO_STORE", "sqlite")
-            rows[label] = session.data_store(info.name).query_points()
-        assert rows["sched"] == rows["seq"]
+        rows, tasks = {}, {}
+        for engine in ("object", "batched"):
+            session, info = self._sweep(str(tmp_path / engine), engine)
+            rows[engine] = session.data_store(info.name).query_points()
+            tasks[engine] = self._tasks(session, info.name)
+        assert rows["object"] == rows["batched"]
+        assert tasks["object"] == tasks["batched"]
 
     def test_higher_parallelism_keeps_measurements_identical(
             self, tmp_path, backend):
