@@ -17,7 +17,7 @@ The headline number is the **default persistence engine** (SQLite
 store) end to end, because that is what ``repro collect`` runs: the
 per-object walk pays a per-scenario upsert transaction against an
 ever-growing table and degrades superlinearly with corpus size, while
-the batched kernel's deferred sync stays flat.  Acceptance at the
+the batched kernel's per-pool commits stay flat.  Acceptance at the
 40,800-scenario scale: >= 10x scenario throughput (measured ~12.5x;
 override with ``BENCH_SIM_FLOOR``).  Pure in-memory rows (no store)
 are reported for context — the kernel alone is ~7x — but carry no

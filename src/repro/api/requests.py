@@ -71,10 +71,11 @@ class CollectRequest(DictMixin):
     #: Seed for the interruption draws — same seed, same evictions,
     #: at any pool parallelism.
     eviction_seed: int = 0
-    #: Execution engine: ``auto`` (per-object today), ``object`` (the
-    #: per-task event-driven scheduler), or ``batched`` (the vectorized
-    #: sweep kernel — byte-identical results, with automatic fallback to
-    #: the per-object path for sweeps it cannot reproduce exactly).
+    #: Execution engine: ``auto`` (the default) and ``batched`` run the
+    #: vectorized sweep kernel — byte-identical results — whenever it
+    #: reproduces the sweep exactly, and otherwise fall back to the
+    #: per-object path with the reason in ``CollectResult.engine_fallback``;
+    #: ``object`` always runs the per-task event-driven scheduler.
     engine: str = "auto"
 
     def __post_init__(self) -> None:

@@ -88,7 +88,7 @@ class CollectResult(DictMixin):
     #: Execution engine that actually ran the sweep (``object`` or
     #: ``batched``).
     engine: str = "object"
-    #: Why a requested ``batched`` engine fell back to the per-object
+    #: Why an ``auto`` or ``batched`` sweep fell back to the per-object
     #: scheduler (empty when no fallback happened).
     engine_fallback: str = ""
     failures: Tuple[str, ...] = ()

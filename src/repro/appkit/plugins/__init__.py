@@ -26,14 +26,19 @@ from repro.appkit.plugins.gromacs import make_gromacs_script
 from repro.appkit.plugins.namd import make_namd_script
 from repro.appkit.plugins.matrixmult import make_matrixmult_script
 
-for _name, _factory in (
-    ("lammps", make_lammps_script),
-    ("openfoam", make_openfoam_script),
-    ("wrf", make_wrf_script),
-    ("gromacs", make_gromacs_script),
-    ("namd", make_namd_script),
-    ("matrixmult", make_matrixmult_script),
-):
+#: The plugins shipped with the package, by application name.  The
+#: batched sweep kernel reproduces exactly these scripts, whatever the
+#: registry currently holds under the same names.
+BUNDLED = {
+    "lammps": make_lammps_script,
+    "openfoam": make_openfoam_script,
+    "wrf": make_wrf_script,
+    "gromacs": make_gromacs_script,
+    "namd": make_namd_script,
+    "matrixmult": make_matrixmult_script,
+}
+
+for _name, _factory in BUNDLED.items():
     if _name not in apps:
         register_app(_name)(_factory)
 

@@ -339,9 +339,10 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     """The execution-engine flag shared by ``collect`` and ``submit``."""
     parser.add_argument(
         "--engine", choices=["auto", "object", "batched"], default="auto",
-        help="execution engine: 'batched' runs the vectorized sweep kernel "
-             "(byte-identical results, falls back to the per-object "
-             "scheduler when ineligible); see `repro engines`",
+        help="execution engine: 'auto' (default) and 'batched' run the "
+             "vectorized sweep kernel (byte-identical results, falls back "
+             "to the per-object scheduler when ineligible), 'object' "
+             "forces the per-object scheduler; see `repro engines`",
     )
 
 

@@ -54,11 +54,18 @@ on-demand execution byte for byte (only priced at the spot rate).
 
 **Persistence** is incremental: when the dataset and task DB are backed
 by a :mod:`repro.store` backend (as the session always arranges for
-persistent state), every ``dataset.append`` and task-status transition
-writes through to the store the moment it happens, so a crashed or
-cancelled sweep keeps everything it measured and a resumed sweep starts
-from exactly what completed.  The end-of-sweep ``_save_state`` is then
-only a durability flush, never a whole-corpus rewrite.
+persistent state), a crashed or cancelled sweep keeps everything it
+measured and a resumed sweep starts from exactly what completed.  The
+object walk writes every ``dataset.append`` and task-status transition
+through to the store the moment it happens, point before task.  The
+batched kernel holds them in memory and commits each pool's group at
+its release (Algorithm 1 line 13), and whatever is left when the sweep
+ends or aborts, as one unit: points and task records in one transaction
+on SQLite, points first on JSONL (:meth:`repro.store.base.StoreBackend.commit`).
+Either way a completed task never reaches the store without its point,
+and a hard kill loses at most the VM type in flight.  The end-of-sweep
+``_save_state`` is then only a durability flush, never a whole-corpus
+rewrite.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, Generator, Iterator, List, Optional,
                     Protocol, runtime_checkable)
@@ -81,23 +89,25 @@ from repro.errors import BackendError, ConfigError
 from repro.telemetry import SweepProfiler, global_registry
 
 #: Engine decisions, observable on /metrics: which engine each sweep
-#: ran on, and how often a requested ``batched`` engine had to degrade.
+#: ran on, and how often an ``auto`` or ``batched`` request had to
+#: degrade to the per-object path.
 _ENGINE_SELECTED = global_registry().counter(
     "advisor_engine_selected_total",
     "Sweep execution engine selections, by engine actually used.",
 )
 _ENGINE_FALLBACK = global_registry().counter(
     "advisor_engine_fallback_total",
-    "Requested batched engine degradations to the per-object path.",
+    "Auto or batched engine requests degraded to the per-object path.",
 )
 
 #: The capacity tiers a sweep can run on.
 CAPACITY_TIERS = ("ondemand", "spot")
 
-#: Execution-engine selectors a sweep accepts: ``auto`` (per-object
-#: today), ``object`` (the event-driven per-task scheduler), and
-#: ``batched`` (the :mod:`repro.simd` kernel, with automatic fallback
-#: to the per-object path for sweeps it cannot reproduce exactly).
+#: Execution-engine selectors a sweep accepts: ``auto`` and ``batched``
+#: (the :mod:`repro.simd` kernel whenever it reproduces the sweep
+#: exactly, else the per-object path with the reason recorded), and
+#: ``object`` (the event-driven per-task scheduler, always — the
+#: byte-exact oracle).
 ENGINE_CHOICES = ("auto", "object", "batched")
 
 #: Task-level recovery policies for spot interruptions.
@@ -164,9 +174,10 @@ class CollectionReport:
     #: Billed node-seconds that produced no surviving work.
     wasted_node_s: float = 0.0
     #: Execution engine that actually ran the sweep (``object`` or
-    #: ``batched`` — the latter only when requested *and* eligible).
+    #: ``batched`` — the latter only when not forced to ``object`` and
+    #: eligible).
     engine: str = "object"
-    #: Why a requested ``batched`` engine fell back to the per-object
+    #: Why an ``auto`` or ``batched`` sweep fell back to the per-object
     #: path (empty when no fallback happened).
     engine_fallback: str = ""
     #: Wall-time attribution per stage (see
@@ -235,11 +246,12 @@ class DataCollector:
     checkpoint_interval_s: float = 600.0
     #: Restore overhead paid on each resume from a checkpoint.
     checkpoint_overhead_s: float = 60.0
-    #: Execution engine: ``auto`` (per-object today), ``object``, or
-    #: ``batched`` — the :mod:`repro.simd` kernel, which evaluates
-    #: scenario physics from a memoized table over the real billing
-    #: substrate and falls back to the per-object path (recording why
-    #: on the report) for sweeps it cannot reproduce byte-for-byte.
+    #: Execution engine: ``auto`` (the default) and ``batched`` run the
+    #: :mod:`repro.simd` kernel, which evaluates scenario physics from a
+    #: memoized table over the real billing substrate, and fall back to
+    #: the per-object path (recording why on the report) for sweeps it
+    #: cannot reproduce byte-for-byte; ``object`` always runs the
+    #: per-object path.
     engine: str = "auto"
     #: Interruption sampler for spot sweeps; ``None`` means spot pricing
     #: without evictions (a best-case what-if).
@@ -320,12 +332,10 @@ class DataCollector:
         engine_used, fallback = self._resolve_engine(ordered)
         try:
             if engine_used == "batched":
-                # Store write-through is deferred around the whole sweep:
-                # the initial PENDING rows and every status transition
-                # merge into one bulk task sync (each record at its final
-                # state) plus one bulk point append at the end (or on
-                # abort) instead of per-scenario I/O.
-                with self.dataset.deferred_sync(), self.taskdb.deferred_sync():
+                # The initial PENDING rows, the points and every status
+                # transition are held in memory and committed per pool
+                # (module docstring) instead of per scenario.
+                with self._held_writes():
                     self._register_scenarios(scenarios)
                     report = self._collect_batched(ordered)
             else:
@@ -372,11 +382,12 @@ class DataCollector:
     def _resolve_engine(self, ordered: List[Scenario]) -> tuple:
         """Pick the execution engine for this sweep.
 
-        Returns ``(engine_used, fallback_reason)``; a requested
-        ``batched`` engine degrades gracefully to ``object`` with the
-        reason recorded rather than erroring, per the engine contract.
+        Returns ``(engine_used, fallback_reason)``; an ``auto`` or
+        ``batched`` sweep the kernel cannot reproduce exactly degrades
+        to ``object`` with the reason recorded rather than erroring,
+        per the engine contract.
         """
-        if self.engine != "batched":
+        if self.engine == "object":
             _ENGINE_SELECTED.inc(engine="object")
             return "object", ""
         # Imported lazily: repro.simd sits above the collector in the
@@ -384,7 +395,7 @@ class DataCollector:
         from repro.simd.engine import batch_eligibility
 
         reason = batch_eligibility(self.backend, self.max_parallel_pools,
-                                   ordered)
+                                   ordered, self.script)
         if reason is not None:
             _ENGINE_SELECTED.inc(engine="object")
             _ENGINE_FALLBACK.inc()
@@ -411,6 +422,39 @@ class DataCollector:
             capacity=self.capacity,
             recovery=self.recovery if self.capacity == "spot" else "",
         )
+
+    @contextmanager
+    def _held_writes(self) -> Iterator[None]:
+        """Hold the sweep's point appends and task transitions in memory
+        for :meth:`_commit_held`; leaving the block commits whatever is
+        still held, also when the sweep aborts."""
+        self.dataset.hold_writes()
+        self.taskdb.hold_writes()
+        try:
+            yield
+        finally:
+            try:
+                self._commit_held()
+            finally:
+                self.dataset.hold_writes(False)
+                self.taskdb.hold_writes(False)
+
+    def _commit_held(self) -> None:
+        """Write the held points and task updates as one unit
+        (:meth:`repro.store.base.StoreBackend.commit`), timed as
+        ``persist``."""
+        with self._profiler.stage("persist"):
+            points = self.dataset.take_held()
+            changed = self.taskdb.take_held()
+            store = self.taskdb.store
+            if store is not None and store is self.dataset.store:
+                store.commit(points, changed, self.taskdb.all())
+                return
+            # Separate stores, or only one: still points first.
+            if points:
+                self.dataset.store.append_points(points)
+            if changed:
+                store.sync_tasks(changed, self.taskdb.all())
 
     def _save_state(self) -> None:
         if self.taskdb.path:

@@ -10,7 +10,9 @@ Persistence comes in two shapes:
   ``append`` writes through to the :mod:`repro.store` backend
   immediately, so sweeps persist each completed point incrementally
   and a killed sweep keeps everything it measured; ``save()`` is just
-  a flush.
+  a flush.  A batched sweep may hold appends in memory instead
+  (:meth:`Dataset.hold_writes`) and commit them together with their
+  task records.
 * **path-backed** (``Dataset(..., path=...)``, no store) — the legacy
   shape: ``save()`` atomically rewrites the whole JSON-lines file.
   Kept for ad-hoc files and tests; sessions always use a store.
@@ -19,7 +21,6 @@ Persistence comes in two shapes:
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
                     Optional)
@@ -141,7 +142,7 @@ class Dataset:
         self.path = path
         self._store = store
         self._synced = len(self._points) if store is not None else 0
-        self._deferring = False
+        self._holding = False
 
     @property
     def store(self) -> Optional["StoreBackend"]:
@@ -158,32 +159,26 @@ class Dataset:
         self._write_through()
 
     def _write_through(self) -> None:
-        if self._deferring:
+        if self._holding:
             return
         if self._store is not None and self._synced < len(self._points):
             self._store.append_points(self._points[self._synced:])
             self._synced = len(self._points)
 
-    @contextmanager
-    def deferred_sync(self):
-        """Batch the store write-through for a block of appends.
+    def hold_writes(self, hold: bool = True) -> None:
+        """Start (or stop) holding appends in memory instead of writing
+        them through; :meth:`take_held` hands them to the caller to
+        persist.  No-op without a store."""
+        self._holding = hold and self._store is not None
 
-        Inside the block, ``append``/``extend`` only touch memory; on
-        exit (including via an exception) everything accumulated since
-        the last sync goes to the store in one bulk ``append_points``
-        call — the same rows in the same order the incremental
-        write-through would have produced, minus the per-append I/O.
-        No-op without a store or when already deferring.
-        """
-        if self._store is None or self._deferring:
-            yield self
-            return
-        self._deferring = True
-        try:
-            yield self
-        finally:
-            self._deferring = False
-            self._write_through()
+    def take_held(self) -> List[DataPoint]:
+        """The points appended since the last store write, in append
+        order; from now on the caller is the one persisting them."""
+        if self._store is None:
+            return []
+        points = self._points[self._synced:]
+        self._synced = len(self._points)
+        return points
 
     def points(self) -> List[DataPoint]:
         return list(self._points)

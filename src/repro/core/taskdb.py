@@ -7,15 +7,16 @@ completed."
 With a :mod:`repro.store` backend attached, every status transition is
 persisted immediately (an upsert of just the changed record on engines
 that support it), so an aborted sweep resumes from exactly what it
-completed.  Without one, ``save()`` atomically rewrites the JSON file —
-the legacy shape, kept for ad-hoc files and tests.
+completed.  A batched sweep may hold transitions in memory instead
+(:meth:`TaskDB.hold_writes`) and commit them together with their
+points.  Without a store, ``save()`` atomically rewrites the JSON file
+— the legacy shape, kept for ad-hoc files and tests.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional
 
@@ -99,7 +100,9 @@ class TaskDB:
         self.path = path
         self._records: Dict[str, TaskRecord] = {}
         self._store = store
-        self._deferred: Optional[Dict[str, TaskRecord]] = None
+        #: Records changed while holding writes, by scenario id, in
+        #: first-change order (``None`` when writing through).
+        self._held: Optional[Dict[str, TaskRecord]] = None
 
     @property
     def store(self) -> Optional["StoreBackend"]:
@@ -116,36 +119,29 @@ class TaskDB:
         return db
 
     def _sync(self, changed: List[TaskRecord]) -> None:
-        if self._deferred is not None:
+        if self._held is not None:
             for record in changed:
-                self._deferred[record.scenario.scenario_id] = record
+                self._held[record.scenario.scenario_id] = record
             return
         if self._store is not None and changed:
             self._store.sync_tasks(changed, list(self._records.values()))
 
-    @contextmanager
-    def deferred_sync(self):
-        """Batch store syncs for a block of status transitions.
+    def hold_writes(self, hold: bool = True) -> None:
+        """Start (or stop) holding status transitions in memory instead
+        of syncing them; :meth:`take_held` hands them to the caller to
+        persist.  No-op without a store."""
+        self._held = {} if hold and self._store is not None else None
 
-        Inside the block, ``mark_*`` calls update memory only; on exit
-        (including via an exception) every record that changed is synced
-        in one ``sync_tasks`` call.  Each record's *final* state wins —
-        identical to what the per-transition upserts would have left
-        behind, since upserts keep insertion order.  No-op without a
-        store or when already deferring.
-        """
-        if self._store is None or self._deferred is not None:
-            yield self
-            return
-        self._deferred = {}
-        try:
-            yield self
-        finally:
-            pending, self._deferred = self._deferred, None
-            if pending:
-                self._store.sync_tasks(
-                    list(pending.values()), list(self._records.values())
-                )
+    def take_held(self) -> List[TaskRecord]:
+        """Every record changed since the last take, each at its current
+        state, in first-change order — what the per-transition upserts
+        would have left behind, since upserts keep insertion order.
+        From now on the caller is the one persisting them."""
+        if not self._held:
+            return []
+        changed = list(self._held.values())
+        self._held.clear()
+        return changed
 
     # -- population -----------------------------------------------------------
 

@@ -120,8 +120,11 @@ class FleetJobManager:
         trace.
         """
         record = new_job_record(kind, request, trace=trace)
-        self._store.insert(record)
+        # Prune first: once inserted, the job may be claimed and finish
+        # before a later prune, which would count it against retention
+        # and evict an older finished job that should have stayed.
         self._store.prune(self.retention)
+        self._store.insert(record)
         _TRANSITIONS.inc(kind=kind, state="queued")
         self._nudge.set()
         return record

@@ -37,7 +37,10 @@ reach a DataPoint, TaskRecord, report field, or accounting entry:
   to the shared filesystem;
 * ``ScenarioRunResult.stdout`` is empty (stdout is never persisted);
 * on-demand runs do not flip node states to RUNNING for the task's
-  duration (spot runs do — preemption needs a running node).
+  duration (spot runs do — preemption needs a running node);
+* store writes land once per pool, at its release, as one commit of
+  points plus task records (``DataCollector._commit_held``) instead of
+  once per scenario; the stored rows are the same.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ import math
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.appkit.plugins import BUNDLED
+from repro.appkit.script import AppScript
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.backends.base import (ExecutionBackend, ScenarioRunResult,
                                  drive, resumed_wall_s)
@@ -65,6 +70,16 @@ if TYPE_CHECKING:  # pragma: no cover
 def describe_engines() -> List[dict]:
     """Feature matrix for ``repro engines`` and the service's introspection."""
     return [
+        {
+            "engine": "auto",
+            "description": ("runs 'batched' when the sweep is eligible, "
+                            "else 'object' (the default)"),
+            "preemption": True,
+            "concurrency": True,
+            "batching": True,
+            "coverage": ("delegates; the fallback reason is recorded on "
+                         "the result"),
+        },
         {
             "engine": "object",
             "description": ("per-object event-driven scheduler "
@@ -88,12 +103,16 @@ def describe_engines() -> List[dict]:
 
 
 def batch_eligibility(backend: ExecutionBackend, max_parallel_pools: int,
-                      scenarios: List[Scenario]) -> Optional[str]:
+                      scenarios: List[Scenario],
+                      script: AppScript) -> Optional[str]:
     """``None`` when the batched engine covers this sweep, else why not.
 
     The checks are exact-equivalence guards, not capability guesses: any
     configuration the fast path cannot reproduce byte-for-byte falls
-    back to the per-object scheduler.
+    back to the per-object scheduler.  The kernel never runs ``script``
+    for a scenario (it looks the measurement up in the physics table of
+    the scenario's app), so the script must be that app's bundled
+    plugin, unchanged.
     """
     if type(backend) is not AzureBatchBackend:
         return (f"backend {backend.name!r} is not the plain Azure Batch "
@@ -116,6 +135,10 @@ def batch_eligibility(backend: ExecutionBackend, max_parallel_pools: int,
     if uncovered:
         return ("no batched physics adapter for: "
                 + ", ".join(sorted(uncovered)))
+    for appname in sorted({s.appname for s in scenarios}):
+        if script != BUNDLED[appname]():
+            return (f"application script {script.appname!r} is not the "
+                    f"bundled {appname!r} plugin")
     return None
 
 
@@ -169,6 +192,10 @@ def run_batched_sweep(collector: "DataCollector",
     mark_completed = taskdb.mark_completed
     mark_failed = taskdb.mark_failed
     stop_on_failure = collector.stop_on_failure
+    # Each released pool's group is committed as one unit (points and
+    # task records together); the collector commits any remainder when
+    # the sweep ends or aborts.
+    commit = collector._commit_held
 
     # Still-runnable scenarios grouped by SKU: each group is primed
     # through the vectorized grid evaluator at pool-switch time, with the
@@ -355,11 +382,14 @@ def run_batched_sweep(collector: "DataCollector",
         # -- Algorithm 1 lines 3-7: pool lifecycle -----------------------
         sku_name = scenario.sku_name
         if previous_vmtype != sku_name:
-            t0 = perf()
             if previous_vmtype is not None:
+                t0 = perf()
                 backend.release_capacity(
                     previous_vmtype, delete=collector.delete_pool_on_switch
                 )
+                prof_provision += perf() - t0
+                commit()
+            t0 = perf()
             previous_vmtype = sku_name
             pool = None
             if backend.needs_setup(sku_name):
@@ -534,6 +564,7 @@ def run_batched_sweep(collector: "DataCollector",
             previous_vmtype, delete=collector.delete_pool_on_switch
         )
         prof_provision += perf() - t0
+        commit()
     report.makespan_s = clock.now - sweep_start
     profiler = collector._profiler
     profiler.add("setup", prof_setup)

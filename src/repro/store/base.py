@@ -6,6 +6,10 @@ data points and task records — behind an *incremental* interface:
 * writes are appends (``append_point``) or single-record upserts
   (``sync_tasks``), so a crashed or cancelled sweep keeps everything it
   measured and never pays a whole-file rewrite per completion;
+* :meth:`StoreBackend.commit` writes a batch of points together with
+  the task records that describe them — in one transaction on engines
+  that have them, points first everywhere — so a completed task never
+  persists without its point;
 * reads take a :class:`~repro.core.query.Query` and may push it down
   to the storage engine, so filtered advice queries over large corpora
   never deserialize points the caller will drop.
@@ -153,6 +157,35 @@ class StoreBackend(abc.ABC):
         :func:`repro.store.snapshot.aggregate_snapshot`).
         """
         return None
+
+    # -- batched writes --------------------------------------------------------
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Make the writes in the block one atomic commit, on engines
+        that have transactions.
+
+        The default has none: each write lands on its own, in call
+        order.
+        """
+        yield
+
+    def commit(self, points: Sequence[DataPoint],
+               changed: Sequence[TaskRecord],
+               full: Sequence[TaskRecord]) -> None:
+        """Persist ``points`` and the task updates that go with them as
+        one unit (``changed``/``full`` as in :meth:`sync_tasks`).
+
+        The points are written first.  Without a transaction, a kill
+        between the two writes leaves points whose tasks are still
+        pending: a resumed sweep re-runs those scenarios and appends
+        their points again, but no measured point is ever lost.
+        """
+        with self.transaction():
+            if points:
+                self.append_points(points)
+            if changed:
+                self.sync_tasks(changed, full)
 
     # -- task records ----------------------------------------------------------
 

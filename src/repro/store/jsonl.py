@@ -11,6 +11,11 @@ Writes are incremental where the format allows: point appends are real
 ``O(1)`` line appends (a crashed sweep keeps every completed line);
 task syncs rewrite the whole file atomically (the format is a single
 JSON document — this is the linear cost the SQLite backend removes).
+Two files cannot share a transaction, so a batched
+:meth:`~repro.store.base.StoreBackend.commit` appends the points first
+and rewrites the task document second: a kill between the two leaves
+points whose tasks are still pending, which a resumed sweep measures
+again — duplicated, never lost.
 Reads load and filter in memory; the :class:`~repro.core.query.Query`
 window applies after filtering, exactly like the SQL pushdown.
 """

@@ -6,7 +6,10 @@ task records.  Design points:
 * **Incremental appends** — each completed scenario is one ``INSERT``
   (points) or one upsert (tasks); nothing ever rewrites the corpus, so
   a 50k-point deployment pays the same per-append cost as an empty one
-  and a killed sweep keeps every committed row.
+  and a killed sweep keeps every committed row.  A batched
+  :meth:`~repro.store.base.StoreBackend.commit` puts the points insert
+  and the task upsert, each with its generation bump, in one
+  transaction.
 * **Query pushdown** — the scalar clauses of a
   :class:`~repro.core.query.Query` (app, SKU, node counts, capacity,
   predicted, ppn) become an indexed SQL ``WHERE``; ``limit``/``offset``
@@ -35,7 +38,8 @@ import os
 import re
 import sqlite3
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import DataPoint
 from repro.core.query import Query
@@ -112,6 +116,8 @@ class SqliteStore(StoreBackend):
         self._conn.commit()
         self._ino = self._stat_ino()
         self._closed = False
+        #: True inside :meth:`transaction`: writes leave the COMMIT to it.
+        self._in_transaction = False
         self._bind_op_timers()
 
     def _stat_ino(self) -> Optional[int]:
@@ -141,6 +147,28 @@ class SqliteStore(StoreBackend):
                 rows,
             )
             self._bump("points_gen")
+            self._autocommit()
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        # The writes inside run their statements and generation bumps
+        # as usual but skip their own COMMIT (``_autocommit``); this one
+        # COMMIT publishes them together, or the rollback drops them
+        # all.  The connection lock is held throughout, so no other
+        # thread's write can land inside the transaction.
+        with self._lock:
+            self._in_transaction = True
+            try:
+                yield
+                self._conn.commit()
+            except BaseException:
+                self._conn.rollback()
+                raise
+            finally:
+                self._in_transaction = False
+
+    def _autocommit(self) -> None:
+        if not self._in_transaction:
             self._conn.commit()
 
     def _bump(self, counter: str) -> None:
@@ -367,7 +395,7 @@ class SqliteStore(StoreBackend):
                 rows,
             )
             self._bump("tasks_gen")
-            self._conn.commit()
+            self._autocommit()
 
     def load_tasks(self) -> List[TaskRecord]:
         with self._timed("load_tasks"), self._lock:

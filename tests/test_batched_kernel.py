@@ -17,9 +17,11 @@ pin that promise down:
   engine with the reason recorded, and a missing NumPy only un-primes
   the vector pass (the batched engine stays exact through the scalar
   path);
-* the deferred store sync still persists completed work when a sweep
+* the per-pool store commits still persist completed work when a sweep
   aborts mid-flight.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -332,16 +334,27 @@ def test_batch_eligibility_reasons():
     reserved = Scenario(scenario_id="c", sku_name="Standard_HC44rs",
                         nnodes=2, ppn=4, appname="lammps",
                         appinputs={"NNODES": "4"})
-    assert batch_eligibility(backend, 1, [ok]) is None
-    assert "customsolver" in batch_eligibility(backend, 1, [ok, alien])
-    assert batch_eligibility(backend, 1, [reserved]) is not None
-    assert "max_parallel_pools" in batch_eligibility(backend, 4, [ok])
+    lammps = get_plugin("lammps")
+    assert batch_eligibility(backend, 1, [ok], lammps) is None
+    assert "customsolver" in batch_eligibility(backend, 1, [ok, alien],
+                                               lammps)
+    assert batch_eligibility(backend, 1, [reserved], lammps) is not None
+    assert "max_parallel_pools" in batch_eligibility(backend, 4, [ok],
+                                                     lammps)
     # Exact type check: a subclass may override behaviour the kernel
     # cannot see, so it must not be treated as the plain substrate.
     class Subclassed(AzureBatchBackend):
         pass
 
-    assert batch_eligibility(Subclassed(service=batch), 1, [ok]) is not None
+    assert batch_eligibility(Subclassed(service=batch), 1, [ok],
+                             lammps) is not None
+    # The kernel never runs the script: only the bundled plugin of the
+    # scenarios' app is reproduced, whatever the script is called.
+    custom = replace(lammps, run=lambda ctx: 0)
+    assert "bundled 'lammps' plugin" in batch_eligibility(
+        backend, 1, [ok], custom)
+    assert batch_eligibility(backend, 1, [ok],
+                             get_plugin("openfoam")) is not None
 
 
 def test_requested_batched_falls_back_with_reason():
@@ -353,11 +366,68 @@ def test_requested_batched_falls_back_with_reason():
     assert report.engine_fallback != ""
 
 
-def test_auto_engine_stays_object():
-    _, report = sweep("auto", appinputs={"BOXFACTOR": ["4"]},
-                      skus=["Standard_HB120rs_v3"], nnodes=[1])
-    assert report.engine == "object"
+def test_auto_engine_runs_batched_when_eligible():
+    collector, report = sweep("auto")
+    assert report.engine == "batched", report.engine_fallback
     assert report.engine_fallback == ""
+    obj, _ = sweep("object")
+    assert ([p.to_dict() for p in collector.dataset.points()]
+            == [p.to_dict() for p in obj.dataset.points()])
+
+
+def test_auto_engine_falls_back_on_parallel_pools():
+    config = make_config(appinputs={"BOXFACTOR": ["4"]},
+                         skus=["Standard_HB120rs_v3", "Standard_HC44rs"],
+                         nnodes=[1, 2])
+    deployment = Deployer().deploy(config)
+    collector = DataCollector(
+        backend=AzureBatchBackend(service=deployment.batch),
+        script=get_plugin("lammps"), dataset=Dataset(), taskdb=TaskDB(),
+        max_parallel_pools=2,
+    )
+    report = collector.collect(generate_scenarios(config))
+    assert report.engine == "object"
+    assert "max_parallel_pools=2" in report.engine_fallback
+
+
+def test_auto_engine_falls_back_on_slurm():
+    from repro.api.session import AdvisorSession
+
+    session = AdvisorSession()
+    info = session.deploy(make_config(appinputs={"BOXFACTOR": ["4"]},
+                                      nnodes=[1]))
+    result = session.collect(deployment=info.name, backend="slurm")
+    assert result.engine == "object"
+    assert "slurm" in result.engine_fallback
+    assert result.completed > 0
+
+
+@pytest.mark.parametrize("engine", ["auto", "batched"])
+def test_custom_script_falls_back_and_matches_object_walk(engine):
+    """Regression: eligibility checked only the app name, so a custom
+    script registered under a bundled name got the bundled physics —
+    a script that fails its first attempt reported completed=1,
+    failed=0 on the kernel and failed=1 on the object walk."""
+    from tests.test_sampling_transfer_retry import FlakyScript
+
+    def run(engine):
+        config = make_config(nnodes=[2])
+        deployment = Deployer().deploy(config)
+        collector = DataCollector(
+            backend=AzureBatchBackend(service=deployment.batch),
+            script=FlakyScript(failures_before_success=1).build(),
+            dataset=Dataset(), taskdb=TaskDB(), engine=engine,
+        )
+        report = collector.collect(generate_scenarios(config))
+        return report, [r.to_dict() for r in collector.taskdb.all()]
+
+    report, tasks = run(engine)
+    assert report.engine == "object"
+    assert "bundled 'lammps' plugin" in report.engine_fallback
+    assert (report.completed, report.failed) == (0, 1)
+    reference, reference_tasks = run("object")
+    assert report.failures == reference.failures
+    assert tasks == reference_tasks
 
 
 # -- request/result plumbing ----------------------------------------------------
@@ -389,7 +459,7 @@ def test_session_collect_reports_engine(tmp_path):
     assert result.completed > 0
 
 
-# -- deferred sync exception safety ---------------------------------------------
+# -- held writes: exception safety ----------------------------------------------
 
 
 def test_abort_mid_sweep_persists_completed_records(tmp_path):

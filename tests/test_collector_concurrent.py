@@ -55,8 +55,9 @@ class TestDeterminism:
         which the batched kernel runs as one flat loop — every data
         point byte-identical, timestamps included."""
         config = self.sweep_config()
-        scheduled, _ = build(config, max_parallel_pools=1)
+        scheduled, _ = build(config, max_parallel_pools=1, engine="object")
         scheduled_report = scheduled.collect(generate_scenarios(config))
+        assert scheduled_report.engine == "object"
 
         sequential, _ = build(config, engine="batched")
         sequential_report = sequential.collect(generate_scenarios(config))
@@ -80,9 +81,11 @@ class TestDeterminism:
         from repro.perf.noise import NoiseModel
 
         config = make_config(skus=THREE_SKUS[:2], nnodes=[1, 2])
-        scheduled, dep_a = build(config, max_parallel_pools=1)
+        scheduled, dep_a = build(config, max_parallel_pools=1,
+                                 engine="object")
         scheduled.backend.noise = NoiseModel(sigma=0.05, seed=7)
-        scheduled.collect(generate_scenarios(config))
+        assert scheduled.collect(
+            generate_scenarios(config)).engine == "object"
 
         sequential, dep_b = build(config, engine="batched")
         sequential.backend.noise = NoiseModel(sigma=0.05, seed=7)

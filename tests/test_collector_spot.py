@@ -317,7 +317,9 @@ class TestDeterminismGoldens:
         """The event-driven walk at 1 pool reproduces the literal
         Algorithm-1 loop the batched kernel runs — eviction timestamps
         included."""
-        _, scheduled = self.sweep(parallel=1)
+        scheduled_report, scheduled = self.sweep(parallel=1,
+                                                 engine="object")
+        assert scheduled_report.engine == "object"
         report, sequential = self.sweep(engine="batched")
         assert report.engine == "batched", report.engine_fallback
         assert full_dicts(scheduled.dataset) == full_dicts(sequential.dataset)

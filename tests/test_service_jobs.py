@@ -481,6 +481,34 @@ class TestRetention:
             manager.get(ids[0])
         manager.close()
 
+    def test_new_job_finishing_before_prune_keeps_retention(self,
+                                                           tmp_path):
+        """Regression: submit inserted and then pruned, so an executor
+        could claim and finish the new job in between; it then counted
+        against retention and evicted ``ids[2]``.  A slow prune makes
+        that window certain."""
+
+        class SlowPrune(FleetJobStore):
+            def prune(self, retention):
+                time.sleep(0.2)
+                return super().prune(retention)
+
+        store = SlowPrune(fleet_db_path(str(tmp_path)))
+        manager = FleetJobManager(
+            store, session_factory=FakeSession, workers=2, poll_s=0.02,
+            retention=2, owns_store=True,
+        )
+        ids = []
+        for i in range(4):
+            record = manager.submit("collect", {"deployment": f"d-{i:03d}"})
+            manager.wait(record.id, timeout=10)
+            ids.append(record.id)
+        latest = manager.submit("collect", {"deployment": "d-next"})
+        manager.wait(latest.id, timeout=10)
+        listed = {r.id for r in manager.list()}
+        assert listed == {ids[2], ids[3], latest.id}
+        manager.close()
+
     def test_retention_never_evicts_unfinished_jobs(self, tmp_path):
         gate = threading.Event()
         manager = make_manager(tmp_path, session=FakeSession(gate=gate),

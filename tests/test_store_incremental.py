@@ -4,8 +4,11 @@ The acceptance contract of the ``repro.store`` refactor:
 
 * a sweep killed mid-flight keeps **every** completed point and task
   status on disk (no end-of-sweep save required) — under both engines;
+* a process hard-killed inside the batched engine's per-pool commit
+  never leaves a completed task row without its point, and the resumed
+  sweep re-runs exactly the scenarios that commit did not cover;
 * the scheduled walk (per-scenario write-through) and the batched
-  engine's one-pool loop (deferred bulk sync) leave byte-identical
+  engine's one-pool loop (per-pool commits) leave byte-identical
   JSONL files and row-identical SQLite corpora;
 * an existing JSON state directory migrates to SQLite in place with
   identical advice output before and after.
@@ -84,6 +87,125 @@ class TestKillMidSweep:
         assert len(fresh.dataset(info.name)) == 1
 
 
+#: Child process for TestHardKillMidCommit: resumes the collect of
+#: deployment argv[2] in state dir argv[1] on the batched engine and
+#: dies (like ``kill -9``: no cleanup, no flush) on call number argv[4]
+#: into the store's ``argv[3]`` method.
+_KILL_CHILD = """
+import os, sys
+from repro.api import AdvisorSession
+from repro.store.jsonl import JsonlStore
+from repro.store.sqlite import SqliteStore
+
+state_dir, name, method, kill_at = sys.argv[1:5]
+calls = [0]
+for cls in (JsonlStore, SqliteStore):
+    def dying(self, *args, _real=getattr(cls, method)):
+        calls[0] += 1
+        if calls[0] == int(kill_at):
+            os._exit(9)
+        return _real(self, *args)
+    setattr(cls, method, dying)
+AdvisorSession(state_dir=state_dir).collect(deployment=name,
+                                            engine="batched")
+"""
+
+
+class TestHardKillMidCommit:
+    """2 SKUs x 2 node counts x 3 inputs: two pools of 6 scenarios, so
+    the batched engine commits twice (once per pool release)."""
+
+    def _scenario_keys(self, records):
+        return [(r.scenario.sku_name, r.scenario.nnodes,
+                 r.scenario.inputs_key()) for r in records]
+
+    def _point_keys(self, points):
+        return [(p.sku, p.nnodes, p.inputs_key()) for p in points]
+
+    @pytest.mark.parametrize("method,kill_at", [
+        ("append_points", 1),   # inside the first pool's commit
+        ("append_points", 2),   # inside the second pool's commit
+        ("sync_tasks", 2),      # second commit, between points and tasks
+    ])
+    def test_no_completed_task_without_its_point(self, tmp_path, backend,
+                                                 method, kill_at):
+        import subprocess
+        import sys
+
+        state_dir = str(tmp_path / "state")
+        info = AdvisorSession(state_dir=state_dir).deploy(
+            _config(appinputs={"BOXFACTOR": ["4", "8", "12"]}))
+        src_dir = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", _KILL_CHILD, state_dir, info.name,
+             method, str(kill_at)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 9, child.stderr
+
+        fresh = AdvisorSession(state_dir=state_dir)
+        records = fresh.taskdb(info.name).all()
+        completed = [r for r in records
+                     if r.status.value == "completed"]
+        point_keys = self._point_keys(
+            fresh.dataset(info.name, must_exist=False).points())
+        assert set(self._scenario_keys(completed)) <= set(point_keys)
+        # Nothing from the commit the kill landed in: the first pool's
+        # six scenarios at most survive.
+        assert len(completed) == (0 if kill_at == 1 else 6)
+
+        resumed = fresh.collect(deployment=info.name, engine="batched")
+        assert resumed.engine == "batched", resumed.engine_fallback
+        assert resumed.executed == 12 - len(completed)
+        final = self._point_keys(fresh.dataset(info.name).points())
+        assert set(final) == set(self._scenario_keys(
+            fresh.taskdb(info.name).all()))
+        if backend == "sqlite" or method == "append_points":
+            # Points and tasks commit together (SQLite), or the kill
+            # came before the points were written: each point once.
+            assert len(final) == 12
+        else:
+            # JSONL writes points first: the second pool's points made
+            # it to disk, its task rows did not, so the resume measured
+            # them again.  Duplicated, never lost.
+            assert len(final) == 18
+
+
+class TestStoreCommit:
+    def test_sqlite_commit_rolls_back_points_when_tasks_fail(self,
+                                                             tmp_path):
+        from repro.core.dataset import DataPoint
+        from repro.core.scenarios import Scenario
+        from repro.core.taskdb import TaskRecord
+        from repro.store.sqlite import SqliteStore
+
+        store = SqliteStore(str(tmp_path / "state.sqlite"))
+        point = DataPoint(appname="lammps", sku="Standard_HC44rs",
+                          nnodes=1, ppn=4, exec_time_s=1.0, cost_usd=0.5)
+        record = TaskRecord(scenario=Scenario(
+            scenario_id="s1", sku_name="Standard_HC44rs", nnodes=1, ppn=4,
+            appname="lammps", appinputs={"BOXFACTOR": "4"}))
+        before = store.dataset_signature()
+
+        def broken_sync(changed, full):
+            raise Boom("disk full")
+
+        store.sync_tasks = broken_sync
+        with pytest.raises(Boom):
+            store.commit([point], [record], [record])
+        assert store.count_points() == 0
+        assert store.dataset_signature() == before
+        del store.sync_tasks  # the class method again
+        store.commit([point], [record], [record])
+        assert store.query_points() == [point]
+        assert [r.scenario.scenario_id for r in store.load_tasks()] == ["s1"]
+        store.close()
+
+
 class TestBackendParity:
     def test_both_backends_collect_identical_measurements(self, tmp_path,
                                                           monkeypatch):
@@ -100,7 +222,7 @@ class TestBackendParity:
     def _sweep(self, state_dir, engine):
         """One full sweep at one pool: ``object`` runs the scheduled
         walk, writing each scenario through to the store; ``batched``
-        runs Algorithm 1's literal loop with one deferred bulk sync."""
+        runs Algorithm 1's literal loop, committing once per pool."""
         session = AdvisorSession(state_dir=state_dir)
         info = session.deploy(_config())
         result = session.collect(deployment=info.name, max_parallel_pools=1,
