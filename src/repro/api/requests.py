@@ -11,6 +11,7 @@ name what to operate on, so requests read like the CLI flags they mirror::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -28,6 +29,32 @@ MODELED_RECOVERY_POLICIES = tuple(
 #: Advice read engines (the read-path mirror of collect's
 #: ``ENGINE_CHOICES``); see :data:`repro.core.columnar.ADVICE_ENGINES`.
 ADVICE_ENGINE_CHOICES = ("auto", "objects", "columnar")
+
+
+def _check_spot_parameters(checkpoint_interval_s: float,
+                           checkpoint_overhead_s: float,
+                           eviction_rate: Optional[float]) -> None:
+    """The checkpoint geometry and eviction rate both spot paths share.
+
+    Every value must be a finite number: a NaN or infinite rate would
+    stall the Monte-Carlo P95 loop or bill every scenario up to the
+    preemption give-up, and a NaN interval fails deep in the kernels.
+    """
+    for name, value in (("checkpoint_interval_s", checkpoint_interval_s),
+                        ("checkpoint_overhead_s", checkpoint_overhead_s),
+                        ("eviction_rate", eviction_rate)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value}")
+    if checkpoint_interval_s <= 0:
+        raise ConfigError(
+            f"checkpoint_interval_s must be > 0, got {checkpoint_interval_s}"
+        )
+    if checkpoint_overhead_s < 0:
+        raise ConfigError(
+            f"checkpoint_overhead_s must be >= 0, got {checkpoint_overhead_s}"
+        )
+    if eviction_rate is not None and eviction_rate < 0:
+        raise ConfigError(f"eviction_rate must be >= 0, got {eviction_rate}")
 
 
 @dataclass(frozen=True)
@@ -99,20 +126,9 @@ class CollectRequest(DictMixin):
                 f"recovery must be one of {RECOVERY_POLICIES}, "
                 f"got {self.recovery!r}"
             )
-        if self.checkpoint_interval_s <= 0:
-            raise ConfigError(
-                f"checkpoint_interval_s must be > 0, "
-                f"got {self.checkpoint_interval_s}"
-            )
-        if self.checkpoint_overhead_s < 0:
-            raise ConfigError(
-                f"checkpoint_overhead_s must be >= 0, "
-                f"got {self.checkpoint_overhead_s}"
-            )
-        if self.eviction_rate is not None and self.eviction_rate < 0:
-            raise ConfigError(
-                f"eviction_rate must be >= 0, got {self.eviction_rate}"
-            )
+        _check_spot_parameters(self.checkpoint_interval_s,
+                               self.checkpoint_overhead_s,
+                               self.eviction_rate)
         if self.engine not in ENGINE_CHOICES:
             raise ConfigError(
                 f"engine must be one of {ENGINE_CHOICES}, "
@@ -177,20 +193,11 @@ class AdviseRequest(DictMixin):
                 f"recovery must be one of {MODELED_RECOVERY_POLICIES}, "
                 f"got {self.recovery!r}"
             )
-        if self.checkpoint_interval_s <= 0:
-            raise ConfigError(
-                f"checkpoint_interval_s must be > 0, "
-                f"got {self.checkpoint_interval_s}"
-            )
-        if self.checkpoint_overhead_s < 0:
-            raise ConfigError(
-                f"checkpoint_overhead_s must be >= 0, "
-                f"got {self.checkpoint_overhead_s}"
-            )
-        if self.eviction_rate is not None and self.eviction_rate < 0:
-            raise ConfigError(
-                f"eviction_rate must be >= 0, got {self.eviction_rate}"
-            )
+        if self.max_rows is not None and self.max_rows < 0:
+            raise ConfigError(f"max_rows must be >= 0, got {self.max_rows}")
+        _check_spot_parameters(self.checkpoint_interval_s,
+                               self.checkpoint_overhead_s,
+                               self.eviction_rate)
         if self.engine not in ADVICE_ENGINE_CHOICES:
             raise ConfigError(
                 f"engine must be one of {ADVICE_ENGINE_CHOICES}, "

@@ -152,10 +152,12 @@ def advice_columns(snap: ColumnarSnapshot) -> AdviceColumns:
 def _price_per_sku(snap: ColumnarSnapshot, catalog: PriceCatalog,
                    region: Optional[str], spot: bool) -> np.ndarray:
     """Hourly price per SKU code, memoized per snapshot generation."""
-    memo = snap.price_memo()
+    # The memo holds the catalog itself, so its id cannot be reused by
+    # another catalog while the (shared, long-lived) snapshot lives.
+    _, memo = snap.price_memo().setdefault(id(catalog), (catalog, {}))
     out = np.empty(len(snap.skus), dtype=np.float64)
     for code, sku in enumerate(snap.skus):
-        key = (id(catalog), sku, region, spot)
+        key = (sku, region, spot)
         price = memo.get(key)
         if price is None:
             price = catalog.hourly_price(sku, region, spot)

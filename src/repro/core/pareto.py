@@ -5,9 +5,14 @@ Pareto efficient, i.e. a set of solutions that are non-dominated relative to
 each other but are superior to the rest of solutions in the search space."
 Both objectives are minimised.
 
-The core routine is generic over 2-D points; a vectorised numpy sweep keeps
-it O(n log n), which matters for the smart-sampling ablations that call it
-inside loops.
+Both kernels (:func:`pareto_indices` for two objectives,
+:func:`pareto_indices_nd` for any number) are output-sensitive.  A
+prefilter first drops every row that one of a few sample rows dominates,
+in O(n*k*d) for n rows, d objectives and k <= d + 1 samples; only the m
+survivors are sorted (O(m log m)) and swept.  On an advice corpus the
+front is a handful of rows, so m is tiny next to n.  When every row is on
+the front nothing is dropped: the 2-D sweep is then O(n log n) and the
+N-D running-front sweep O(n * f) for a front of f rows.
 """
 
 from __future__ import annotations
@@ -34,11 +39,47 @@ def is_dominated(point: Tuple[float, float],
     return any(dominates(o, point) for o in others)
 
 
+def _sample_survivors(cols: np.ndarray) -> np.ndarray:
+    """Indices of the rows that none of a few sample rows dominates.
+
+    ``cols`` holds one contiguous row per objective.  The samples are
+    the argmin of the range-normalised objective sum (non-finite sums
+    skipped) and each objective's argmin: rows that tend to sit on the
+    front.  Any real row is a valid dominator, so the choice of samples
+    decides how many rows survive, never the front.  Each sample works
+    column by column on the rows that survived the previous ones.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        span = cols.max(axis=1) - cols.min(axis=1)
+        scale = np.where((span > 0) & (span < np.inf), span, 1.0)
+        total = cols[0] / scale[0]
+        for col, s in zip(cols[1:], scale[1:]):
+            total += col / s
+    total[~np.isfinite(total)] = np.inf
+    samples = cols[:, list(dict.fromkeys(
+        [int(total.argmin()), *cols.argmin(axis=1).tolist()]))]
+    survivors = np.arange(cols.shape[1])
+    for point in samples.T:
+        # <= on every objective and < on one (NaN compares False, so a
+        # row with NaN neither dominates nor is dominated).
+        weak = cols[0] >= point[0]
+        strict = cols[0] > point[0]
+        for col, v in zip(cols[1:], point[1:]):
+            weak &= col >= v
+            strict |= col > v
+        keep = np.flatnonzero(~(weak & strict))
+        if keep.size < survivors.size:
+            survivors = survivors[keep]
+            cols = cols[:, keep]
+    return survivors
+
+
 def pareto_indices(points: Sequence[Tuple[float, float]]) -> List[int]:
     """Indices of the non-dominated points, in ascending first-objective order.
 
-    Duplicate coordinate pairs are all kept (they do not dominate each
-    other under the strict-in-one definition).
+    Ties on the first objective are ordered by the second, then by
+    index.  Duplicate coordinate pairs are all kept (they do not
+    dominate each other under the strict-in-one definition).
     """
     n = len(points)
     if n == 0:
@@ -46,14 +87,19 @@ def pareto_indices(points: Sequence[Tuple[float, float]]) -> List[int]:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected (n, 2) points, got shape {arr.shape}")
+    # The sweep drops every dominated row, and dropping one first never
+    # changes its verdict on another (a surviving dominator bounds the
+    # running best at least as tightly), so it only needs the survivors.
+    cols = np.ascontiguousarray(arr.T)
+    idx = _sample_survivors(cols)
     # Sort by first objective, then second; keep each equal-x block's
     # minimal-y points when that minimum beats every earlier block's.
     # Fully vectorized: within a block y is ascending (lexsort), so the
     # block minimum sits at the block start, and the scalar sweep's
     # running best is an exclusive prefix-min over block minima.
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    xs = arr[order, 0]
-    ys = arr[order, 1]
+    xs, ys = cols[:, idx]
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
     new_block = np.concatenate(([True], xs[1:] != xs[:-1]))
     block_id = np.cumsum(new_block) - 1
     block_min = ys[new_block]
@@ -63,7 +109,7 @@ def pareto_indices(points: Sequence[Tuple[float, float]]) -> List[int]:
         ([np.inf], np.fmin.accumulate(block_min)[:-1]))
     block_keep = block_min < prev_best
     keep = block_keep[block_id] & (ys == block_min[block_id])
-    return order[keep].tolist()
+    return idx[order[keep]].tolist()
 
 
 def pareto_front(points: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
@@ -100,10 +146,13 @@ def dominates_nd(a: Sequence[float], b: Sequence[float]) -> bool:
 def pareto_indices_nd(points: Sequence[Sequence[float]]) -> List[int]:
     """Indices of the non-dominated points for any number of objectives.
 
-    Result is ordered ascending by the full objective tuple (ties kept,
-    as in :func:`pareto_indices`).  Quadratic in the number of *unique*
-    objective vectors, but the pairwise check runs as chunked NumPy
-    broadcasts; the 2-D sweep above stays the O(n log n) hot loop.
+    Result is ordered ascending by the full objective tuple, ties by
+    index (duplicates kept, as in :func:`pareto_indices`).  Cost: the
+    sample prefilter is O(n * k * d) over n rows and d objectives; the
+    m rows it leaves are sorted once (O(m log m)) and swept against the
+    running front of non-dominated predecessors, O(m * f) for a front
+    of f rows in chunked NumPy broadcasts.  A corpus with a small front
+    pays for the prefilter only.
     """
     n = len(points)
     if n == 0:
@@ -123,12 +172,22 @@ def pareto_indices_nd(points: Sequence[Sequence[float]]) -> List[int]:
             arr if arr is not None else [tuple(p) for p in points])
     if arr is None:
         arr = np.asarray([tuple(p) for p in points], dtype=float)
+    cols = np.ascontiguousarray(arr.T)
+    idx = _sample_survivors(cols)
+    cols = cols[:, idx]
+    # One stable sort serves twice: it groups duplicate rows for the
+    # sweep, and it is the output order (ascending tuple, ties by index).
+    order = np.lexsort(cols[::-1])
+    rows = cols.T[order]
     # Duplicate vectors never dominate each other, so domination is a
-    # property of the unique row; np.unique(axis=0) also hands the rows
-    # back lexicographically sorted, and a dominator is always lex-<=
-    # its victim, so row u only needs candidates uniq[:u+1].
-    uniq, inverse = np.unique(arr, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).reshape(-1)
+    # property of the unique row (NaN never equals, so a row with NaN
+    # stays its own).  Adjacent equal rows are duplicates; the unique
+    # rows come out lexicographically sorted, and a dominator is always
+    # lex-<= its victim, so row u only needs candidates uniq[:u+1].
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    uniq = rows[first]
     m = len(uniq)
     dominated = np.zeros(m, dtype=bool)
     # Dominance is transitive and a lex-later unique row can never
@@ -158,11 +217,8 @@ def pareto_indices_nd(points: Sequence[Sequence[float]]) -> List[int]:
             hit[sub[w]] = True
             front = np.concatenate([front, t2[~w]])
         dominated[s:e] = hit
-    # Same output order as the scalar sweep: ascending objective tuple,
-    # ties by original index (both sorts are stable).
-    order = np.lexsort(arr.T[::-1])
-    keep = ~dominated[inverse[order]]
-    return order[keep].tolist()
+    keep = ~dominated[np.cumsum(first) - 1]
+    return idx[order[keep]].tolist()
 
 
 def pareto_select_nd(items: Sequence[T], key) -> List[T]:

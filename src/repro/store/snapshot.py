@@ -148,7 +148,9 @@ class ColumnarSnapshot:
     Numeric fields are NumPy arrays (float64 / int64 / bool); string and
     mapping fields are dictionary-encoded — an ``int32`` code array plus
     a tuple of unique values (mappings keep their original key order so
-    a rehydrated point is indistinguishable from the stored one).
+    a rehydrated point is indistinguishable from the stored one).  Built
+    arrays are read-only: one snapshot serves every request of its
+    generation, unfiltered views included.
     """
 
     n: int
@@ -217,8 +219,9 @@ class ColumnarSnapshot:
     def price_memo(self) -> Dict[Any, Any]:
         """Mutable per-snapshot memo for SKU/region price lookups.
 
-        Keyed by the caller (catalog identity, sku, region, spot); dies
-        with the snapshot, i.e. exactly one generation of the corpus.
+        Keyed by the caller (per catalog, then sku, region, spot); dies
+        with the snapshot, i.e. exactly one generation of the corpus,
+        which every request of that generation shares.
         """
         return self._lazy.setdefault("price_memo", {})
 
@@ -320,10 +323,13 @@ class ColumnarSnapshot:
         for key, codes, values in _CODED:
             fields[codes] = np.asarray(cols[key], dtype=np.int32)
             fields[values] = tuple(encoders[key].values)
-        if base is not None:
-            for name in _ARRAYS:
+        for name in _ARRAYS:
+            if base is not None:
                 fields[name] = np.concatenate((getattr(base, name),
                                                fields[name]))
+            # Snapshots are shared (the LRU, unfiltered views, delta
+            # bases), so nothing may write through their arrays.
+            fields[name].setflags(write=False)
         return cls(n=len(fields["exec_time_s"]), signature=signature,
                    cursor=cursor, _codebooks=encoders, **fields)
 
@@ -379,8 +385,9 @@ class ColumnarSnapshot:
 
     def view(self, query: Optional[Query]) -> "ColumnarSnapshot":
         """``Dataset.query`` in column space: filter mask, then the
-        query's offset/limit window (None = the snapshot itself)."""
-        if query is None:
+        query's offset/limit window.  A query with no clause and no
+        window (or None) returns the snapshot itself, uncopied."""
+        if query is None or query == Query():
             return self
         idx = np.flatnonzero(self.query_mask(query))
         if query.offset:

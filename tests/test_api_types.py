@@ -1,6 +1,7 @@
 """repro.api request/result types: validation and JSON round-tripping."""
 
 import json
+import math
 
 import pytest
 
@@ -137,6 +138,25 @@ class TestValidation:
             CollectRequest(deployment="d", checkpoint_overhead_s=-1.0)
         with pytest.raises(ConfigError, match="eviction_rate"):
             CollectRequest(deployment="d", eviction_rate=-2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["eviction_rate",
+                                       "checkpoint_interval_s",
+                                       "checkpoint_overhead_s"])
+    @pytest.mark.parametrize("request_type", [CollectRequest, AdviseRequest])
+    def test_spot_parameters_must_be_finite(self, request_type, field,
+                                            value):
+        # Only the constructor runs: a NaN or infinite rate that got
+        # through would stall the spot what-if's Monte-Carlo loop.
+        with pytest.raises(ConfigError, match=f"{field} must be a finite"):
+            request_type(deployment="d", **{field: value})
+
+    def test_advise_request_rejects_negative_max_rows(self):
+        with pytest.raises(ConfigError, match="max_rows must be >= 0"):
+            AdviseRequest(deployment="d", max_rows=-1)
+        with pytest.raises(ConfigError, match="max_rows"):
+            AdviseRequest.from_dict({"deployment": "d", "max_rows": -3})
+        assert AdviseRequest(deployment="d", max_rows=0).max_rows == 0
 
     def test_advise_request_rejects_bad_capacity(self):
         with pytest.raises(ConfigError, match="capacity"):

@@ -448,6 +448,66 @@ class TestSnapshotInvalidation:
         finally:
             store.close()
 
+    def test_unfiltered_view_is_the_snapshot(self):
+        snap = ColumnarSnapshot.from_points(POINTS)
+        assert snap.view(None) is snap
+        assert snap.view(Query()) is snap
+        for query in (Query(limit=5), Query(offset=1), Query(nnodes=(1,)),
+                      Query(include_predicted=False)):
+            view = snap.view(query)
+            assert view is not snap
+            assert view.n == len(query.apply(POINTS))
+
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
+    def test_snapshot_arrays_are_read_only(self, tmp_path, backend):
+        """Snapshots are shared by the LRU and by unfiltered views, so no
+        caller may write through one."""
+        store = self._open(str(tmp_path), backend)
+        try:
+            store.append_points(POINTS)
+            snap = snapshot_for_store(store, cache=SnapshotCache())
+            for value in vars(snap).values():
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                snap.view(Query()).exec_time_s[0] = 0.0
+            with pytest.raises(ValueError):
+                snap.cost_usd *= 2
+        finally:
+            store.close()
+
+    def test_shared_snapshot_prices_follow_the_catalog(self):
+        """The price memo lives as long as the shared snapshot, so a
+        catalog created after another one was freed (CPython often hands
+        it the same id) must still get its own prices."""
+        snap = ColumnarSnapshot.from_points(POINTS)
+        for price in (1.0, 2.0, 3.0, 4.0, 5.0):
+            catalog = PriceCatalog(prices={sku: price for sku in SKUS})
+            fresh = ColumnarSnapshot.from_points(POINTS)
+            assert capacity_columns(snap, catalog, "ondemand").cost_usd \
+                .tolist() == capacity_columns(fresh, catalog,
+                                              "ondemand").cost_usd.tolist()
+            del catalog
+
+    def test_delta_extends_a_read_only_base(self, tmp_path):
+        store = SqliteStore(str(tmp_path / "store.sqlite"))
+        try:
+            store.append_points(POINTS[:5])
+            base = snapshot_for_store(store, cache=SnapshotCache())
+            before = self._fields(base)
+            store.append_points(POINTS[5:])
+            rows = store.fetch_point_columns(base.cursor)
+            assert rows.delta and len(rows) == len(POINTS) - 5
+            extended = ColumnarSnapshot.from_column_rows(
+                rows, rows.signature, base=base, cursor=rows.cursor)
+            assert self._fields(extended) \
+                == self._fields(self._full_build(store))
+            assert self._fields(base) == before
+            assert not extended.exec_time_s.flags.writeable
+            assert not base.exec_time_s.flags.writeable
+        finally:
+            store.close()
+
     @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_other_handle_appends_and_replaces(self, tmp_path, backend):
         """Writes through a second handle (another process): an append

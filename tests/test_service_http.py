@@ -7,6 +7,7 @@ covered by ``test_client_remote.py`` and ``test_service_e2e.py``.
 """
 
 import json
+import math
 
 import pytest
 
@@ -396,6 +397,32 @@ class TestSpotWire:
         assert response.status == 200
         result = AdviceResult.from_dict(response.payload)
         assert result.capacity == "ondemand"
+
+    @pytest.mark.parametrize("params, error", [
+        ("max_rows=-1", "max_rows must be >= 0"),
+        ("capacity=spot&eviction_rate=nan", "eviction_rate must be a finite"),
+        ("capacity=spot&eviction_rate=inf", "eviction_rate must be a finite"),
+        ("capacity=spot&checkpoint_interval=nan",
+         "checkpoint_interval_s must be a finite"),
+    ])
+    def test_advice_get_rejects_malformed_numbers(self, router, params,
+                                                  error):
+        # The deployment has no data, so a request that slipped past
+        # validation would answer 422 without running any risk kernel.
+        info = deploy(router, prefix="spotnumrg")
+        response = router.handle(
+            "GET", f"/v1/advice?deployment={info.name}&{params}")
+        assert response.status == 400
+        assert error in response.payload["error"]
+
+    def test_advice_post_rejects_non_finite_rate(self, router):
+        info = deploy(router, prefix="spotpostnanrg")
+        response = router.handle("POST", "/v1/advice", json.dumps({
+            "deployment": info.name, "capacity": "spot",
+            "eviction_rate": math.nan,
+        }))
+        assert response.status == 400
+        assert "eviction_rate must be a finite" in response.payload["error"]
 
     def test_advice_get_rejects_bad_eviction_rate(self, router):
         info = deploy(router, prefix="spotnanrg")
