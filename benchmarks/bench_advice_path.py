@@ -29,6 +29,15 @@ extended with just the new rows, so it must beat the full build of
 ``columnar_first`` by >= 5x at acceptance scale (scaled like the other
 floors), and its advice must equal the objects engine's.
 
+``cold_spot`` times a spot what-if at an eviction rate no earlier
+request of the process used, after a measured request has warmed it:
+every configuration needs its Monte-Carlo P95 computed.  The columnar
+engine runs the batched kernel, the objects engine the scalar oracle.
+It runs at a rate inside perfbench's what-if band on the main corpus,
+and at 1.0/node-hour on a 2,000-point corpus, where the oracle walks
+hundreds of attempts per sample.  Each row has a floor on objects over
+columnar, and both engines' advice must agree byte for byte.
+
 Before any clock starts, an equivalence gate asserts both engines
 return identical advice (measured and spot capacity) — byte-identical
 rows, not approximately equal.  Every measurement runs in its own
@@ -48,6 +57,7 @@ or the scaled-down CI smoke::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -79,6 +89,22 @@ APPEND_THEN_ADVISE_FLOOR = 5.0
 APPEND_BATCH = 200
 #: Corpus for the CI smoke run (floors scale down with it).
 CI_SMOKE_POINTS = 5_000
+#: Cold what-if rate (evictions per node-hour) on the main corpus: inside
+#: perfbench's what-if band (0.08-0.20), used by no other request here.
+COLD_SPOT_RATE = 0.12
+#: Cold what-if speedup floor at acceptance scale: objects (scalar
+#: oracle, plus row hydration) over columnar (batched kernel).  About
+#: half the 9.2-11.8x measured at 50k on a 2-vCPU host
+#: (``BENCH_advice_path.json``); the scalar kernel on the columnar path
+#: read 1.8x.
+COLD_SPOT_FLOOR = 5.0
+#: The small corpus and high rate of the second cold what-if row.
+COLD_SPOT_SMALL_POINTS = 2_000
+COLD_SPOT_SMALL_RATE = 1.0
+#: Its floor: about half the 5.9-6.3x measured on a 2-vCPU host (the
+#: scalar kernel on the columnar path read 0.8x).  The CI smoke runs the
+#: same 2k corpus, so the floor is not scaled.
+COLD_SPOT_SMALL_FLOOR = 3.0
 
 SKUS = ("Standard_HB120rs_v3", "Standard_HB120rs_v2", "Standard_HC44rs")
 NNODES = (1, 2, 4, 8, 16, 32)
@@ -203,27 +229,44 @@ def timed_request(mode: str, state_dir: str, deployment: str,
     :data:`APPEND_BATCH` new points and times the next columnar request
     (best of 2), and checks the last one against the objects engine.
     It grows the stored corpus, so it runs last."""
+    return float(_run_worker(mode, state_dir, deployment,
+                             capacity)["seconds"])
+
+
+def cold_spot_request(engine: str, state_dir: str, deployment: str,
+                      rate: float) -> dict:
+    """Time one spot what-if at ``rate`` in a fresh interpreter, after a
+    measured request of the same engine (imports, page cache and, for
+    columnar, the snapshot build); returns ``seconds`` and ``advice``,
+    a digest of the rows."""
+    return _run_worker(f"cold-spot-{engine}", state_dir, deployment,
+                       "spot", repr(rate))
+
+
+def _run_worker(mode: str, state_dir: str, deployment: str,
+                capacity: str, rate: str = "") -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = (os.path.join(REPO_ROOT, "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker", mode,
-         state_dir, deployment, capacity],
+         state_dir, deployment, capacity, rate],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, (
         f"worker {mode} failed:\n{proc.stdout}\n{proc.stderr}"
     )
-    return float(json.loads(proc.stdout.strip().splitlines()[-1])["seconds"])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _worker(mode: str, state_dir: str, deployment: str,
-            capacity: str) -> None:
+            capacity: str, rate: str) -> None:
     from repro.api.session import AdvisorSession
     from repro.core.statefiles import StateStore
 
     session = AdvisorSession(store=StateStore(root=state_dir))
     cap = capacity or None
+    record = {"mode": mode, "capacity": capacity}
 
     def once(engine: str) -> float:
         start = time.perf_counter()
@@ -233,6 +276,20 @@ def _worker(mode: str, state_dir: str, deployment: str,
     if mode == "columnar-first":
         once("objects")  # warm imports, sqlite, and the page cache
         seconds = once("columnar")  # snapshot miss: fetch + build + math
+    elif mode.startswith("cold-spot-"):
+        from repro.api.requests import AdviseRequest
+
+        engine = mode[len("cold-spot-"):]
+        _advise(session, deployment, engine)  # measured: no risk kernels
+        began = time.perf_counter()
+        served = session.advise(AdviseRequest(
+            deployment=deployment, engine=engine, capacity="spot",
+            eviction_rate=float(rate)))
+        seconds = time.perf_counter() - began
+        payload = served.to_dict()
+        payload.pop("engine"), payload.pop("engine_fallback")
+        record["advice"] = hashlib.sha256(json.dumps(
+            payload, sort_keys=True).encode()).hexdigest()
     elif mode == "append-then-advise":
         once("columnar")  # builds the snapshot
         store = session.data_store(deployment)
@@ -249,8 +306,8 @@ def _worker(mode: str, state_dir: str, deployment: str,
     else:
         once(mode)  # warm-up (for columnar: builds the snapshot)
         seconds = min(once(mode) for _ in range(2))
-    print(json.dumps({"mode": mode, "capacity": capacity,
-                      "seconds": seconds}))
+    record["seconds"] = seconds
+    print(json.dumps(record))
 
 
 # -- entry points ---------------------------------------------------------------
@@ -265,6 +322,8 @@ def run_benchmark(n_points: int, check: bool = True,
                              FIRST_REQUEST_FLOOR)
     spot_floor = max(2.0, SPOT_SPEEDUP_FLOOR * scale)
     append_floor = max(2.0, APPEND_THEN_ADVISE_FLOOR * scale)
+    cold_floors = {"cold_spot": max(2.0, COLD_SPOT_FLOOR * scale),
+                   "cold_spot_small": COLD_SPOT_SMALL_FLOOR}
     workdir = tempfile.mkdtemp(prefix="bench-advice-path-")
     try:
         state_dir = os.path.join(workdir, "state")
@@ -278,10 +337,24 @@ def run_benchmark(n_points: int, check: bool = True,
             ("columnar", "columnar", ""),
             ("objects_spot", "objects", "spot"),
             ("columnar_spot", "columnar", "spot"),
-            ("append_then_advise", "append-then-advise", ""),
         ):
             timings[label] = timed_request(mode, state_dir, deployment,
                                            capacity)
+        small_dir = os.path.join(workdir, "small")
+        small = populate_state(small_dir, COLD_SPOT_SMALL_POINTS)
+        for label, where, name, rate in (
+            ("cold_spot", state_dir, deployment, COLD_SPOT_RATE),
+            ("cold_spot_small", small_dir, small, COLD_SPOT_SMALL_RATE),
+        ):
+            runs = {engine: cold_spot_request(engine, where, name, rate)
+                    for engine in ("objects", "columnar")}
+            assert runs["objects"]["advice"] == runs["columnar"]["advice"], (
+                f"engines disagree on the {label} what-if")
+            for engine, run in runs.items():
+                timings[f"{engine}_{label}"] = run["seconds"]
+        # Grows the main corpus, so it runs last.
+        timings["append_then_advise"] = timed_request(
+            "append-then-advise", state_dir, deployment)
 
         speedups = {
             "uncached_request": timings["objects"] / timings["columnar"],
@@ -292,6 +365,9 @@ def run_benchmark(n_points: int, check: bool = True,
             "append_then_advise": (timings["columnar_first"]
                                    / timings["append_then_advise"]),
         }
+        for label in cold_floors:
+            speedups[label] = (timings[f"objects_{label}"]
+                               / timings[f"columnar_{label}"])
         results = {
             "host": {"cpu_count": os.cpu_count() or 1,
                      "python": platform.python_version()},
@@ -300,10 +376,16 @@ def run_benchmark(n_points: int, check: bool = True,
                        "floor": floor, "first_request_floor": first_floor,
                        "spot_floor": spot_floor,
                        "append_then_advise_floor": append_floor,
-                       "append_batch": APPEND_BATCH},
+                       "append_batch": APPEND_BATCH,
+                       "cold_spot_rate": COLD_SPOT_RATE,
+                       "cold_spot_floor": cold_floors["cold_spot"],
+                       "cold_spot_small_points": COLD_SPOT_SMALL_POINTS,
+                       "cold_spot_small_rate": COLD_SPOT_SMALL_RATE,
+                       "cold_spot_small_floor":
+                           cold_floors["cold_spot_small"]},
             "equivalence": "rows byte-identical "
                            "(measured, ondemand, spot; measured after "
-                           "appends)",
+                           "appends; both cold spot what-ifs)",
             "seconds": timings,
             "speedup": speedups,
         }
@@ -313,9 +395,8 @@ def run_benchmark(n_points: int, check: bool = True,
                 fh.write("\n")
 
         print(f"\n=== advice read path @ {n_points} points ===")
-        for label in ("objects", "columnar_first", "columnar",
-                      "objects_spot", "columnar_spot", "append_then_advise"):
-            print(f"{label:18}: {timings[label] * 1e3:9.2f} ms/request")
+        for label in timings:
+            print(f"{label:24}: {timings[label] * 1e3:9.2f} ms/request")
         print(f"uncached advice speedup: "
               f"{speedups['uncached_request']:.1f}x (floor {floor:.1f}x)")
         print(f"first-request speedup:   "
@@ -327,6 +408,9 @@ def run_benchmark(n_points: int, check: bool = True,
         print(f"append-then-advise vs first request: "
               f"{speedups['append_then_advise']:.1f}x "
               f"(floor {append_floor:.1f}x)")
+        for label, cold_floor in cold_floors.items():
+            print(f"{label} what-if speedup: {speedups[label]:.1f}x "
+                  f"(floor {cold_floor:.1f}x)")
 
         if check:
             assert speedups["uncached_request"] >= floor, (
@@ -344,6 +428,11 @@ def run_benchmark(n_points: int, check: bool = True,
                 f"{speedups['append_then_advise']:.1f}x vs the first "
                 f"columnar request, below the {append_floor:.1f}x floor"
             )
+            for label, cold_floor in cold_floors.items():
+                assert speedups[label] >= cold_floor, (
+                    f"{label} what-if speedup {speedups[label]:.1f}x "
+                    f"below the {cold_floor:.1f}x floor"
+                )
             if n_points >= ACCEPTANCE_POINTS:
                 assert speedups["first_request"] >= first_floor, (
                     f"first columnar request (snapshot build) "
@@ -369,7 +458,7 @@ def main(argv=None) -> int:
 
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "--worker":
-        _worker(*argv[1:5])
+        _worker(*argv[1:6])
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points", type=int, default=_configured_points())

@@ -6,9 +6,12 @@ views, Pareto selection, and row assembly.  This module re-expresses
 that pipeline over a :class:`~repro.store.snapshot.ColumnarSnapshot`:
 
 * capacity what-ifs (:func:`capacity_columns`) become vectorized price
-  and renewal-model math, with the per-configuration risk kernels
-  (expected makespan, Monte-Carlo P95) deduplicated to unique parameter
-  tuples and memoized process-wide;
+  and renewal-model math.  The risk kernels run once per unique
+  ``(exec time, rate)`` pair through this engine's own process-wide
+  memo (:func:`repro.core.cost.spot_pair_risks`): the pairs it lacks get
+  their Monte-Carlo P95s from one batched kernel call
+  (:func:`repro.core.cost.p95_spot_runtimes`) and their expected
+  makespans from the closed form;
 * advice (:func:`advise_columns`) filters by dictionary codes and runs
   the vectorized Pareto sweeps, materializing
   :class:`~repro.core.advisor.AdviceRow` objects only for the front;
@@ -19,7 +22,8 @@ that pipeline over a :class:`~repro.store.snapshot.ColumnarSnapshot`:
 results to its object-path twin (``Advisor.advise``, ``capacity_view``
 + ``spot_view_point``/``ondemand_view_point``, ``compare_datasets``).
 Scalar arithmetic is reproduced operation-for-operation (same
-associativity, same kernels), Pareto selection uses comparisons only,
+associativity; the batched P95 kernel is bit-identical to the scalar
+one the object path calls), Pareto selection uses comparisons only,
 and tie-breaking follows the same stable orders.  The contract is
 pinned by goldens and a Hypothesis suite in
 ``tests/test_columnar_advice.py``; the object path stays available as
@@ -37,8 +41,11 @@ from repro.cloud.eviction import EvictionModel
 from repro.cloud.pricing import PriceCatalog
 from repro.core.advisor import AdviceRow
 from repro.core.compare import ComparisonRow, DatasetComparison
-from repro.core.cost import (P95_METRIC, expected_spot_runtime_cached,
-                             p95_spot_runtime_cached)
+from repro.core.cost import P95_METRIC, spot_pair_risks
+# Not called here: perfbench's tracer wraps these names in this module,
+# so they stay importable from it.
+from repro.core.cost import (  # noqa: F401
+    expected_spot_runtime_cached, p95_spot_runtime_cached)
 from repro.core.pareto import pareto_indices, pareto_indices_nd
 from repro.errors import AdvisorError
 from repro.store.snapshot import ColumnarSnapshot
@@ -83,7 +90,8 @@ def describe_advice_engines() -> List[Dict[str, str]]:
             "description": "NumPy snapshot columns, cached per store "
                            "generation",
             "data_access": "columnar snapshot (LRU, ETag-keyed)",
-            "risk_math": "vectorized, deduped + memoized kernels",
+            "risk_math": "vectorized; per unique pair, memoized: "
+                         "closed form + batched Monte-Carlo",
             "coverage": "advice, compare, predict, plots "
                         "(byte-identical to objects)",
         },
@@ -224,7 +232,8 @@ def capacity_columns(
     Produces exactly the advice-relevant columns the object view's
     points would carry (costs, makespans, P95 metric, capacity labels),
     with the risk kernels evaluated once per unique ``(exec_time,
-    rate)`` pair instead of once per point.
+    rate)`` pair instead of once per point, and only for pairs no
+    earlier request evaluated.
     """
     base = advice_columns(snap)
     if capacity == "ondemand":
@@ -257,19 +266,11 @@ def capacity_columns(
         if snap.n:
             rates = _rates_per_row(snap, model)
             firsts, inverse = _unique_pairs(snap.exec_time_s, rates)
-            pairs = list(zip(snap.exec_time_s[firsts].tolist(),
-                             rates[firsts].tolist()))
-            p95 = np.asarray([
-                p95_spot_runtime_cached(
-                    t, r, recovery, checkpoint_interval_s,
-                    checkpoint_overhead_s, samples=p95_samples,
-                    seed=model.seed)
-                for t, r in pairs], dtype=np.float64)[inverse]
-            expected = np.asarray([
-                expected_spot_runtime_cached(
-                    t, r, recovery, checkpoint_interval_s,
-                    checkpoint_overhead_s)
-                for t, r in pairs], dtype=np.float64)[inverse]
+            p95, expected = spot_pair_risks(
+                snap.exec_time_s[firsts], rates[firsts], recovery,
+                checkpoint_interval_s, checkpoint_overhead_s,
+                samples=p95_samples, seed=model.seed)
+            p95, expected = p95[inverse], expected[inverse]
         else:
             p95 = expected = np.empty(0, dtype=np.float64)
         measured_spot = np.asarray(

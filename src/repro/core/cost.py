@@ -18,13 +18,25 @@ instant.  For a task needing ``T`` seconds of work under task-level rate
 ``lam`` (per second), the classic expected completion time with restart
 is ``(e^{lam T} - 1) / lam``; with per-resume overhead ``o`` it becomes
 ``(e^{lam T} - 1) (1/lam + o)``, applied per checkpoint chunk.
+
+The tail risk is a seeded Monte-Carlo P95 makespan with two
+implementations that agree bit for bit:
+
+* :func:`p95_spot_runtime` (over :func:`simulate_spot_makespans`) walks
+  one configuration's samples in plain Python.  It is the oracle, and
+  the objects advice engine calls it through its own memo;
+* :func:`p95_spot_runtimes` answers many ``(exec time, rate)`` pairs in
+  one call for the columnar engine (:func:`spot_pair_risks`).  Each pair
+  keeps its own generator and draw blocks and its float operations run
+  in the oracle's order; only the walk over the draws is batched.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +105,8 @@ def expected_spot_runtime(
     Closed-form under the memoryless model; converges to ``exec_time_s``
     as the rate goes to zero.
     """
+    if not math.isfinite(exec_time_s):
+        raise AdvisorError(f"non-finite work: {exec_time_s}")
     if exec_time_s < 0:
         raise AdvisorError(f"negative work: {exec_time_s}")
     lam = rate_per_hour / 3600.0
@@ -148,19 +162,24 @@ def _expm1_or_inf(x: float) -> float:
         return math.inf
 
 
-# -- memoized kernels (columnar fast path) -------------------------------------------
+# -- memoized kernels ----------------------------------------------------------------
 #
 # Both kernels are pure functions of their arguments (the Monte-Carlo
 # sampler is seeded from them), so results can be shared process-wide:
-# across rows of one snapshot, across requests, and across snapshot
-# generations.  The columnar engine dedupes its rows to unique parameter
-# tuples and calls these once per tuple — the dominant cost of a spot
-# what-if (256 simulated runs per configuration) is paid once per
-# distinct configuration ever seen, not once per row per request.
+# across rows, across requests, and across snapshot generations.  Each
+# advice engine keeps its own memo.  The objects engine (spot_view_point)
+# goes through the scalar ``_cached`` entry points below; the columnar
+# engine goes through spot_pair_risks and the batched kernel.  Neither
+# can serve the other a value, so the columnar == objects suites compare
+# the batched kernel with the scalar oracle on every run.
 
 _RISK_MEMO_MAX = 65536
 _EXPECTED_MEMO: dict = {}
 _P95_MEMO: dict = {}
+#: The columnar engine's memo: (recovery, interval, overhead, samples,
+#: seed) -> {(exec time, rate): (P95, expected makespan)}.
+_PAIR_RISK_MEMO: Dict[tuple, Dict[Tuple[float, float], Tuple[float, float]]] = {}
+_PAIR_RISK_LOCK = threading.Lock()
 
 
 def expected_spot_runtime_cached(
@@ -300,8 +319,366 @@ def p95_spot_runtime(
         checkpoint_interval_s, checkpoint_overhead_s,
         samples=samples, seed=seed,
     ))
-    index = min(len(spans) - 1, math.ceil(0.95 * (len(spans) - 1)))
-    return float(spans[index])
+    return float(spans[p95_rank(len(spans))])
+
+
+def p95_rank(samples: int) -> int:
+    """Index of the P95 ("higher") order statistic among ``samples``
+    sorted values: 243 of 256, so 13 censored samples make it ``inf``."""
+    return min(samples - 1, math.ceil(0.95 * (samples - 1)))
+
+
+# -- batched Monte-Carlo P95 (columnar engine) ---------------------------------------
+#
+# A pair's samples share one draw stream: sample i starts at the draw
+# after sample i - 1's last attempt, so one pair is inherently
+# sequential.  Pairs are independent, and the batched kernel walks many
+# of them at once.  Each pair becomes a *lane* with its own
+# ``rng_for`` generator and 512-draw blocks; the draws are block-size
+# invariant, but keeping the oracle's blocks keeps the two kernels
+# visibly alike.  Every float operation runs in the oracle's order, so
+# each lane's samples, and its P95, are the oracle's bit for bit.
+#
+# A lane's walk is chosen from its expected attempts per sample:
+# * short lanes (a few attempts per sample: every low-rate what-if)
+#   advance in lockstep, one NumPy step per attempt across all
+#   unfinished lanes of a chunk.  Before any sample could reach the
+#   attempt cap, the lockstep stops and hands the lanes still running to
+#   the other walk, which starts them over;
+# * long lanes (high rates, where the oracle can run into its attempt
+#   cap) walk alone, and skip each run of attempts that changes no
+#   state with one vector compare over the draw block.  A long lane
+#   stops once P95 is known to be ``inf``: when ``samples -
+#   p95_rank(samples)`` of its samples are censored.
+
+#: Exponential draws per generator call (the oracle's block size).
+_DRAW_BLOCK = 512
+#: Short lanes walked together: bounds the draw and sample buffers
+#: (~6 MB at 256 samples).
+_LANE_CHUNK = 1024
+#: Lanes expecting at most this many attempts per sample run in lockstep.
+_LOCKSTEP_ATTEMPTS = 4.0
+
+
+def p95_spot_runtimes(
+    exec_times_s,
+    rates_per_hour,
+    recovery: str = "checkpoint_restart",
+    checkpoint_interval_s: float = 600.0,
+    checkpoint_overhead_s: float = 60.0,
+    samples: int = 256,
+    seed: int = 0,
+    max_attempts: int = 4096,
+) -> np.ndarray:
+    """:func:`p95_spot_runtime` of every ``(exec time, rate)`` pair.
+
+    ``exec_times_s`` and ``rates_per_hour`` are equal-length float
+    sequences.  Element ``i`` of the result is bit-identical to
+    ``p95_spot_runtime(float(exec_times_s[i]), float(rates_per_hour[i]),
+    ...)`` with the same remaining arguments, and to the P95 of
+    :func:`simulate_spot_makespans` for any ``max_attempts``.  Duplicate
+    pairs are simulated once per occurrence; dedupe first if that
+    matters.
+    """
+    if samples < 1:
+        raise AdvisorError(f"samples must be >= 1, got {samples}")
+    if recovery not in ("restart", "checkpoint_restart"):
+        raise AdvisorError(f"no simulation for recovery policy {recovery!r}")
+    if recovery == "checkpoint_restart" and not checkpoint_interval_s > 0:
+        raise AdvisorError(
+            f"checkpoint interval must be > 0, got {checkpoint_interval_s}"
+        )
+    times = np.asarray(exec_times_s, dtype=np.float64)
+    rates = np.asarray(rates_per_hour, dtype=np.float64)
+    if times.shape != rates.shape or times.ndim != 1:
+        raise AdvisorError("exec times and rates must be equal-length 1-D")
+    # Without a hazard or work every sample is the work itself.
+    out = times.copy()
+    lam = rates / 3600.0
+    live = np.flatnonzero(~((lam <= 0) | (times <= 0)))
+    if not live.size:
+        return out
+    rank = p95_rank(samples)
+    work = times[live]
+    short = _expected_attempts(
+        work, lam[live], recovery, checkpoint_interval_s,
+        checkpoint_overhead_s) <= _LOCKSTEP_ATTEMPTS
+    work_list = work.tolist()
+    rate_list = rates[live].tolist()
+    with np.errstate(over="ignore"):  # a subnormal rate: inf uptimes
+        mean_list = (1.0 / lam[live]).tolist()
+
+    def generator(lane: int) -> np.random.Generator:
+        return rng_for("spot-makespan", work_list[lane], rate_list[lane],
+                       recovery, checkpoint_interval_s, checkpoint_overhead_s,
+                       base_seed=seed)
+
+    walk = (recovery, checkpoint_interval_s, checkpoint_overhead_s, samples,
+            max_attempts, rank)
+    lockstep = np.flatnonzero(short)
+    skipping = [np.flatnonzero(~short)]
+    for begin in range(0, lockstep.size, _LANE_CHUNK):
+        chunk = lockstep[begin:begin + _LANE_CHUNK]
+        lanes = chunk.tolist()
+        out[live[chunk]], unfinished = _lockstep_p95(
+            work[chunk], [mean_list[i] for i in lanes],
+            [generator(i) for i in lanes], *walk)
+        skipping.append(chunk[unfinished])
+    for lane in np.concatenate(skipping).tolist():
+        out[live[lane]] = _skipping_p95(
+            work_list[lane], mean_list[lane], generator(lane), *walk)
+    return out
+
+
+def _expected_attempts(
+        work: np.ndarray, lam: np.ndarray, recovery: str, interval: float,
+        overhead: float) -> np.ndarray:
+    """Expected attempts per sample of each lane: one plus, per
+    checkpoint chunk, the ``e^{lam a} - 1`` evictions expected before
+    ``a`` seconds of uptime bank it; restart banks the whole run at
+    once.  Rough, and only used to pick a walk."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if recovery == "restart":
+            return 1.0 + np.expm1(lam * work)
+        chunks = np.ceil(work / interval)
+        uptime = np.minimum(work, interval) + np.where(chunks > 1, overhead,
+                                                       0.0)
+        return 1.0 + chunks * np.expm1(lam * uptime)
+
+
+def _lockstep_p95(work: np.ndarray, means: List[float],
+                  generators: List[np.random.Generator], recovery: str,
+                  interval: float, overhead: float, samples: int,
+                  max_attempts: int,
+                  rank: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(P95 per lane, lanes left unfinished) for short lanes walked
+    together, one attempt per step.
+
+    Every unfinished lane consumes one draw per step, so all lanes reach
+    the end of their draw block on the same step.  A lane's state is the
+    oracle's ``(elapsed, done, overhead)``; a finished lane is dropped
+    from the arrays.  Before any sample could reach the attempt cap, the
+    walk stops and reports the lanes still running (NaN in the result):
+    short lanes almost never get there, and a restart of theirs on
+    :func:`_skipping_p95` handles the cap exactly.
+    """
+    n = len(work)
+    # Sample-major, so one step's writes land close together.
+    spans = np.empty(samples * n)
+    draws = np.empty((_DRAW_BLOCK, n))
+    for column, (gen, mean) in enumerate(zip(generators, means)):
+        draws[:, column] = gen.exponential(mean, size=_DRAW_BLOCK)
+    checkpoint = recovery == "checkpoint_restart"
+    lane = np.arange(n)
+    slot = lane.copy()  # index in ``spans`` of each lane's sample
+    left = np.full(n, samples)
+    elapsed = np.zeros(n)
+    done = np.zeros(n)
+    reserve = np.zeros(n)  # restore cost of the next attempt
+    step = 0
+    # A sample has had at most step + 1 attempts: below the cap here.
+    while lane.size and step + 1 < max_attempts:
+        position = step % _DRAW_BLOCK
+        if position == 0 and step:
+            for column in lane.tolist():
+                draws[:, column] = generators[column].exponential(
+                    means[column], size=_DRAW_BLOCK)
+        uptime = draws[position] if lane.size == n \
+            else draws[position].take(lane)
+        remaining = work - done
+        remaining += reserve
+        finished = uptime >= remaining
+        elapsed += np.where(finished, remaining, uptime)
+        # Overwritten on every attempt; the last write is the finish.
+        spans[slot] = elapsed
+        if checkpoint:
+            progress = uptime - reserve
+            np.maximum(progress, 0.0, out=progress)
+            progress += done
+            progress /= interval
+            np.floor(progress, out=progress)
+            progress *= interval
+            done = np.where(finished, 0.0, progress)
+            reserve = np.where(done > 0, overhead, 0.0)
+        elapsed = np.where(finished, 0.0, elapsed)
+        slot += n * finished
+        left -= finished
+        over = left <= 0
+        if over.any():
+            keep = ~over
+            lane, work, slot, left = (lane[keep], work[keep], slot[keep],
+                                      left[keep])
+            elapsed, done, reserve = elapsed[keep], done[keep], reserve[keep]
+        step += 1
+    spans = spans.reshape(samples, n)
+    spans[:, lane] = math.nan
+    spans.partition(rank, axis=0)
+    return spans[rank], lane
+
+
+def _skipping_p95(work: float, mean: float, gen: np.random.Generator,
+                  recovery: str, interval: float, overhead: float,
+                  samples: int, max_attempts: int, rank: int) -> float:
+    """P95 of one long lane: the oracle's walk, except that runs of
+    attempts that change no state are summed in one go.
+
+    In each state, an uptime below ``min(remaining, quiet)`` neither
+    finishes the sample nor banks a checkpoint (:func:`_quiet_below`).
+    When the next draw is such an uptime, one compare over the rest of
+    the draw block finds the next attempt worth the oracle's
+    arithmetic.  ``quiet`` is worked out only once an attempt in the
+    state has banked nothing: a lane that banks a checkpoint on almost
+    every attempt then walks like the oracle.
+    """
+    limit = samples - rank
+    checkpoint = recovery == "checkpoint_restart"
+    quiet_from_zero = (_quiet_below(0.0, 0.0, interval) if checkpoint
+                       else math.inf)
+    spans: List[float] = []
+    censored = 0
+    block = gen.exponential(mean, size=_DRAW_BLOCK)
+    position = 0
+    for _sample in range(samples):
+        elapsed = 0.0
+        done = 0.0
+        reserve = 0.0
+        quiet = quiet_from_zero
+        tries = 0
+        finished = False
+        while tries < max_attempts:
+            if position == _DRAW_BLOCK:
+                block = gen.exponential(mean, size=_DRAW_BLOCK)
+                position = 0
+            remaining = work - done + reserve
+            uptime = float(block[position])
+            if uptime < quiet and uptime < remaining:
+                budget = min(_DRAW_BLOCK - position, max_attempts - tries)
+                ahead = block[position:position + budget]
+                worth = ahead >= min(remaining, quiet)
+                skip = int(worth.argmax())
+                if not worth[skip]:
+                    skip = budget
+                # A sample cut at the cap never reports its elapsed.
+                if skip < max_attempts - tries:
+                    elapsed = _add_in_order(elapsed, ahead[:skip])
+                position += skip
+                tries += skip
+                if skip == budget:
+                    continue
+                uptime = float(block[position])
+            position += 1
+            tries += 1
+            if uptime >= remaining:
+                elapsed += remaining
+                finished = True
+                break
+            elapsed += uptime
+            if checkpoint:
+                progress = max(0.0, uptime - reserve)
+                banked = math.floor((done + progress) / interval) * interval
+                if banked != done:
+                    done = banked
+                    reserve = overhead if done > 0 else 0.0
+                    quiet = -math.inf  # not worked out yet
+                elif quiet == -math.inf:
+                    quiet = _quiet_below(done, reserve, interval)
+        if finished:
+            spans.append(elapsed)
+        else:
+            censored += 1
+            if censored >= limit:
+                return math.inf
+    spans.extend([math.inf] * censored)
+    spans.sort()
+    return spans[rank]
+
+
+def _quiet_below(done: float, reserve: float, interval: float) -> float:
+    """An uptime up to which a failed attempt banks nothing new, from
+    ``done`` banked with ``reserve`` to restore; 0.0 if none is found.
+
+    The oracle's ``floor((done + max(0, uptime - reserve)) / interval) *
+    interval`` never decreases as the uptime grows (each operation is
+    monotone under round-to-nearest).  So if it equals ``done`` at zero
+    and at the guess, it does everywhere in between.  The guess sits a
+    hair below the next checkpoint, ``interval + reserve`` away.
+    """
+    def banked(uptime: float) -> float:
+        return math.floor(
+            (done + max(0.0, uptime - reserve)) / interval) * interval
+
+    steps = done / interval
+    if not math.isfinite(steps):
+        return 0.0
+    guess = (round(steps + 1) * interval - done + reserve) * (1.0 - 1e-12)
+    if guess > 0 and banked(0.0) == done and banked(guess) == done:
+        return guess
+    return 0.0
+
+
+def _add_in_order(total: float, values: np.ndarray) -> float:
+    """``total`` plus each of ``values`` in turn, as the oracle's
+    ``elapsed += uptime`` does.  ``np.cumsum`` accumulates sequentially
+    (unlike ``np.sum``'s pairwise summation) but costs ~2.5 µs a call
+    whatever the length; a Python loop costs ~0.35 µs up to 8 values
+    and breaks even near 64-128 (2-vCPU host, NumPy 2.4).  Most runs
+    are short: at 1.0/node-hour on 2k points, 67% of calls sum fewer
+    than 32 values."""
+    if len(values) < 32:
+        for value in values.tolist():
+            total += value
+        return total
+    terms = np.empty(len(values) + 1)
+    terms[0] = total
+    terms[1:] = values
+    return float(np.cumsum(terms)[-1])
+
+
+def spot_pair_risks(
+    exec_times_s: np.ndarray,
+    rates_per_hour: np.ndarray,
+    recovery: str = "checkpoint_restart",
+    checkpoint_interval_s: float = 600.0,
+    checkpoint_overhead_s: float = 60.0,
+    samples: int = 256,
+    seed: int = 0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(P95, expected) makespans of unique ``(exec time, rate)`` pairs.
+
+    The columnar engine's memo pass: one lookup per pair, then one
+    :func:`p95_spot_runtimes` call for every pair the memo lacks, whose
+    expected makespans come from :func:`expected_spot_runtime`.
+    """
+    context = (recovery, checkpoint_interval_s, checkpoint_overhead_s,
+               samples, seed)
+    memo = _PAIR_RISK_MEMO.get(context, {})
+    keys = list(zip(exec_times_s.tolist(), rates_per_hour.tolist()))
+    found = list(map(memo.get, keys))
+    missing = [i for i, value in enumerate(found) if value is None]
+    if missing:
+        p95 = p95_spot_runtimes(
+            exec_times_s[missing], rates_per_hour[missing], recovery,
+            checkpoint_interval_s, checkpoint_overhead_s,
+            samples=samples, seed=seed,
+        ).tolist()
+        for i, tail in zip(missing, p95):
+            work, rate = keys[i]
+            found[i] = (tail, expected_spot_runtime(
+                work, rate, recovery, checkpoint_interval_s,
+                checkpoint_overhead_s,
+            ))
+        # A batch larger than the bound keeps only its last pairs.
+        kept = missing[max(0, len(missing) - _RISK_MEMO_MAX):]
+        # Service threads share the memo: size it and fill it atomically.
+        with _PAIR_RISK_LOCK:
+            size = sum(len(entries) for entries in _PAIR_RISK_MEMO.values())
+            if size + len(kept) > _RISK_MEMO_MAX:
+                _PAIR_RISK_MEMO.clear()
+            memo = _PAIR_RISK_MEMO.setdefault(context, {})
+            for i in kept:
+                memo[keys[i]] = found[i]
+    risks = np.asarray(found, dtype=np.float64).reshape(len(found), 2)
+    return risks[:, 0], risks[:, 1]
 
 
 # -- capacity views ------------------------------------------------------------------
@@ -326,8 +703,8 @@ def spot_view_point(
     ``infra_metrics[P95_METRIC]``, giving the advisor its third axis.
     """
     rate = eviction.rate_per_hour(point.sku, point.nnodes)
-    # The memoized kernels return bit-identical values, so the object
-    # path shares the columnar engine's dedupe across repeated shapes.
+    # The scalar oracle, memoized for this engine alone (see the memo
+    # section above): repeated shapes still cost one simulation each.
     p95 = p95_spot_runtime_cached(
         point.exec_time_s, rate, recovery,
         checkpoint_interval_s, checkpoint_overhead_s,

@@ -21,6 +21,7 @@ Persistence comes in two shapes:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
                     Optional)
@@ -65,6 +66,11 @@ class DataPoint:
     def __post_init__(self) -> None:
         if self.nnodes < 1:
             raise DatasetError(f"invalid nnodes: {self.nnodes}")
+        # Views replace cost and makespan (spot_view_point may make them
+        # inf at brutal eviction rates) but never the work itself.
+        if not math.isfinite(self.exec_time_s):
+            raise DatasetError(
+                f"non-finite exec_time_s: {self.exec_time_s}")
         if self.exec_time_s < 0:
             raise DatasetError(f"negative exec time: {self.exec_time_s}")
         if self.cost_usd < 0:
@@ -124,6 +130,42 @@ class DataPoint:
 
 def _str_map(raw: object) -> Dict[str, str]:
     return {str(k): str(v) for k, v in dict(raw or {}).items()}
+
+
+_ROW_ENCODER = json.JSONEncoder(allow_nan=False)
+_COMPACT_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"),
+                                        allow_nan=False)
+
+
+def point_row(point: DataPoint, compact: bool = False) -> str:
+    """``point`` as one stored JSON row (``compact`` drops the spaces).
+
+    The bytes equal ``json.dumps(point.to_dict())``, except that NaN and
+    ±inf raise a :class:`DatasetError` naming the field.  JSON has no
+    token for them: SQLite's ``json_extract`` cannot parse the ``NaN``
+    or ``Infinity`` Python would write, so one such row would break
+    every columnar read of the corpus.
+    """
+    payload = point.to_dict()
+    try:
+        return (_COMPACT_ROW_ENCODER if compact
+                else _ROW_ENCODER).encode(payload)
+    except ValueError:
+        raise DatasetError(
+            f"cannot store non-finite {_non_finite_field(payload)} "
+            f"of a {point.appname} data point"
+        ) from None
+
+
+def _non_finite_field(payload: Mapping[str, object]) -> str:
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            for inner, number in value.items():
+                if isinstance(number, float) and not math.isfinite(number):
+                    return f"{key}[{inner!r}] ({number})"
+        elif isinstance(value, float) and not math.isfinite(value):
+            return f"{key} ({value})"
+    return "number"
 
 
 class Dataset:
@@ -284,9 +326,7 @@ class Dataset:
         target = path or self.path
         if target is None:
             raise DatasetError("Dataset has no path to save to")
-        text = "".join(
-            json.dumps(point.to_dict()) + "\n" for point in self._points
-        )
+        text = "".join(point_row(point) + "\n" for point in self._points)
         atomic_write(target, text)
         self.path = target
         return target
@@ -316,7 +356,7 @@ class Dataset:
                         continue
                     try:
                         points.append(DataPoint.from_dict(json.loads(line)))
-                    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                    except (DatasetError, KeyError, ValueError) as exc:
                         raise DatasetError(
                             f"corrupt dataset {path!r} line {line_no}: {exc}"
                         ) from exc

@@ -26,7 +26,7 @@ import json
 import os
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.dataset import DataPoint, Dataset
+from repro.core.dataset import DataPoint, Dataset, point_row
 from repro.core.query import Query
 from repro.core.statefiles import atomic_write
 from repro.core.taskdb import TaskDB, TaskRecord
@@ -61,9 +61,7 @@ class JsonlStore(StoreBackend):
         self.append_points((point,))
 
     def append_points(self, points: Iterable[DataPoint]) -> None:
-        text = "".join(
-            json.dumps(point.to_dict()) + "\n" for point in points
-        )
+        text = "".join(point_row(point) + "\n" for point in points)
         if not text:
             return
         directory = os.path.dirname(os.path.abspath(self.dataset_path))

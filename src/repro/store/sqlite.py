@@ -34,6 +34,7 @@ and the counter can both repeat) never matches an older token.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sqlite3
@@ -41,21 +42,23 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.dataset import DataPoint
+from repro.core.dataset import DataPoint, point_row
 from repro.core.query import Query
 from repro.core.taskdb import TaskRecord
 from repro.errors import DatasetError
-from repro.store.base import ColumnRows, StoreBackend
+from repro.store.base import POINT_COLUMN_FIELDS, ColumnRows, StoreBackend
 
 #: Mapping-filter keys safe to inline into a JSON path expression
 #: (SQLite's ``$.name`` form requires a plain identifier).
 _SIMPLE_KEY = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_EXEC_TIME = POINT_COLUMN_FIELDS.index("exec_time_s")
 
 
 def _dumps(payload: dict) -> str:
-    """Compact row payload: parsed only by machines, so the default
+    """Compact task-row payload: parsed only by machines, so the default
     ``", "``/``": "`` separators are pure write amplification — on a
-    50k-row corpus the whitespace alone is megabytes of WAL traffic."""
+    50k-row corpus the whitespace alone is megabytes of WAL traffic.
+    Point rows get the same separators from ``point_row(compact=True)``."""
     return json.dumps(payload, separators=(",", ":"))
 
 
@@ -134,7 +137,7 @@ class SqliteStore(StoreBackend):
     def append_points(self, points: Iterable[DataPoint]) -> None:
         rows = [
             (p.appname, p.sku, p.sku.lower(), p.nnodes, p.ppn, p.capacity,
-             int(p.predicted), _dumps(p.to_dict()))
+             int(p.predicted), point_row(p, compact=True))
             for p in points
         ]
         if not rows:
@@ -185,7 +188,7 @@ class SqliteStore(StoreBackend):
     def replace_points(self, points: Sequence[DataPoint]) -> None:
         rows = [
             (p.appname, p.sku, p.sku.lower(), p.nnodes, p.ppn, p.capacity,
-             int(p.predicted), _dumps(p.to_dict()))
+             int(p.predicted), point_row(p, compact=True))
             for p in points
         ]
         # One transaction: a crash mid-replace must never leave an
@@ -215,7 +218,7 @@ class SqliteStore(StoreBackend):
     def query_points(self, query: Optional[Query] = None) -> List[DataPoint]:
         query = query or Query()
         where, params, pushed_window = self._translate(query)
-        sql = "SELECT payload FROM datapoints" + where + " ORDER BY id"
+        sql = "SELECT id, payload FROM datapoints" + where + " ORDER BY id"
         if pushed_window:
             if query.limit is not None or query.offset:
                 sql += " LIMIT ? OFFSET ?"
@@ -225,7 +228,7 @@ class SqliteStore(StoreBackend):
                 ]
         with self._timed("query"), self._lock:
             rows = self._conn.execute(sql, params).fetchall()
-        points = [DataPoint.from_dict(json.loads(row[0])) for row in rows]
+        points = [self._parse_point(*row) for row in rows]
         if pushed_window:
             return points
         # A mapping filter remained: finish in Python, window last —
@@ -283,13 +286,50 @@ class SqliteStore(StoreBackend):
                 # Appends take ids above every existing one; only
                 # replace_points reuses ids, and it rotates the epoch.
                 delta = cursor is not None and cursor[:2] == signature[:2]
-                return ColumnRows(
-                    self._conn.execute(
-                        self._COLUMN_SELECT + " WHERE id > ? ORDER BY id",
-                        (cursor[2] if delta else 0,)),
-                    signature, signature[:2] + (last_id,), delta)
+                first = cursor[2] if delta else 0
+                try:
+                    rows = ColumnRows(
+                        self._conn.execute(
+                            self._COLUMN_SELECT + " WHERE id > ? ORDER BY id",
+                            (first,)),
+                        signature, signature[:2] + (last_id,), delta)
+                except sqlite3.OperationalError as exc:
+                    # Before SQLite 3.42, json_extract rejects the NaN and
+                    # Infinity an older release wrote: name the row.
+                    bad = self._conn.execute(
+                        "SELECT id, payload FROM datapoints WHERE id > ?"
+                        " AND NOT json_valid(payload) ORDER BY id LIMIT 1",
+                        (first,)).fetchone()
+                    if bad is None:
+                        raise
+                    self._parse_point(*bad)  # names the field if it can
+                    raise self._corrupt_point(bad[0], exc) from exc
+                # Later versions read them as numbers (NaN as null), as
+                # every version reads 1e999: refuse them like DataPoint.
+                for offset, row in enumerate(rows):
+                    value = row[_EXEC_TIME]
+                    if value is None or not math.isfinite(value):
+                        rowid, payload = self._conn.execute(
+                            "SELECT id, payload FROM datapoints WHERE id > ?"
+                            " ORDER BY id LIMIT 1 OFFSET ?", (first, offset)
+                        ).fetchone()
+                        self._parse_point(rowid, payload)
+                        raise self._corrupt_point(
+                            rowid, f"non-finite exec_time_s: {value}")
+                return rows
             finally:
                 self._conn.commit()
+
+    def _parse_point(self, rowid: int, payload: str) -> DataPoint:
+        try:
+            return DataPoint.from_dict(json.loads(payload))
+        except (DatasetError, KeyError, ValueError) as exc:
+            raise self._corrupt_point(rowid, exc) from exc
+
+    def _corrupt_point(self, rowid: int, problem: Exception) -> DatasetError:
+        return DatasetError(
+            f"corrupt data point in {self.db_path!r}, datapoints id "
+            f"{rowid}: {problem}")
 
     def aggregate_points(
             self, query: Optional[Query] = None) -> Optional[Dict]:

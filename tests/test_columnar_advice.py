@@ -184,6 +184,41 @@ class TestSpotRiskDedup:
         assert cols.p95.tolist() == [p.infra_metrics[P95_METRIC]
                                      for p in view]
 
+    def test_engines_keep_separate_risk_memos(self, tmp_path, monkeypatch):
+        """A columnar spot what-if never fills the objects engine's memo:
+        after one warms a corpus, the objects engine still runs the
+        scalar oracle once per unique (time, rate) pair.  Otherwise the
+        equivalence suites would compare the batched kernel with its own
+        cached output."""
+        import repro.core.cost as cost
+
+        calls = []
+        scalar = cost.p95_spot_runtime
+
+        def counting(exec_time_s, rate_per_hour, *args, **kwargs):
+            calls.append((exec_time_s, rate_per_hour))
+            return scalar(exec_time_s, rate_per_hour, *args, **kwargs)
+
+        monkeypatch.setattr(cost, "p95_spot_runtime", counting)
+        monkeypatch.setattr(cost, "_P95_MEMO", {})
+        monkeypatch.setattr(cost, "_PAIR_RISK_MEMO", {}, raising=False)
+        points = [
+            DataPoint(appname="lammps", sku=SKUS[0], nnodes=1 + i % 2,
+                      ppn=4, exec_time_s=600.0 * (1 + (i // 2) % 2),
+                      cost_usd=1.0 + i)
+            for i in range(8)
+        ]
+        session = AdvisorSession(store=StateStore(root=str(tmp_path)))
+        name = session.deploy(make_config(skus=[SKUS[0]])).name
+        session.data_store(name).append_points(points)
+        request = dict(deployment=name, capacity="spot", eviction_rate=3.0)
+
+        columnar = session.advise(AdviseRequest(engine="columnar", **request))
+        assert calls == []
+        objects = session.advise(AdviseRequest(engine="objects", **request))
+        assert len(calls) == len(set(calls)) == 4
+        assert objects.rows == columnar.rows
+
 
 class TestCompareEquivalence:
     @settings(max_examples=15, deadline=None,

@@ -328,3 +328,13 @@ class TestAdvisorEffectiveObjective:
         assert table.splitlines()[0] == \
             f"{'Exectime(s)':>11} {'Cost($)':>8} {'Nodes':>6}  SKU"
         assert "[spot]" not in table
+
+
+class TestNonFiniteWork:
+    @pytest.mark.parametrize("recovery", ["restart", "checkpoint_restart"])
+    @pytest.mark.parametrize("work", [math.inf, -math.inf, math.nan])
+    def test_expected_runtime_is_a_typed_error(self, recovery, work):
+        # Was a bare ValueError from the checkpoint chunking (or a
+        # silent inf under restart).
+        with pytest.raises(AdvisorError, match="non-finite work"):
+            expected_spot_runtime(work, 6.0, recovery)

@@ -510,3 +510,138 @@ class TestPaginationValidation:
             Query(limit=-1)
         with pytest.raises(ConfigError, match="offset"):
             Query(offset=-1)
+
+
+class TestNonFiniteMeasurements:
+    """NaN and ±inf never reach a store.  JSON has no token for them:
+    SQLite's ``json_extract`` rejected the ``NaN``/``Infinity`` rows
+    Python wrote, so one bad row broke every columnar advice on the
+    deployment with an untyped ``OperationalError``, and a non-finite
+    exec time broke every spot what-if with a bare ``ValueError``."""
+
+    GOOD = [
+        DataPoint(appname="lammps", sku="Standard_HB120rs_v3", nnodes=n,
+                  ppn=100, exec_time_s=900.0 / n, cost_usd=0.5 * n,
+                  appinputs={"BOXFACTOR": "4"})
+        for n in (1, 2, 4)
+    ]
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_exec_time_is_refused_at_construction(self, value):
+        from repro.errors import DatasetError
+
+        with pytest.raises(DatasetError, match="exec_time_s"):
+            DataPoint(appname="lammps", sku="Standard_HB120rs_v3",
+                      nnodes=1, ppn=100, exec_time_s=value, cost_usd=1.0)
+        with pytest.raises(DatasetError, match="exec_time_s"):
+            DataPoint.from_dict({
+                "appname": "lammps", "sku": "Standard_HB120rs_v3",
+                "nnodes": 1, "exec_time_s": value, "cost_usd": 1.0})
+
+    @pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
+    @pytest.mark.parametrize("field, change", [
+        ("cost_usd", {"cost_usd": float("inf")}),
+        ("makespan_s", {"makespan_s": float("nan")}),
+        ("infra_metrics", {"infra_metrics": {"net_mbps": float("inf")}}),
+    ])
+    def test_store_refuses_the_row_and_advice_still_works(
+            self, tmp_path, backend, field, change):
+        import dataclasses
+
+        from repro.api.requests import AdviseRequest
+        from repro.api.session import AdvisorSession
+        from repro.core.statefiles import StateStore
+        from repro.errors import DatasetError
+        from tests.conftest import make_config
+
+        session = AdvisorSession(store=StateStore(
+            root=str(tmp_path), store_backend=backend))
+        name = session.deploy(make_config()).name
+        store = session.data_store(name)
+        store.append_points(self.GOOD)
+        bad = dataclasses.replace(self.GOOD[0], **change)
+        with pytest.raises(DatasetError, match=field):
+            store.append_points([bad])
+        with pytest.raises(DatasetError, match=field):
+            store.replace_points(self.GOOD + [bad])
+        assert store.count_points() == len(self.GOOD)
+        for capacity in ("", "spot"):
+            answers = [
+                session.advise(AdviseRequest(
+                    deployment=name, engine=engine, capacity=capacity,
+                    eviction_rate=30.0 if capacity else None)).rows
+                for engine in ("columnar", "objects")
+            ]
+            assert answers[0] == answers[1] and answers[0]
+
+    @pytest.mark.parametrize("token", ["Infinity", "1e999"])
+    @pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
+    def test_legacy_row_is_named_and_the_documented_repair_works(
+            self, tmp_path, backend, token):
+        """A store written before non-finite values were refused may
+        hold an ``Infinity`` exec time (what ``json.dumps`` wrote).
+        Every read names the field and where the row is (file line on
+        JSONL, row id on SQLite), and the hand repair in docs/STORAGE.md
+        brings the deployment back.  SQLite before 3.42 cannot parse
+        ``Infinity`` and later versions can; ``1e999`` is valid JSON
+        that every version reads as inf, so both column-fetch checks
+        run whatever the SQLite version."""
+        import sqlite3
+
+        from repro.api.requests import AdviseRequest
+        from repro.api.session import AdvisorSession
+        from repro.core.statefiles import StateStore
+        from repro.errors import DatasetError
+        from tests.conftest import make_config
+
+        session = AdvisorSession(store=StateStore(
+            root=str(tmp_path), store_backend=backend))
+        name = session.deploy(make_config()).name
+        store = session.data_store(name)
+        store.append_points(self.GOOD)
+
+        def advise(engine):
+            return session.advise(AdviseRequest(
+                deployment=name, engine=engine)).rows
+
+        before = advise("columnar")
+        legacy = dict(self.GOOD[1].to_dict(), exec_time_s=float("inf"))
+        payload = json.dumps(legacy).replace("Infinity", token)
+        if backend == "jsonl":
+            with open(store.dataset_path, "a", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+            where = f"{store.dataset_path!r} line 4"
+        else:  # as the old append_points did: insert, bump, commit
+            with sqlite3.connect(store.db_path) as conn:
+                conn.execute(
+                    "INSERT INTO datapoints (appname, sku, sku_lower,"
+                    " nnodes, ppn, capacity, predicted, payload)"
+                    " VALUES (?, ?, ?, ?, ?, ?, 0, ?)",
+                    ("lammps", legacy["sku"], legacy["sku"].lower(), 2,
+                     100, "ondemand", payload))
+                conn.execute("UPDATE meta SET value = CAST(value AS INTEGER)"
+                             " + 1 WHERE key = 'points_gen'")
+            where = f"{store.db_path!r}, datapoints id 4"
+        for read in (store.query_points, lambda: advise("objects"),
+                     lambda: advise("columnar")):
+            with pytest.raises(DatasetError) as caught:
+                read()
+            assert where in str(caught.value)
+            assert "non-finite exec_time_s: inf" in str(caught.value)
+
+        # The repair from docs/STORAGE.md, "Repairing a corrupt row".
+        if backend == "jsonl":
+            with open(store.dataset_path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+            with open(store.dataset_path, "w", encoding="utf-8") as fh:
+                fh.writelines(lines[:3] + lines[4:])
+        else:
+            with sqlite3.connect(store.db_path) as conn:
+                conn.executescript(
+                    "BEGIN;"
+                    " DELETE FROM datapoints WHERE id = 4;"
+                    " UPDATE meta SET value = lower(hex(randomblob(8)))"
+                    "  WHERE key = 'points_epoch';"
+                    " COMMIT;")
+        assert advise("columnar") == advise("objects") == before
