@@ -1,21 +1,19 @@
-"""Store-engine benchmark: SQLite pushdown vs the JSONL path (ISSUE 5).
+"""Store benchmark: SQLite pushdown vs the legacy JSONL file.
 
 Builds a large synthetic corpus (default 50k points, the acceptance
 scale; override with ``BENCH_STORE_POINTS``) and measures the two hot
-paths the ``repro.store`` refactor exists for:
+paths the ``repro.store`` database exists for:
 
 * **filtered advice query** — what ``advise``/``plot``/``predict`` do:
-  fetch one (app, SKU) slice of the corpus.  The JSONL path
-  deserializes every point ever collected and filters in memory; the
-  SQLite path pushes the filter down to an indexed ``WHERE``.
+  fetch one (app, SKU) slice of the corpus.  The JSONL baseline
+  deserializes every point ever collected and filters in memory
+  (``query.apply(Dataset.load(path).points())``); the SQLite path
+  pushes the filter down to an indexed ``WHERE``.
   Acceptance: >= 10x faster at 50k points.
 * **single-point append** — what the collector does per completed
   scenario.  The historical JSON path was a load-modify-save of the
   whole corpus (``Dataset.save`` rewrites the file); the store path is
   one ``INSERT``.  Acceptance: >= 20x faster at 50k points.
-
-Also prints, for context, the JsonlStore's *new* incremental line
-append (already O(1)) so the three write strategies are comparable.
 
 Run standalone::
 
@@ -37,7 +35,7 @@ import time
 
 from repro.core.dataset import DataPoint, Dataset
 from repro.core.query import Query
-from repro.store import JsonlStore, SqliteStore
+from repro.store import SqliteStore
 
 APPS = ("lammps", "openfoam")
 SKUS = ("Standard_HB120rs_v3", "Standard_HB120rs_v2", "Standard_HC44rs",
@@ -102,19 +100,23 @@ def run_benchmark(n_points: int, check: bool = True,
     try:
         points = synthetic_corpus(n_points)
         extra = synthetic_corpus(1)[0]
-        jsonl = JsonlStore(os.path.join(workdir, "dataset-bench.jsonl"),
-                           os.path.join(workdir, "tasks-bench.json"))
+        jsonl_path = os.path.join(workdir, "dataset-bench.jsonl")
         sqlite = SqliteStore(os.path.join(workdir, "store-bench.sqlite"))
 
-        load_jsonl = _timed(lambda: jsonl.append_points(points), repeat=1)
+        load_jsonl = _timed(lambda: Dataset(points).save(jsonl_path),
+                            repeat=1)
         load_sqlite = _timed(lambda: sqlite.append_points(points), repeat=1)
 
         # -- filtered advice query ----------------------------------------
         query = _advice_query()
+
+        def jsonl_query():
+            return query.apply(Dataset.load(jsonl_path).points())
+
         expected = query.apply(points)
-        assert jsonl.query_points(query) == expected
+        assert jsonl_query() == expected
         assert sqlite.query_points(query) == expected
-        t_jsonl_query = _timed(lambda: jsonl.query_points(query))
+        t_jsonl_query = _timed(jsonl_query)
         t_sqlite_query = _timed(lambda: sqlite.query_points(query))
         query_speedup = t_jsonl_query / t_sqlite_query
 
@@ -129,7 +131,6 @@ def run_benchmark(n_points: int, check: bool = True,
 
         t_legacy_append = _timed(legacy_append)
         t_sqlite_append = _timed(lambda: sqlite.append_point(extra))
-        t_jsonl_append = _timed(lambda: jsonl.append_point(extra))
         append_speedup = t_legacy_append / t_sqlite_append
 
         results = {
@@ -141,7 +142,6 @@ def run_benchmark(n_points: int, check: bool = True,
             "filtered_query_speedup": query_speedup,
             "append_legacy_rewrite_s": t_legacy_append,
             "append_sqlite_s": t_sqlite_append,
-            "append_jsonl_incremental_s": t_jsonl_append,
             "append_speedup_vs_legacy": append_speedup,
             "query_floor": query_floor,
             "append_floor": append_floor,
@@ -158,8 +158,6 @@ def run_benchmark(n_points: int, check: bool = True,
               f"{t_legacy_append * 1e3:9.1f} ms   "
               f"sqlite {t_sqlite_append * 1e3:9.1f} ms   "
               f"-> {append_speedup:6.1f}x (floor {append_floor:.0f}x)")
-        print(f"                  (jsonl incremental append: "
-              f"{t_jsonl_append * 1e3:.2f} ms)")
 
         if check:
             assert query_speedup >= query_floor, (

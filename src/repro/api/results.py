@@ -94,8 +94,8 @@ class CollectResult(DictMixin):
     failures: Tuple[str, ...] = ()
     dataset_points: int = 0
     dataset_path: str = ""
-    #: Persistence engine the sweep wrote through (``jsonl``/``sqlite``;
-    #: empty for ephemeral, in-memory sessions).
+    #: Store the sweep wrote through (``sqlite``; empty for ephemeral,
+    #: in-memory sessions).
     store_backend: str = ""
     #: Smart-sampling extras (empty/zero when no sampler was used).
     sampler_decisions: Tuple[str, ...] = ()
@@ -271,7 +271,7 @@ class DataPointsResult(DictMixin):
     limit: Optional[int] = None
     offset: int = 0
     points: Tuple = ()
-    #: Persistence engine that served the page.
+    #: Store that served the page (``sqlite``; empty when ephemeral).
     store_backend: str = ""
 
     _decoders = {"points": _decode_points}

@@ -59,7 +59,7 @@ from repro.core.taskdb import TaskDB
 from repro.errors import ConfigError, ReproError, ResourceNotFound
 from repro.perf.noise import NoiseModel
 from repro.sampling.planner import SmartSampler
-from repro.store.base import StoreBackend
+from repro.store.sqlite import SqliteStore
 from repro import telemetry
 
 ConfigLike = Union[MainConfig, Mapping, str]
@@ -76,9 +76,9 @@ class AdvisorSession:
     store:
         An explicit :class:`StateStore` (overrides ``state_dir``).
     store_backend:
-        Persistence engine for collected data (``"jsonl"`` or
-        ``"sqlite"``); ``None`` defers to ``REPRO_STORE``/auto-detect
-        (see :mod:`repro.store`).
+        Kept for callers that name the store: ``None`` or ``"sqlite"``,
+        the one store engine.  The legacy JSONL layout is an import and
+        export format (:meth:`StateStore.export_data`), not a store.
     deployer:
         Injectable for tests; defaults to a fresh simulated provider.
     """
@@ -91,9 +91,14 @@ class AdvisorSession:
         store_backend: Optional[str] = None,
         deployer: Optional[Deployer] = None,
     ) -> None:
+        if store_backend not in (None, SqliteStore.kind):
+            raise ConfigError(
+                f"unknown store backend {store_backend!r}: SQLite is the "
+                "only store; the legacy JSONL layout is written by "
+                "`hpcadvisor-sim export` and imported on first open"
+            )
         if store is None and state_dir is not None:
-            store = StateStore(root=resolve_state_dir(state_dir),
-                               store_backend=store_backend)
+            store = StateStore(root=resolve_state_dir(state_dir))
         self.store = store
         self.deployer = deployer or Deployer()
         self._deployments: Dict[str, Deployment] = {}
@@ -153,7 +158,7 @@ class AdvisorSession:
         if self.store is not None:
             import shutil
 
-            # Close the cached persistence backend first: archiving a
+            # Close the cached store first: archiving a
             # live SQLite database under an open connection would leave
             # writes going to the renamed file.
             self.store.release_data_store(name)
@@ -301,8 +306,8 @@ class AdvisorSession:
 
     # -- data access ------------------------------------------------------------
 
-    def data_store(self, name: str) -> Optional[StoreBackend]:
-        """The deployment's persistence backend (None when ephemeral)."""
+    def data_store(self, name: str) -> Optional[SqliteStore]:
+        """The deployment's store (None when ephemeral)."""
         if self.store is None:
             return None
         return self.store.data_store(name)
@@ -352,12 +357,10 @@ class AdvisorSession:
                     f"no dataset for deployment {name!r}; "
                     "run collect first"
                 )
-            dataset = Dataset(path=backend.dataset_display_path,
-                              store=backend)
+            dataset = Dataset(path=backend.db_path, store=backend)
         else:
             dataset = Dataset(backend.query_points(),
-                              path=backend.dataset_display_path,
-                              store=backend)
+                              path=backend.db_path, store=backend)
         self._datasets[name] = dataset
         self._dataset_sigs[name] = sig
         return dataset
@@ -490,7 +493,7 @@ class AdvisorSession:
         self._taskdb_sigs.pop(name, None)
         db = TaskDB.from_records(
             backend.load_tasks(),
-            path=backend.tasks_display_path,
+            path=backend.db_path,
             store=backend,
         )
         self._taskdbs[name] = db

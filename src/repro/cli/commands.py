@@ -319,8 +319,8 @@ def data(
 ) -> int:
     """Paginated listing of a deployment's stored points.
 
-    The filter runs inside the storage engine (SQL pushdown on the
-    SQLite backend), so paging a huge corpus never loads it whole.
+    The filter runs inside the store (SQL pushdown), so paging a huge
+    corpus never loads it whole.
     """
     from repro.core.query import Query
 
@@ -352,6 +352,16 @@ def data(
     shown = len(result.points)
     print(f"({shown} of {result.total} matching point(s), offset "
           f"{result.offset}, store: {result.store_backend or 'memory'})")
+    return 0
+
+
+# -- export (extension) ----------------------------------------------------------
+
+
+def export(state_dir: Optional[str], name: str, output: str) -> int:
+    """Write a deployment's data in the legacy JSON-file layout."""
+    for path in _session(state_dir).store.export_data(name, output):
+        print(f"wrote {path}")
     return 0
 
 
@@ -426,9 +436,8 @@ def engines(state_dir: Optional[str] = None, as_json: bool = False) -> int:
                      else "stale" if status["cached"] else "cold")
             rows = (f", {status['rows']} rows"
                     if status["rows"] is not None else "")
-            fetch = "sql" if status["column_fetch"] else "objects"
             print(f"  {status['deployment']}: {state} "
-                  f"({status['backend']}, column fetch: {fetch}{rows})")
+                  f"({status['backend']}{rows})")
     return 0
 
 

@@ -13,7 +13,8 @@ Reproduces the paper's Table II::
                       data filter.
     gui               Starts the GUI mode.
 
-Extensions beyond Table II: ``predict``, ``compare``, and the service
+Extensions beyond Table II: ``predict``, ``compare``, ``export`` (the
+paper's JSON-file layout of a deployment's data), and the service
 commands — ``serve`` (JSON HTTP API with async collect jobs) plus the
 remote-client trio ``submit`` / ``status`` / ``result``.
 """
@@ -38,11 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--state-dir",
         help="state directory (default: $HPCADVISOR_STATE_DIR or ~/.hpcadvisor-sim)",
-    )
-    parser.add_argument(
-        "--store", choices=["jsonl", "sqlite"],
-        help="persistence engine for collected data (default: "
-             "$REPRO_STORE or sqlite; existing state is auto-detected)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -207,6 +203,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the first N matching points")
     data.add_argument("--json", action="store_true", dest="as_json",
                       help="emit the page as JSON")
+
+    # export (extension: the legacy JSON-file layout) -------------------------
+    export = sub.add_parser(
+        "export",
+        help="write a deployment's collected data in the legacy layout "
+             "(dataset-<name>.jsonl + tasks-<name>.json), which a state "
+             "directory imports on first open (extension)",
+    )
+    export.add_argument("-n", "--name", required=True, help="deployment name")
+    export.add_argument("-o", "--output", required=True, metavar="DIR",
+                        help="directory to write the two files to (not "
+                             "the state directory itself)")
 
     # compare (extension: before/after sweeps via tags) ------------------------
     engines = sub.add_parser(
@@ -380,25 +388,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if getattr(args, "store", None):
-            # The --store override is per-invocation; in-process callers
-            # (tests, embedders) must not inherit it.
-            from repro import store as repro_store
-
-            repro_store.set_default_backend(None)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     # Imports are local so `--help` stays fast.
     from repro.cli import commands
 
-    if getattr(args, "store", None):
-        # Process-wide so every session this invocation opens (including
-        # job workers under `serve`) uses the requested engine.
-        from repro import store as repro_store
-
-        repro_store.set_default_backend(args.store)
     if args.command == "deploy":
         if args.deploy_command == "create":
             return commands.deploy_create(args.state_dir, args.config)
@@ -477,6 +472,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             offset=args.offset,
             as_json=args.as_json,
         )
+    if args.command == "export":
+        return commands.export(args.state_dir, args.name, args.output)
     if args.command == "compare":
         return commands.compare(args.state_dir, args.a, args.b,
                                 as_json=args.as_json)

@@ -53,17 +53,17 @@ With an eviction rate of zero the spot path degenerates to the
 on-demand execution byte for byte (only priced at the spot rate).
 
 **Persistence** is incremental: when the dataset and task DB are backed
-by a :mod:`repro.store` backend (as the session always arranges for
+by a :mod:`repro.store` database (as the session always arranges for
 persistent state), a crashed or cancelled sweep keeps everything it
 measured and a resumed sweep starts from exactly what completed.  The
 object walk writes every ``dataset.append`` and task-status transition
 through to the store the moment it happens, point before task.  The
 batched kernel holds them in memory and commits each pool's group at
 its release (Algorithm 1 line 13), and whatever is left when the sweep
-ends or aborts, as one unit: points and task records in one transaction
-on SQLite, points first on JSONL (:meth:`repro.store.base.StoreBackend.commit`).
-Either way a completed task never reaches the store without its point,
-and a hard kill loses at most the VM type in flight.  The end-of-sweep
+ends or aborts, as one transaction
+(:meth:`repro.store.sqlite.SqliteStore.commit`).  Either way a
+completed task never reaches the store without its point, and a hard
+kill loses at most the VM type in flight.  The end-of-sweep
 ``_save_state`` is then only a durability flush, never a whole-corpus
 rewrite.
 """
@@ -441,20 +441,20 @@ class DataCollector:
 
     def _commit_held(self) -> None:
         """Write the held points and task updates as one unit
-        (:meth:`repro.store.base.StoreBackend.commit`), timed as
+        (:meth:`repro.store.sqlite.SqliteStore.commit`), timed as
         ``persist``."""
         with self._profiler.stage("persist"):
             points = self.dataset.take_held()
             changed = self.taskdb.take_held()
             store = self.taskdb.store
             if store is not None and store is self.dataset.store:
-                store.commit(points, changed, self.taskdb.all())
+                store.commit(points, changed)
                 return
             # Separate stores, or only one: still points first.
             if points:
                 self.dataset.store.append_points(points)
             if changed:
-                store.sync_tasks(changed, self.taskdb.all())
+                store.sync_tasks(changed)
 
     def _save_state(self) -> None:
         if self.taskdb.path:

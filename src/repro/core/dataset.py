@@ -6,16 +6,17 @@ filter" (a :class:`~repro.core.query.Query`).
 
 Persistence comes in two shapes:
 
-* **store-backed** (``Dataset(..., store=<StoreBackend>)``) — every
-  ``append`` writes through to the :mod:`repro.store` backend
+* **store-backed** (``Dataset(..., store=<SqliteStore>)``) — every
+  ``append`` writes through to the :mod:`repro.store` database
   immediately, so sweeps persist each completed point incrementally
   and a killed sweep keeps everything it measured; ``save()`` is just
   a flush.  A batched sweep may hold appends in memory instead
   (:meth:`Dataset.hold_writes`) and commit them together with their
   task records.
 * **path-backed** (``Dataset(..., path=...)``, no store) — the legacy
-  shape: ``save()`` atomically rewrites the whole JSON-lines file.
-  Kept for ad-hoc files and tests; sessions always use a store.
+  ``dataset-<name>.jsonl`` shape: ``save()`` atomically rewrites the
+  whole JSON-lines file and :meth:`Dataset.load` reads one.  The store's
+  import and export of the legacy layout use exactly these two.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.core.query import Query
 from repro.errors import DatasetError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.store.base import StoreBackend
+    from repro.store.sqlite import SqliteStore
 
 
 @dataclass(frozen=True)
@@ -171,15 +172,15 @@ def _non_finite_field(payload: Mapping[str, object]) -> str:
 class Dataset:
     """Append-only collection of data points with filtering.
 
-    With a ``store`` attached, appends write through to the persistence
-    backend immediately (see module docstring); the points already
-    present at construction are assumed to be the store's current
-    contents and are never re-written.
+    With a ``store`` attached, appends write through to it immediately
+    (see module docstring); the points already present at construction
+    are assumed to be the store's current contents and are never
+    re-written.
     """
 
     def __init__(self, points: Optional[Iterable[DataPoint]] = None,
                  path: Optional[str] = None,
-                 store: Optional["StoreBackend"] = None) -> None:
+                 store: Optional["SqliteStore"] = None) -> None:
         self._points: List[DataPoint] = list(points or [])
         self.path = path
         self._store = store
@@ -187,7 +188,7 @@ class Dataset:
         self._holding = False
 
     @property
-    def store(self) -> Optional["StoreBackend"]:
+    def store(self) -> Optional["SqliteStore"]:
         return self._store
 
     # -- basic access -------------------------------------------------------------
@@ -249,7 +250,7 @@ class Dataset:
         """Return a new dataset with only the matching points.
 
         The keyword arguments build a :class:`~repro.core.query.Query`
-        — the same filter vocabulary the store backends push down — so
+        — the same filter vocabulary the store pushes down — so
         in-memory and in-store filtering cannot drift apart.
 
         Historical contract: ``nnodes=None`` means "any node count" but
@@ -303,7 +304,7 @@ class Dataset:
         """Persist this instance's points.
 
         Store-backed datasets have already written every append through
-        to the backend; ``save()`` only flushes any remaining tail and
+        to the store; ``save()`` only flushes any remaining tail and
         marks the corpus durable, never rewriting what is stored.
 
         Path-backed datasets atomically rewrite the file.  Readers never
@@ -316,7 +317,7 @@ class Dataset:
             self._write_through()
             self._store.flush_points()
             if self.path is None:
-                self.path = self._store.dataset_display_path
+                self.path = self._store.db_path
             return self.path
 
         # Imported here: statefiles sits above this module in the layering
@@ -330,20 +331,6 @@ class Dataset:
         atomic_write(target, text)
         self.path = target
         return target
-
-    @classmethod
-    def count_points(cls, path: str) -> int:
-        """Number of points in a JSON-lines file without deserializing.
-
-        One point per non-blank line.  This is the :class:`JsonlStore`
-        fast path; SQLite-backed corpora count with ``SELECT COUNT(*)``
-        via :meth:`repro.store.base.StoreBackend.count_points` instead.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return sum(1 for line in fh if line.strip())
-        except OSError as exc:
-            raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str) -> "Dataset":

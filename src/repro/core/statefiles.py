@@ -7,8 +7,11 @@ directory (``HPCADVISOR_STATE_DIR`` or ``--state-dir``).
 
 Because the cloud here is simulated in-process, a deployment record stores
 the configuration needed to *deterministically reattach*: a fresh provider
-replays the deployment on load.  The dataset and task DB are plain files,
-so collected data genuinely persists across processes.
+replays the deployment on load.  Each deployment's data points and task
+records live in one SQLite database (:mod:`repro.store`), so collected
+data genuinely persists across processes.  The legacy
+``dataset-<name>.jsonl`` / ``tasks-<name>.json`` files are imported on
+first open and can be written back with :meth:`StateStore.export_data`.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import MainConfig
 from repro.core.deployer import Deployer, Deployment
-from repro.errors import ConfigError, ResourceNotFound
+from repro.errors import ConfigError, ReproError, ResourceNotFound
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.store.base import StoreBackend
+    from repro.store.sqlite import SqliteStore
 
 ENV_VAR = "HPCADVISOR_STATE_DIR"
 DEFAULT_DIRNAME = ".hpcadvisor-sim"
@@ -190,17 +193,9 @@ def resolve_state_dir(explicit: Optional[str] = None) -> str:
 
 @dataclass
 class StateStore:
-    """Filesystem layout of the tool's persistent state.
-
-    ``store_backend`` pins the persistence engine for data opened
-    through this instance (``"jsonl"`` or ``"sqlite"``); ``None`` defers
-    to :func:`repro.store.resolve_backend` (the ``REPRO_STORE``
-    environment knob, default SQLite) with auto-detection of whatever
-    engine already holds a deployment's data.
-    """
+    """Filesystem layout of the tool's persistent state."""
 
     root: str
-    store_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         os.makedirs(self.root, exist_ok=True)
@@ -208,7 +203,7 @@ class StateStore:
         # whole read-modify-write cycle, and every store over this root
         # (in this process) shares the same reentrant instance.
         self._index_lock = file_lock(self.deployments_file)
-        self._data_stores: Dict[str, "StoreBackend"] = {}
+        self._data_stores: Dict[str, "SqliteStore"] = {}
         self._data_stores_guard = threading.Lock()
 
     # -- paths ------------------------------------------------------------------
@@ -218,13 +213,17 @@ class StateStore:
         return os.path.join(self.root, "deployments.json")
 
     def dataset_path(self, deployment_name: str) -> str:
+        """The legacy JSON-lines dataset (imported on first open); its
+        ``.lock`` sidecar is the deployment's dataset lock."""
         return os.path.join(self.root, f"dataset-{deployment_name}.jsonl")
 
     def taskdb_path(self, deployment_name: str) -> str:
+        """The legacy JSON task list (imported on first open); its
+        ``.lock`` sidecar is the deployment's task lock."""
         return os.path.join(self.root, f"tasks-{deployment_name}.json")
 
     def db_path(self, deployment_name: str) -> str:
-        """The deployment's SQLite database (SQLite backend only)."""
+        """The deployment's SQLite database."""
         return os.path.join(self.root, f"store-{deployment_name}.sqlite")
 
     def plots_dir(self, deployment_name: str) -> str:
@@ -242,12 +241,12 @@ class StateStore:
 
     # -- data stores -------------------------------------------------------------
 
-    def data_store(self, deployment_name: str) -> "StoreBackend":
-        """The deployment's (cached) persistence backend.
+    def data_store(self, deployment_name: str) -> "SqliteStore":
+        """The deployment's (cached) store.
 
-        Opening migrates legacy JSON state when the resolved engine is
-        SQLite; a cached handle whose storage was deleted or swapped
-        out (archive, purge, external rm) is transparently reopened.
+        Opening imports legacy JSON state; a cached handle whose
+        database was deleted or swapped out (archive, purge, external
+        rm) is transparently reopened.
         """
         from repro.store import open_deployment_store
 
@@ -255,16 +254,15 @@ class StateStore:
             cached = self._data_stores.get(deployment_name)
             if cached is not None and cached.is_valid():
                 return cached
-        # Open OUTSIDE the guard: opening may migrate legacy state under
+        # Open OUTSIDE the guard: opening may import legacy state under
         # the deployment's advisory file locks, and a sweep thread holds
         # those locks while calling back into data_store() — holding the
         # guard across the open would be a lock-order inversion (ABBA
-        # deadlock with any concurrent reader triggering migration).
+        # deadlock with any concurrent reader triggering an import).
         store = open_deployment_store(
             self.dataset_path(deployment_name),
             self.taskdb_path(deployment_name),
             self.db_path(deployment_name),
-            backend=self.store_backend,
         )
         with self._data_stores_guard:
             raced = self._data_stores.get(deployment_name)
@@ -277,15 +275,16 @@ class StateStore:
         return store
 
     def release_data_store(self, deployment_name: str) -> None:
-        """Close and forget the cached backend (before archive/purge)."""
+        """Close and forget the cached store (before archive/purge)."""
         with self._data_stores_guard:
             store = self._data_stores.pop(deployment_name, None)
         if store is not None:
             store.close()
 
     def data_files(self, deployment_name: str) -> Tuple[str, ...]:
-        """Every *existing* data file any backend may hold for the
-        deployment (JSONL, task JSON, SQLite database + WAL sidecars)."""
+        """Every *existing* data file of the deployment: the SQLite
+        database and its WAL sidecars, and legacy files not yet
+        imported."""
         candidates = (
             self.dataset_path(deployment_name),
             self.taskdb_path(deployment_name),
@@ -294,6 +293,38 @@ class StateStore:
             self.db_path(deployment_name) + "-shm",
         )
         return tuple(p for p in candidates if os.path.exists(p))
+
+    def export_data(self, deployment_name: str,
+                    directory: str) -> Tuple[str, ...]:
+        """Write the deployment's data to ``directory`` in the legacy
+        layout (``dataset-<name>.jsonl`` and ``tasks-<name>.json``);
+        returns the paths written.
+
+        Holds the deployment's locks like a running collect, so the
+        export waits for a sweep in flight and is one consistent state.
+        Refuses the state directory itself, where the files would be
+        taken for legacy state not yet imported.
+        """
+        from repro.store import export_legacy
+
+        if os.path.realpath(directory) == os.path.realpath(self.root):
+            raise ConfigError(
+                f"cannot export {deployment_name!r} into the state "
+                f"directory {self.root!r} itself; choose another directory"
+            )
+        if not self.data_files(deployment_name):
+            raise ReproError(
+                f"no dataset for deployment {deployment_name!r}; "
+                "run collect first"
+            )
+        dataset_path = self.dataset_path(deployment_name)
+        taskdb_path = self.taskdb_path(deployment_name)
+        with file_lock(taskdb_path), file_lock(dataset_path):
+            return export_legacy(
+                self.data_store(deployment_name),
+                os.path.join(directory, os.path.basename(dataset_path)),
+                os.path.join(directory, os.path.basename(taskdb_path)),
+            )
 
     # -- deployments index ----------------------------------------------------------
 
@@ -327,10 +358,9 @@ class StateStore:
         """Drop the deployment's index entry.
 
         With ``purge_data`` the deployment's persistent state goes too —
-        dataset/task-DB/store files (whatever engine holds them), their
-        ``.migrated`` leftovers, the advisory lock sidecars, and the
-        plots directory — so a shut-down deployment leaves no orphaned
-        files behind.  The default keeps the data: "release the
+        its store database, legacy files and their ``.migrated``
+        leftovers, the advisory lock sidecars, and the plots directory —
+        so a shut-down deployment leaves no orphaned files behind.  The default keeps the data: "release the
         resources, keep the data you paid for".
         """
         with self._index_lock:

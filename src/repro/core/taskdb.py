@@ -4,13 +4,14 @@ Paper Sec. III-C: "This list is recorded and stored in a JSON file.  The
 list also contains the status of the task, which can be pending, failed, or
 completed."
 
-With a :mod:`repro.store` backend attached, every status transition is
-persisted immediately (an upsert of just the changed record on engines
-that support it), so an aborted sweep resumes from exactly what it
-completed.  A batched sweep may hold transitions in memory instead
-(:meth:`TaskDB.hold_writes`) and commit them together with their
-points.  Without a store, ``save()`` atomically rewrites the JSON file
-— the legacy shape, kept for ad-hoc files and tests.
+With a :mod:`repro.store` database attached, every status transition
+is persisted immediately (an upsert of just the changed record), so an
+aborted sweep resumes from exactly what it completed.  A batched sweep
+may hold transitions in memory instead (:meth:`TaskDB.hold_writes`) and
+commit them together with their points.  Without a store, ``save()``
+atomically rewrites the JSON file and :meth:`TaskDB.load` reads one —
+the legacy ``tasks-<name>.json`` shape, which the store's import and
+export of the legacy layout use.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.scenarios import Scenario
 from repro.errors import DatasetError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.store.base import StoreBackend
+    from repro.store.sqlite import SqliteStore
 
 
 class TaskStatus(enum.Enum):
@@ -96,7 +97,7 @@ class TaskDB:
     """The scenario/task list, optionally persisted (module docstring)."""
 
     def __init__(self, path: Optional[str] = None,
-                 store: Optional["StoreBackend"] = None) -> None:
+                 store: Optional["SqliteStore"] = None) -> None:
         self.path = path
         self._records: Dict[str, TaskRecord] = {}
         self._store = store
@@ -105,13 +106,13 @@ class TaskDB:
         self._held: Optional[Dict[str, TaskRecord]] = None
 
     @property
-    def store(self) -> Optional["StoreBackend"]:
+    def store(self) -> Optional["SqliteStore"]:
         return self._store
 
     @classmethod
     def from_records(cls, records: Iterable[TaskRecord],
                      path: Optional[str] = None,
-                     store: Optional["StoreBackend"] = None) -> "TaskDB":
+                     store: Optional["SqliteStore"] = None) -> "TaskDB":
         """A task DB over already-persisted records (store load path)."""
         db = cls(path=path, store=store)
         for record in records:
@@ -124,7 +125,7 @@ class TaskDB:
                 self._held[record.scenario.scenario_id] = record
             return
         if self._store is not None and changed:
-            self._store.sync_tasks(changed, list(self._records.values()))
+            self._store.sync_tasks(changed)
 
     def hold_writes(self, hold: bool = True) -> None:
         """Start (or stop) holding status transitions in memory instead
@@ -232,16 +233,15 @@ class TaskDB:
     def save(self, path: Optional[str] = None) -> str:
         """Persist this instance's records.
 
-        Store-backed task DBs persisted every transition as it happened;
-        ``save()`` only flushes.  Path-backed ones atomically rewrite
-        the file; readers never see a partial file, but concurrent
-        *read-modify-write* cycles are the caller's job:
+        Store-backed task DBs persisted every transition as it happened,
+        so ``save()`` has nothing left to write.  Path-backed ones
+        atomically rewrite the file; readers never see a partial file,
+        but concurrent *read-modify-write* cycles are the caller's job:
         ``AdvisorSession.collect`` holds the task DB's advisory
         ``file_lock`` from load to save so sweeps cannot lose each
         other's updates.
         """
         if self._store is not None and (path is None or path == self.path):
-            self._store.flush_tasks()
             return self.path or ""
 
         # Imported here: statefiles sits above this module in the layering

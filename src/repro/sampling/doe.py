@@ -17,9 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-from scipy.stats import qmc
-
 from repro.core.scenarios import Scenario
 from repro.errors import SamplingError
 
@@ -103,6 +100,10 @@ def lhs_subset(
     index = {
         (s.sku_name, s.nnodes, s.inputs_key()): s for s in scenarios
     }
+    # Imported here: scipy costs ~1 s to import, and only this sampler
+    # needs it, so ``import repro`` does not pay for it.
+    from scipy.stats import qmc
+
     sampler = qmc.LatinHypercube(d=3, seed=seed)
     raw = sampler.random(n=budget * 4)  # oversample; snapping may collide
     picked: List[Scenario] = []

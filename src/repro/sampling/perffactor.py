@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.errors import SamplingError
 
@@ -98,6 +97,10 @@ def fit_scaling_law(points: Sequence[Tuple[float, float]]) -> ScalingLaw:
     ts = np.array([float(t) for _, t in points])
     if np.any(ns <= 0) or np.any(ts < 0):
         raise SamplingError("node counts must be positive and times non-negative")
+    # Imported here: scipy costs ~1 s to import, and only this fit needs
+    # it, so ``import repro`` does not pay for it.
+    from scipy.optimize import nnls
+
     design = np.column_stack([1.0 / ns, np.ones_like(ns), ns])
     coeffs, _residual = nnls(design, ts)
     predicted = design @ coeffs

@@ -1,131 +1,80 @@
-"""repro.store: pluggable persistence engines for collected data.
+"""repro.store: persistence for collected data.
 
-The paper keeps collected sweep data "in a JSON file" (Sec. III-C); this
-subsystem generalizes that into a :class:`StoreBackend` contract with
-two engines:
+The paper keeps collected sweep data "in a JSON file" (Sec. III-C).
+Here one WAL-mode SQLite database per deployment
+(:class:`SqliteStore`) is the live store: O(1) appends, indexed query
+pushdown, and one transaction per batched commit.
 
-* :class:`JsonlStore` — byte-compatible with the historical
-  ``dataset-<name>.jsonl`` / ``tasks-<name>.json`` layout;
-* :class:`SqliteStore` — the default: one WAL-mode SQLite database per
-  deployment with indexed query pushdown and O(1) appends.
+The historical ``dataset-<name>.jsonl`` / ``tasks-<name>.json`` layout
+is an import and export format only:
 
-Selection (``resolve_backend``), per-deployment opening with
-auto-detection, and transparent one-shot migration of legacy JSON
-state (``open_deployment_store``) live here; see ``docs/STORAGE.md``
-for the full model.
+* **import** — opening a deployment whose state directory still holds
+  the legacy files copies them into a new database once, under the
+  deployment's advisory file locks (:func:`open_deployment_store`);
+* **export** — :func:`export_legacy` writes a store back out in that
+  layout, byte for byte what ``Dataset.save``/``TaskDB.save`` write.
+
+See ``docs/STORAGE.md`` for the full model.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Tuple
 
+from repro.core.dataset import Dataset
 from repro.core.query import Query
-from repro.errors import ConfigError
-from repro.store.base import StoreBackend
-from repro.store.jsonl import JsonlStore
+from repro.core.taskdb import TaskDB
 from repro.store.snapshot import (ColumnarSnapshot, SnapshotCache,
-                                  aggregate_snapshot, snapshot_cache,
-                                  snapshot_for_store, snapshot_status)
+                                  snapshot_cache, snapshot_for_store,
+                                  snapshot_status)
 from repro.store.sqlite import SqliteStore
 
-#: Environment knob selecting the engine for newly-opened state.
-ENV_VAR = "REPRO_STORE"
 
-#: Engines by name.
-BACKENDS = ("jsonl", "sqlite")
+def open_deployment_store(dataset_path: str, taskdb_path: str,
+                          db_path: str) -> SqliteStore:
+    """Open one deployment's store.
 
-#: Engine used when nothing else decides.
-DEFAULT_BACKEND = "sqlite"
-
-#: Process-wide override (the CLI's ``--store`` flag sets this).
-_override: Optional[str] = None
-
-
-def set_default_backend(kind: Optional[str]) -> None:
-    """Override backend resolution for this process (None resets)."""
-    global _override
-    if kind is not None:
-        kind = _validate(kind)
-    _override = kind
-
-
-def resolve_backend(explicit: Optional[str] = None) -> str:
-    """Precedence: explicit argument > CLI override > ``REPRO_STORE`` >
-    default (:data:`DEFAULT_BACKEND`)."""
-    if explicit:
-        return _validate(explicit)
-    if _override:
-        return _override
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return _validate(env)
-    return DEFAULT_BACKEND
-
-
-def _validate(kind: str) -> str:
-    kind = kind.strip().lower()
-    if kind not in BACKENDS:
-        raise ConfigError(
-            f"unknown store backend {kind!r}; expected one of {BACKENDS}"
-        )
-    return kind
-
-
-def open_deployment_store(
-    dataset_path: str,
-    taskdb_path: str,
-    db_path: str,
-    backend: Optional[str] = None,
-) -> StoreBackend:
-    """Open one deployment's store, auto-detecting existing state.
-
-    Resolution, in order:
-
-    1. an existing SQLite database always wins — the data lives there,
-       whatever the configured backend says;
-    2. otherwise the configured backend (:func:`resolve_backend`);
-    3. opening SQLite over legacy JSON state triggers a one-shot,
-       lock-guarded migration: rows are copied into the database and
-       the legacy files renamed to ``*.migrated`` so nothing reads the
-       now-frozen copies by mistake.
+    An existing database is the store.  Without one, legacy files at
+    ``dataset_path``/``taskdb_path`` are imported first
+    (:func:`_import_legacy`); with neither, a new database is created.
     """
-    if os.path.exists(db_path):
-        return SqliteStore(db_path)
-    choice = resolve_backend(backend)
-    if choice == "jsonl":
-        return JsonlStore(dataset_path, taskdb_path)
-    if os.path.exists(dataset_path) or os.path.exists(taskdb_path):
-        return _migrate_to_sqlite(dataset_path, taskdb_path, db_path)
+    if not os.path.exists(db_path) and (
+            os.path.exists(dataset_path) or os.path.exists(taskdb_path)):
+        return _import_legacy(dataset_path, taskdb_path, db_path)
     return SqliteStore(db_path)
 
 
-def _migrate_to_sqlite(dataset_path: str, taskdb_path: str,
-                       db_path: str) -> SqliteStore:
-    """Copy legacy JSON state into a fresh SQLite store (one shot).
+def _import_legacy(dataset_path: str, taskdb_path: str,
+                   db_path: str) -> SqliteStore:
+    """Copy the legacy files into a new database (one shot).
 
-    The database is built at a temporary path and renamed into place
-    only when complete: a crash mid-migration must never leave a
-    schema-only database shadowing the intact legacy corpus (``db_path``
-    existing is what makes every later open pick SQLite).
+    Both files are read before any database exists, so a corrupt line
+    fails the import with the file and line named and leaves nothing
+    behind.  The database is built at a temporary path and renamed into
+    place only when complete: a crash mid-import must never leave a
+    schema-only database shadowing the intact legacy corpus
+    (``db_path`` existing is what makes every later open skip the
+    import).
     """
     from repro.core.statefiles import file_lock
 
-    # Same locks, same order, as a running collect: a migration must not
+    # Same locks, same order, as a running collect: an import must not
     # interleave with a sweep's appends.
     with file_lock(taskdb_path), file_lock(dataset_path):
-        if os.path.exists(db_path):  # lost the race: already migrated
+        if os.path.exists(db_path):  # lost the race: already imported
             return SqliteStore(db_path)
+        has_dataset = os.path.exists(dataset_path)
+        points = Dataset.load(dataset_path).points() if has_dataset else []
+        tasks = (TaskDB.load(taskdb_path).all()
+                 if os.path.exists(taskdb_path) else [])
         tmp_path = db_path + ".migrating"
         if os.path.exists(tmp_path):  # debris of a crashed attempt
             os.unlink(tmp_path)
-        legacy = JsonlStore(dataset_path, taskdb_path)
         building = SqliteStore(tmp_path)
         try:
-            building.append_points(legacy.query_points())
-            tasks = legacy.load_tasks()
-            building.sync_tasks(tasks, tasks)
-            if legacy.exists():
+            building.commit(points, tasks)
+            if has_dataset:
                 # The legacy dataset file existed, so the corpus
                 # "exists" even if it held zero points.
                 building.flush_points()
@@ -141,20 +90,29 @@ def _migrate_to_sqlite(dataset_path: str, taskdb_path: str,
     return SqliteStore(db_path)
 
 
+def export_legacy(store: SqliteStore, dataset_path: str,
+                  taskdb_path: str) -> Tuple[str, ...]:
+    """Write ``store`` in the legacy layout; returns the paths written.
+
+    The task file is always written.  The dataset file is written when
+    the corpus exists (:meth:`SqliteStore.exists`), as the legacy
+    layout had no dataset file before a sweep saved one, so importing
+    the export gives back the same store.
+    """
+    written = []
+    if store.exists():
+        written.append(Dataset(store.query_points()).save(dataset_path))
+    written.append(TaskDB.from_records(store.load_tasks()).save(taskdb_path))
+    return tuple(written)
+
+
 __all__ = [
-    "BACKENDS",
     "ColumnarSnapshot",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "JsonlStore",
     "Query",
     "SnapshotCache",
     "SqliteStore",
-    "StoreBackend",
-    "aggregate_snapshot",
+    "export_legacy",
     "open_deployment_store",
-    "resolve_backend",
-    "set_default_backend",
     "snapshot_cache",
     "snapshot_for_store",
     "snapshot_status",

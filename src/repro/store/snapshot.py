@@ -9,13 +9,13 @@ dictionary-encoded tables (strings and mappings), and an in-process
 :class:`SnapshotCache` shares the build across requests in a worker.
 
 Freshness is keyed on the *same* change token the service's ETag
-response cache uses — :meth:`StoreBackend.dataset_signature` — so a
+response cache uses — :meth:`SqliteStore.dataset_signature` — so a
 snapshot can never serve data an ETag would have revalidated: whenever
 the ETag key changes, the snapshot misses, and vice versa.  A miss after
-appends extends the cached snapshot with just the new rows when the
-store can fetch them by cursor (SQLite); anything else rebuilds it.
+appends extends the cached snapshot with just the new rows fetched by
+cursor; a rotated epoch or a new database rebuilds it.
 
-Row order is store order (``ORDER BY id`` / file order), identical to
+Row order is store order (``ORDER BY id``), identical to
 ``query_points()``, so positional indices agree with the object path.
 """
 
@@ -27,7 +27,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +35,12 @@ from repro.core.dataset import DataPoint
 from repro.core.query import Query
 from repro.telemetry import global_registry
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.store.sqlite import SqliteStore
+
 __all__ = [
     "ColumnarSnapshot",
     "SnapshotCache",
-    "aggregate_snapshot",
     "snapshot_cache",
     "snapshot_for_store",
     "snapshot_status",
@@ -49,20 +51,20 @@ __all__ = [
 
 _BUILDS = global_registry().counter(
     "advisor_snapshot_builds",
-    "Columnar snapshot materializations, by store backend kind and mode"
+    "Columnar snapshot materializations, by store kind and mode"
     " (full rebuild or delta extension).",
 )
 _HITS = global_registry().counter(
     "advisor_snapshot_hits",
-    "Columnar snapshot cache hits, by store backend kind.",
+    "Columnar snapshot cache hits, by store kind.",
 )
 _ROWS = global_registry().gauge(
     "advisor_snapshot_rows",
-    "Rows in the most recently built columnar snapshot, by backend kind.",
+    "Rows in the most recently built columnar snapshot, by store kind.",
 )
 _BUILD_SECONDS = global_registry().histogram(
     "advisor_snapshot_build_seconds",
-    "Columnar snapshot build latency, by store backend kind and mode.",
+    "Columnar snapshot build latency, by store kind and mode.",
 )
 
 
@@ -228,8 +230,7 @@ class ColumnarSnapshot:
     # -- construction ------------------------------------------------------------
 
     @classmethod
-    def from_points(cls, points: Sequence[DataPoint],
-                    signature: Optional[Tuple] = None) -> "ColumnarSnapshot":
+    def from_points(cls, points: Sequence[DataPoint]) -> "ColumnarSnapshot":
         encoders = {key: _Encoder() for key, _, _ in _CODED}
         (appname_e, sku_e, cap_e, dep_e,
          inputs_e, vars_e, infra_e, tags_e) = encoders.values()
@@ -262,7 +263,7 @@ class ColumnarSnapshot:
                              dict(p.infra_metrics)))
             cols["tag"].append(
                 tags_e.code(tuple(p.tags.items()), dict(p.tags)))
-        return cls._assemble(cols, encoders, signature)
+        return cls._assemble(cols, encoders, None)
 
     @classmethod
     def from_column_rows(cls, rows: Sequence[tuple],
@@ -270,9 +271,9 @@ class ColumnarSnapshot:
                          base: Optional["ColumnarSnapshot"] = None,
                          cursor: Optional[Tuple] = None,
                          ) -> "ColumnarSnapshot":
-        """Build from raw store rows (``StoreBackend.fetch_point_columns``).
+        """Build from raw store rows (``SqliteStore.fetch_point_columns``).
 
-        Row layout is :data:`repro.store.base.POINT_COLUMN_FIELDS`;
+        Row layout is :data:`repro.store.sqlite.POINT_COLUMN_FIELDS`;
         mapping fields arrive as JSON object text and are parsed once
         per unique text (payloads are written with compact separators,
         so identical mappings share identical text).  The build is
@@ -435,36 +436,6 @@ class ColumnarSnapshot:
         return [self.point(i) for i in range(self.n)]
 
 
-# -- aggregates -------------------------------------------------------------------
-
-def aggregate_snapshot(snap: ColumnarSnapshot) -> Dict[str, Any]:
-    """count/min/max/group-by sku×nnodes, computed from columns.
-
-    Same shape as :meth:`StoreBackend.aggregate_points`, so callers can
-    fall back to a snapshot when the backend has no SQL pushdown.
-    """
-    if snap.n == 0:
-        return {"count": 0, "exec_time_s": {"min": None, "max": None},
-                "cost_usd": {"min": None, "max": None}, "groups": []}
-    pair_codes = snap.sku_codes.astype(np.int64) * (snap.nnodes.max() + 1) \
-        + snap.nnodes
-    uniq, counts = np.unique(pair_codes, return_counts=True)
-    span = int(snap.nnodes.max() + 1)
-    groups = sorted(
-        ({"sku": snap.skus[int(u) // span], "nnodes": int(u) % span,
-          "count": int(c)} for u, c in zip(uniq, counts)),
-        key=lambda g: (g["sku"], g["nnodes"]),
-    )
-    return {
-        "count": snap.n,
-        "exec_time_s": {"min": float(snap.exec_time_s.min()),
-                        "max": float(snap.exec_time_s.max())},
-        "cost_usd": {"min": float(snap.cost_usd.min()),
-                     "max": float(snap.cost_usd.max())},
-        "groups": groups,
-    }
-
-
 # -- the per-process snapshot cache ----------------------------------------------
 
 class SnapshotCache:
@@ -511,63 +482,55 @@ def snapshot_cache() -> SnapshotCache:
     return _CACHE
 
 
-def _cache_key(backend) -> Tuple[str, str]:
-    return (backend.kind, backend.dataset_display_path)
+def _cache_key(store) -> Tuple[str, str]:
+    return (store.kind, store.db_path)
 
 
-def snapshot_for_store(backend,
+def snapshot_for_store(store: "SqliteStore",
                        cache: Optional[SnapshotCache] = None,
                        ) -> ColumnarSnapshot:
-    """The backend's current corpus as a snapshot, via the LRU.
+    """The store's current corpus as a snapshot, via the LRU.
 
     A fresh entry (same ``dataset_signature``) is returned as-is.  A
     stale one is extended with the rows appended since it was built
-    when the backend's column fetch can resume from its cursor (mode
-    ``delta``); otherwise the snapshot is rebuilt from every row,
-    through the column fetch when the backend has one, else through
-    ``query_points`` (mode ``full``).  A published snapshot is never
-    mutated, so readers holding an older one keep a consistent view.
+    while its cursor is still valid (mode ``delta``); otherwise the
+    snapshot is rebuilt from every row (mode ``full``).  A published
+    snapshot is never mutated, so readers holding an older one keep a
+    consistent view.
     """
     cache = cache if cache is not None else _CACHE
-    signature = backend.dataset_signature()
-    key = _cache_key(backend)
-    snap = cache.get(key, signature)
+    key = _cache_key(store)
+    snap = cache.get(key, store.dataset_signature())
     if snap is not None:
-        _HITS.labels(kind=backend.kind).inc()
+        _HITS.labels(kind=store.kind).inc()
         return snap
     start = time.perf_counter()
     entry = cache.peek(key)
     base = entry[1] if entry is not None else None
-    rows = backend.fetch_point_columns(
+    rows = store.fetch_point_columns(
         base.cursor if base is not None else None)
-    if rows is not None:
-        # The rows carry the signature of their own read transaction,
-        # which may be newer than the one looked up above.
-        base = base if rows.delta else None
-        snap = ColumnarSnapshot.from_column_rows(
-            rows, rows.signature, base=base, cursor=rows.cursor)
-    else:
-        base = None
-        snap = ColumnarSnapshot.from_points(backend.query_points(),
-                                            signature=signature)
+    # The rows carry the signature of their own read transaction,
+    # which may be newer than the one looked up above.
+    base = base if rows.delta else None
+    snap = ColumnarSnapshot.from_column_rows(
+        rows, rows.signature, base=base, cursor=rows.cursor)
     mode = "full" if base is None else "delta"
-    _BUILD_SECONDS.labels(kind=backend.kind, mode=mode).observe(
+    _BUILD_SECONDS.labels(kind=store.kind, mode=mode).observe(
         time.perf_counter() - start)
-    _BUILDS.labels(kind=backend.kind, mode=mode).inc()
-    _ROWS.labels(kind=backend.kind).set(float(snap.n))
+    _BUILDS.labels(kind=store.kind, mode=mode).inc()
+    _ROWS.labels(kind=store.kind).set(float(snap.n))
     cache.put(key, snap.signature, snap)
     return snap
 
 
-def snapshot_status(backend,
+def snapshot_status(store: "SqliteStore",
                     cache: Optional[SnapshotCache] = None) -> Dict[str, Any]:
-    """Cache/freshness report for one backend (for ``repro engines``)."""
+    """Cache/freshness report for one store (for ``repro engines``)."""
     cache = cache if cache is not None else _CACHE
-    signature = backend.dataset_signature()
-    entry = cache.peek(_cache_key(backend))
+    signature = store.dataset_signature()
+    entry = cache.peek(_cache_key(store))
     return {
-        "backend": backend.kind,
-        "column_fetch": backend.supports_column_fetch,
+        "backend": store.kind,
         "cached": entry is not None,
         "fresh": entry is not None and entry[0] == signature,
         "rows": (entry[1].n if entry is not None else None),

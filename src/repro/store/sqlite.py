@@ -1,4 +1,4 @@
-"""SQLite store backend: the default engine for large corpora.
+"""SQLite store: the one live persistence engine for collected data.
 
 One WAL-mode database per deployment holds both the data points and the
 task records.  Design points:
@@ -7,9 +7,8 @@ task records.  Design points:
   (points) or one upsert (tasks); nothing ever rewrites the corpus, so
   a 50k-point deployment pays the same per-append cost as an empty one
   and a killed sweep keeps every committed row.  A batched
-  :meth:`~repro.store.base.StoreBackend.commit` puts the points insert
-  and the task upsert, each with its generation bump, in one
-  transaction.
+  :meth:`SqliteStore.commit` puts the points insert and the task
+  upsert, each with its generation bump, in one transaction.
 * **Query pushdown** — the scalar clauses of a
   :class:`~repro.core.query.Query` (app, SKU, node counts, capacity,
   predicted, ppn) become an indexed SQL ``WHERE``; ``limit``/``offset``
@@ -21,7 +20,7 @@ task records.  Design points:
   ``DataPoint`` fields never need a schema migration.
 * **Concurrency** — WAL mode plus a generous busy timeout lets service
   workers read while a sweep writes; writers additionally serialize on
-  the state directory's advisory file locks, same as the JSONL layout.
+  the state directory's advisory file locks.
 
 Freshness tokens are ``(inode, points_epoch, generation)``.  The
 per-table generation counter is bumped in the transaction of every
@@ -29,6 +28,9 @@ write, whichever connection makes it; ``points_epoch`` is a random token
 written when the database is created and rotated by ``replace_points``,
 so a database deleted and recreated at the same path (where the inode
 and the counter can both repeat) never matches an older token.
+
+The legacy ``dataset-<name>.jsonl`` / ``tasks-<name>.json`` layout is
+an import and export format only (:mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import os
 import re
 import sqlite3
 import threading
+import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,7 +49,46 @@ from repro.core.dataset import DataPoint, point_row
 from repro.core.query import Query
 from repro.core.taskdb import TaskRecord
 from repro.errors import DatasetError
-from repro.store.base import POINT_COLUMN_FIELDS, ColumnRows, StoreBackend
+from repro.telemetry import Series, global_registry
+
+#: Operation names timed into ``advisor_store_op_seconds`` (histogram,
+#: labels ``kind``/``op``).
+STORE_OPS = ("append", "query", "count", "sync_tasks", "load_tasks",
+             "flush")
+
+#: Column order of the rows :meth:`SqliteStore.fetch_point_columns`
+#: returns (mapping fields as JSON object text).
+POINT_COLUMN_FIELDS = (
+    "appname", "sku", "nnodes", "ppn", "capacity", "predicted",
+    "exec_time_s", "cost_usd", "timestamp", "preemptions",
+    "wasted_node_s", "makespan_s", "appinputs", "app_vars",
+    "infra_metrics", "tags", "deployment",
+)
+
+
+class ColumnRows(list):
+    """Rows from :meth:`SqliteStore.fetch_point_columns`, with the
+    store state they were read at.
+
+    ``signature`` is the :meth:`SqliteStore.dataset_signature` and
+    ``cursor`` the position after the last row, both read in the same
+    transaction as the rows.  ``delta`` is True when the rows are only
+    those after the cursor the caller passed, False when they are the
+    whole corpus.
+    """
+
+    def __init__(self, rows: Iterable[tuple], signature: Tuple,
+                 cursor: Tuple, delta: bool) -> None:
+        super().__init__(rows)
+        self.signature = signature
+        self.cursor = cursor
+        self.delta = delta
+
+
+_OP_SECONDS = global_registry().histogram(
+    "advisor_store_op_seconds",
+    "Store operation latency, by store kind and operation.",
+)
 
 #: Mapping-filter keys safe to inline into a JSON path expression
 #: (SQLite's ``$.name`` form requires a plain identifier).
@@ -92,13 +134,22 @@ CREATE TABLE IF NOT EXISTS meta (
 """
 
 
-class SqliteStore(StoreBackend):
-    """WAL-mode SQLite persistence for one deployment (module docstring)."""
+class SqliteStore:
+    """WAL-mode SQLite persistence for one deployment's data points and
+    task records (module docstring)."""
 
+    #: Store identifier: the ``kind`` label of the store metrics and
+    #: ``CollectResult``/``DataPointsResult.store_backend``.
     kind = "sqlite"
 
     def __init__(self, db_path: str, timeout_s: float = 30.0) -> None:
         self.db_path = db_path
+        #: One pre-bound latency series per :data:`STORE_OPS` entry, so
+        #: timing a call costs a dict lookup and two clock reads.
+        self._op_timers: Dict[str, Series] = {
+            op: _OP_SECONDS.labels(kind=self.kind, op=op)
+            for op in STORE_OPS
+        }
         directory = os.path.dirname(os.path.abspath(db_path))
         os.makedirs(directory, exist_ok=True)
         self._lock = threading.RLock()
@@ -121,7 +172,6 @@ class SqliteStore(StoreBackend):
         self._closed = False
         #: True inside :meth:`transaction`: writes leave the COMMIT to it.
         self._in_transaction = False
-        self._bind_op_timers()
 
     def _stat_ino(self) -> Optional[int]:
         try:
@@ -129,9 +179,18 @@ class SqliteStore(StoreBackend):
         except OSError:
             return None
 
+    @contextmanager
+    def _timed(self, op: str) -> Iterator[None]:
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._op_timers[op].observe(time.perf_counter() - started)
+
     # -- data points -----------------------------------------------------------
 
     def append_point(self, point: DataPoint) -> None:
+        """Persist one new point (incremental; no rewrite)."""
         self.append_points((point,))
 
     def append_points(self, points: Iterable[DataPoint]) -> None:
@@ -174,6 +233,17 @@ class SqliteStore(StoreBackend):
         if not self._in_transaction:
             self._conn.commit()
 
+    def commit(self, points: Sequence[DataPoint],
+               changed: Sequence[TaskRecord]) -> None:
+        """Persist ``points`` and the task updates that describe them in
+        one transaction, so a completed task never persists without its
+        point."""
+        with self.transaction():
+            if points:
+                self.append_points(points)
+            if changed:
+                self.sync_tasks(changed)
+
     def _bump(self, counter: str) -> None:
         """Advance a per-table generation counter (same transaction as
         the write it describes), so dataset and task caches invalidate
@@ -186,6 +256,7 @@ class SqliteStore(StoreBackend):
         )
 
     def replace_points(self, points: Sequence[DataPoint]) -> None:
+        """Atomically replace the whole corpus (repair path)."""
         rows = [
             (p.appname, p.sku, p.sku.lower(), p.nnodes, p.ppn, p.capacity,
              int(p.predicted), point_row(p, compact=True))
@@ -216,6 +287,7 @@ class SqliteStore(StoreBackend):
             self._conn.commit()
 
     def query_points(self, query: Optional[Query] = None) -> List[DataPoint]:
+        """Matching points in append order, windowed by the query."""
         query = query or Query()
         where, params, pushed_window = self._translate(query)
         sql = "SELECT id, payload FROM datapoints" + where + " ORDER BY id"
@@ -237,6 +309,7 @@ class SqliteStore(StoreBackend):
         return query._window(kept)
 
     def count_points(self, query: Optional[Query] = None) -> int:
+        """How many points match (the query's window is ignored)."""
         query = (query or Query()).without_window()
         where, params, fully_pushed = self._translate(query)
         if fully_pushed:
@@ -247,9 +320,7 @@ class SqliteStore(StoreBackend):
 
     # -- columnar reads --------------------------------------------------------
 
-    supports_column_fetch = True
-
-    #: SELECT list matching ``repro.store.base.POINT_COLUMN_FIELDS``:
+    #: SELECT list matching :data:`POINT_COLUMN_FIELDS`:
     #: indexed columns where they exist, ``json_extract`` otherwise.
     #: Numeric extraction is bit-exact (SQLite parses JSON reals into
     #: the same float64 Python's parser produces); mapping fields come
@@ -273,6 +344,14 @@ class SqliteStore(StoreBackend):
 
     def fetch_point_columns(
             self, cursor: Optional[Tuple] = None) -> ColumnRows:
+        """Raw point rows in :data:`POINT_COLUMN_FIELDS` order, in
+        append order.
+
+        With the ``cursor`` of an earlier fetch, only the rows appended
+        since are returned while that cursor is still valid
+        (``ColumnRows.delta``); otherwise, and without a cursor, every
+        row.
+        """
         with self._timed("query"), self._lock:
             # One read transaction: the signature, the cursor and the
             # rows describe the same commit, so an append committed
@@ -331,35 +410,6 @@ class SqliteStore(StoreBackend):
             f"corrupt data point in {self.db_path!r}, datapoints id "
             f"{rowid}: {problem}")
 
-    def aggregate_points(
-            self, query: Optional[Query] = None) -> Optional[Dict]:
-        query = (query or Query()).without_window()
-        where, params, fully_pushed = self._translate(query)
-        if not fully_pushed:
-            return None
-        with self._timed("count"), self._lock:
-            count, lo_t, hi_t, lo_c, hi_c = self._conn.execute(
-                "SELECT COUNT(*),"
-                " MIN(json_extract(payload, '$.exec_time_s')),"
-                " MAX(json_extract(payload, '$.exec_time_s')),"
-                " MIN(json_extract(payload, '$.cost_usd')),"
-                " MAX(json_extract(payload, '$.cost_usd'))"
-                " FROM datapoints" + where, params
-            ).fetchone()
-            groups = self._conn.execute(
-                "SELECT sku, nnodes, COUNT(*) FROM datapoints" + where +
-                " GROUP BY sku, nnodes ORDER BY sku, nnodes", params
-            ).fetchall()
-        return {
-            "count": int(count),
-            "exec_time_s": {"min": None if lo_t is None else float(lo_t),
-                            "max": None if hi_t is None else float(hi_t)},
-            "cost_usd": {"min": None if lo_c is None else float(lo_c),
-                         "max": None if hi_c is None else float(hi_c)},
-            "groups": [{"sku": str(sku), "nnodes": int(n),
-                        "count": int(c)} for sku, n, c in groups],
-        }
-
     def _translate(self, query: Query) -> Tuple[str, list, bool]:
         """(WHERE clause, parameters, fully-pushed?) for a query.
 
@@ -414,8 +464,8 @@ class SqliteStore(StoreBackend):
 
     # -- task records ----------------------------------------------------------
 
-    def sync_tasks(self, changed: Sequence[TaskRecord],
-                   full: Sequence[TaskRecord]) -> None:
+    def sync_tasks(self, changed: Sequence[TaskRecord]) -> None:
+        """Upsert the changed task records."""
         rows = [
             (r.scenario.scenario_id, r.status.value,
              _dumps(r.to_dict()))
@@ -438,6 +488,7 @@ class SqliteStore(StoreBackend):
             self._autocommit()
 
     def load_tasks(self) -> List[TaskRecord]:
+        """All task records in insertion order."""
         with self._timed("load_tasks"), self._lock:
             rows = self._conn.execute(
                 "SELECT payload FROM tasks ORDER BY rowid"
@@ -453,6 +504,11 @@ class SqliteStore(StoreBackend):
     # -- lifecycle -------------------------------------------------------------
 
     def flush_points(self) -> None:
+        """Durability point for the dataset (end of a sweep).
+
+        Also marks the corpus as *existing* even when empty, which
+        listings and ``must_exist`` rely on.
+        """
         with self._timed("flush"), self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta (key, value)"
@@ -461,6 +517,7 @@ class SqliteStore(StoreBackend):
             self._conn.commit()
 
     def exists(self) -> bool:
+        """Has a sweep ever persisted a dataset here?"""
         if not os.path.exists(self.db_path):
             return False
         with self._lock:
@@ -490,27 +547,25 @@ class SqliteStore(StoreBackend):
         return (ino, epoch, int(gen) if gen is not None else 0)
 
     def dataset_signature(self) -> Tuple:
+        """Freshness token for dataset caches: changes whenever any
+        connection may have altered the stored points."""
         return self._signature("points_gen")
 
     def tasks_signature(self) -> Tuple:
+        """Freshness token for task-record caches."""
         return self._signature("tasks_gen")
 
     def is_valid(self) -> bool:
+        """False when the database was closed, or deleted or swapped out
+        from under this handle (the caller should reopen)."""
         return not self._closed and self._stat_ino() == self._ino
 
     def close(self) -> None:
+        """Close the connection (idempotent)."""
         if not self._closed:
             self._closed = True
             with self._lock:
                 self._conn.close()
-
-    @property
-    def dataset_display_path(self) -> str:
-        return self.db_path
-
-    @property
-    def data_paths(self) -> Tuple[str, ...]:
-        return (self.db_path, self.db_path + "-wal", self.db_path + "-shm")
 
     def __getstate__(self):  # pragma: no cover - guard rail
         raise DatasetError("SqliteStore handles cannot be pickled")

@@ -406,24 +406,15 @@ class TestDataCommand:
 
 
 class TestStoreSelection:
-    def test_store_flag_forces_jsonl_layout(self, tmp_path, capsys):
-        import os
-
-        config_path = tmp_path / "config.yaml"
-        config_path.write_text(CONFIG)
-        state = str(tmp_path / "state")
-        assert main(["--store", "jsonl", "--state-dir", state, "deploy",
-                     "create", "-c", str(config_path)]) == 0
-        assert main(["--store", "jsonl", "--state-dir", state, "collect",
-                     "-n", "extrg-000"]) == 0
-        assert os.path.exists(
-            os.path.join(state, "dataset-extrg-000.jsonl"))
-        assert not os.path.exists(
-            os.path.join(state, "store-extrg-000.sqlite"))
-        # The override is per-invocation: it must not leak.
-        from repro.store import resolve_backend
-
-        assert resolve_backend() == os.environ.get("REPRO_STORE", "sqlite")
+    def test_store_flag_is_rejected(self, tmp_path, capsys):
+        """SQLite is the only store: the engine flag is gone."""
+        for argv in (["--store", "jsonl", "deploy", "list"],
+                     ["deploy", "list", "--store", "sqlite"]):
+            with pytest.raises(SystemExit) as caught:
+                main(["--state-dir", str(tmp_path)] + argv)
+            assert caught.value.code == 2
+        assert "unrecognized arguments: --store sqlite" \
+            in capsys.readouterr().err
 
     def test_shutdown_purge_flag(self, collected, capsys):
         import os
@@ -441,3 +432,51 @@ class TestStoreSelection:
                      "--limit", "1"]) == 0
         out = capsys.readouterr().out
         assert "extrg-000" in out
+
+
+class TestExport:
+    def test_export_writes_the_legacy_layout(self, collected, tmp_path,
+                                             capsys):
+        import os
+
+        from repro.api import AdvisorSession
+        from repro.core.taskdb import TaskDB
+
+        out = str(tmp_path / "export")
+        capsys.readouterr()
+        assert main(["--state-dir", collected, "export", "-n", "extrg-000",
+                     "-o", out]) == 0
+        dataset_path = os.path.join(out, "dataset-extrg-000.jsonl")
+        taskdb_path = os.path.join(out, "tasks-extrg-000.json")
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {dataset_path}", f"wrote {taskdb_path}"]
+        session = AdvisorSession(state_dir=collected)
+        assert Dataset.load(dataset_path).points() \
+            == session.dataset("extrg-000").points()
+        assert TaskDB.load(taskdb_path).all() \
+            == session.taskdb("extrg-000").all()
+
+    def test_export_into_the_state_dir_is_refused(self, collected, capsys):
+        import os
+
+        from repro.core.statefiles import StateStore
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="state directory"):
+            StateStore(root=collected).export_data(
+                "extrg-000", os.path.join(collected, "."))
+        assert main(["--state-dir", collected, "export", "-n", "extrg-000",
+                     "-o", collected]) == 2
+        assert "state directory" in capsys.readouterr().err
+        for legacy in ("dataset-extrg-000.jsonl", "tasks-extrg-000.json"):
+            assert not os.path.exists(os.path.join(collected, legacy))
+
+    def test_export_without_data_is_an_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(CONFIG)
+        state = str(tmp_path / "state")
+        assert main(["--state-dir", state, "deploy", "create", "-c",
+                     str(config_path)]) == 0
+        assert main(["--state-dir", state, "export", "-n", "extrg-000",
+                     "-o", str(tmp_path / "out")]) == 2
+        assert "run collect first" in capsys.readouterr().err

@@ -4,10 +4,10 @@ The columnar engine carries a hard contract: for any corpus and any
 request, ``engine="columnar"`` returns *byte-identical* results to the
 legacy per-DataPoint oracle (``engine="objects"``) — including error
 messages.  Hypothesis drives random corpora and request shapes through
-both engines over both store backends; separate tests pin snapshot
-invalidation (append -> stale snapshot extended on SQLite, rebuilt
-otherwise, always equal to a from-scratch build) and the agreement
-between the service ETag and the snapshot generation.
+both engines; separate tests pin snapshot invalidation (append -> stale
+snapshot extended, replace -> rebuilt, always equal to a from-scratch
+build) and the agreement between the service ETag and the snapshot
+generation.
 """
 
 from __future__ import annotations
@@ -40,13 +40,15 @@ from repro.core.query import Query
 from repro.core.statefiles import StateStore
 from repro.errors import AdvisorError, ReproError
 from repro.predict.predictor import PerformancePredictor
-from repro.store import JsonlStore, SqliteStore
+from repro.store import SqliteStore, open_deployment_store
 from repro.store.snapshot import (ColumnarSnapshot, SnapshotCache,
                                   snapshot_for_store, snapshot_status)
 from repro.telemetry import global_registry
 from tests.conftest import make_config
 
 SKUS = ("Standard_HB120rs_v3", "Standard_HC44rs")
+#: How a store's first rows arrive: appended (``sqlite``), or imported
+#: from the legacy JSONL layout on first open (``jsonl``).
 STORE_BACKENDS = ("sqlite", "jsonl")
 
 # -- corpus / request strategies -------------------------------------------------
@@ -146,20 +148,16 @@ class TestAdviceEquivalence:
               suppress_health_check=[HealthCheck.too_slow])
     @given(points=corpora, params=advise_params)
     def test_objects_and_columnar_agree(self, points, params):
-        """Both engines, both store backends, spot and on-demand:
-        identical rows or identical errors."""
+        """Both engines, spot and on-demand: identical rows or identical
+        errors."""
         with tempfile.TemporaryDirectory() as root:
-            for backend in STORE_BACKENDS:
-                store = StateStore(root=os.path.join(root, backend),
-                                   store_backend=backend)
-                session = AdvisorSession(store=store)
-                info = session.deploy(make_config(skus=list(SKUS)))
-                session.data_store(info.name).append_points(points)
-                objects = advise_outcome(session, info.name, "objects",
-                                         params)
-                columnar = advise_outcome(session, info.name, "columnar",
-                                          params)
-                assert objects == columnar, (backend, params)
+            session = AdvisorSession(store=StateStore(root=root))
+            info = session.deploy(make_config(skus=list(SKUS)))
+            session.data_store(info.name).append_points(points)
+            objects = advise_outcome(session, info.name, "objects", params)
+            columnar = advise_outcome(session, info.name, "columnar",
+                                      params)
+            assert objects == columnar, params
 
 
 class TestSpotRiskDedup:
@@ -267,18 +265,22 @@ class TestPredictEquivalence:
 
 
 class TestSnapshotInvalidation:
-    def _store(self, root, backend):
-        store = StateStore(root=root, store_backend=backend)
-        session = AdvisorSession(store=store)
+    def _store(self, root, backend, points):
+        """A deployment's store holding ``points`` (STORE_BACKENDS)."""
+        session = AdvisorSession(store=StateStore(root=root))
         info = session.deploy(make_config(skus=list(SKUS)))
-        return session, session.data_store(info.name), info.name
+        if backend == "jsonl":
+            Dataset(points).save(session.store.dataset_path(info.name))
+        data = session.data_store(info.name)
+        if backend == "sqlite":
+            data.append_points(points)
+        return session, data, info.name
 
     @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_append_rebuilds_stale_snapshot(self, tmp_path, backend):
-        _, data, _ = self._store(str(tmp_path), backend)
-        data.append_points([DataPoint(appname="lammps", sku=SKUS[0],
-                                      nnodes=2, ppn=4, exec_time_s=10.0,
-                                      cost_usd=1.0)])
+        _, data, _ = self._store(str(tmp_path), backend, [DataPoint(
+            appname="lammps", sku=SKUS[0], nnodes=2, ppn=4,
+            exec_time_s=10.0, cost_usd=1.0)])
         cache = SnapshotCache()
         first = snapshot_for_store(data, cache=cache)
         assert first.n == 1
@@ -300,10 +302,9 @@ class TestSnapshotInvalidation:
         """The snapshot carries the exact ``dataset_signature`` the
         service response cache keys ETags on, so a fresh snapshot and a
         fresh ETag can never disagree about the corpus generation."""
-        _, data, _ = self._store(str(tmp_path), backend)
-        data.append_points([DataPoint(appname="lammps", sku=SKUS[0],
-                                      nnodes=2, ppn=4, exec_time_s=10.0,
-                                      cost_usd=1.0)])
+        _, data, _ = self._store(str(tmp_path), backend, [DataPoint(
+            appname="lammps", sku=SKUS[0], nnodes=2, ppn=4,
+            exec_time_s=10.0, cost_usd=1.0)])
         cache = SnapshotCache()
         snap = snapshot_for_store(data, cache=cache)
         assert snap.signature == data.dataset_signature()
@@ -317,26 +318,22 @@ class TestSnapshotInvalidation:
     # -- extension after appends ----------------------------------------------
 
     @staticmethod
-    def _open(root, backend):
+    def _open(root, backend, points):
+        """A store holding ``points`` (STORE_BACKENDS)."""
+        db_path = os.path.join(root, "store.sqlite")
         if backend == "sqlite":
-            return SqliteStore(os.path.join(root, "store.sqlite"))
-        return JsonlStore(os.path.join(root, "dataset.jsonl"),
-                          os.path.join(root, "tasks.json"))
-
-    @staticmethod
-    def _reopen(store):
-        """A second handle on the same files, as another process has."""
-        if store.kind == "sqlite":
-            return SqliteStore(store.db_path)
-        return JsonlStore(store.dataset_path, store.taskdb_path)
+            store = SqliteStore(db_path)
+            store.append_points(points)
+            return store
+        dataset_path = os.path.join(root, "dataset.jsonl")
+        Dataset(points).save(dataset_path)
+        return open_deployment_store(
+            dataset_path, os.path.join(root, "tasks.json"), db_path)
 
     @staticmethod
     def _full_build(store):
         """A from-scratch snapshot of the store's corpus as it is now."""
         rows = store.fetch_point_columns()
-        if rows is None:
-            return ColumnarSnapshot.from_points(
-                store.query_points(), signature=store.dataset_signature())
         return ColumnarSnapshot.from_column_rows(rows, rows.signature,
                                                  cursor=rows.cursor)
 
@@ -358,9 +355,9 @@ class TestSnapshotInvalidation:
         return out
 
     @staticmethod
-    def _builds(kind, mode):
+    def _builds(mode):
         return global_registry().counter("advisor_snapshot_builds").labels(
-            kind=kind, mode=mode).value
+            kind="sqlite", mode=mode).value
 
     @pytest.mark.parametrize("backend", STORE_BACKENDS)
     @settings(max_examples=20, deadline=None,
@@ -375,18 +372,20 @@ class TestSnapshotInvalidation:
                         tags={"run": "new"})], True),
                     ([], True)])
     def test_every_snapshot_equals_a_full_build(self, backend, steps):
-        """Append batches with lookups in between: every snapshot
-        returned equals a from-scratch build of the corpus at that
-        moment, and none changes after it is returned.  SQLite extends
-        the cached snapshot after its first build (and any earlier
-        snapshot still extends to the current corpus); JSONL rebuilds."""
+        """Append batches with lookups in between (the first batch
+        imported on ``jsonl``): every snapshot returned equals a
+        from-scratch build of the corpus at that moment, and none
+        changes after it is returned.  The cached snapshot is extended
+        after its first build, and any earlier snapshot still extends
+        to the current corpus."""
         with tempfile.TemporaryDirectory() as root:
-            store = self._open(root, backend)
+            store = self._open(root, backend, steps[0][0])
             cache = SnapshotCache()
-            fulls = self._builds(backend, "full")
+            fulls = self._builds("full")
             returned = []
-            for batch, lookup in steps + [([], True)]:
-                store.append_points(batch)
+            for i, (batch, lookup) in enumerate(steps + [([], True)]):
+                if i:
+                    store.append_points(batch)
                 if lookup:
                     snap = snapshot_for_store(store, cache=cache)
                     assert (self._fields(snap)
@@ -395,15 +394,13 @@ class TestSnapshotInvalidation:
             now = self._fields(self._full_build(store))
             for snap, frozen in returned:
                 assert self._fields(snap) == frozen
-                if backend == "sqlite":
-                    rows = store.fetch_point_columns(snap.cursor)
-                    assert rows.delta
-                    assert self._fields(ColumnarSnapshot.from_column_rows(
-                        rows, rows.signature, base=snap,
-                        cursor=rows.cursor)) == now
+                rows = store.fetch_point_columns(snap.cursor)
+                assert rows.delta
+                assert self._fields(ColumnarSnapshot.from_column_rows(
+                    rows, rows.signature, base=snap,
+                    cursor=rows.cursor)) == now
             store.close()
-            if backend == "sqlite":
-                assert self._builds(backend, "full") - fulls == 1
+            assert self._builds("full") - fulls == 1
 
     def test_concurrent_lookups_during_appends(self, tmp_path):
         """Reader threads (more than cores, each with its own handle)
@@ -497,9 +494,8 @@ class TestSnapshotInvalidation:
     def test_snapshot_arrays_are_read_only(self, tmp_path, backend):
         """Snapshots are shared by the LRU and by unfiltered views, so no
         caller may write through one."""
-        store = self._open(str(tmp_path), backend)
+        store = self._open(str(tmp_path), backend, POINTS)
         try:
-            store.append_points(POINTS)
             snap = snapshot_for_store(store, cache=SnapshotCache())
             for value in vars(snap).values():
                 if isinstance(value, np.ndarray):
@@ -546,28 +542,26 @@ class TestSnapshotInvalidation:
     @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_other_handle_appends_and_replaces(self, tmp_path, backend):
         """Writes through a second handle (another process): an append
-        is taken in as a delta on SQLite; a replace, which restarts the
-        row ids, always forces a full build."""
-        store = self._open(str(tmp_path), backend)
-        other = self._reopen(store)
+        is taken in as a delta; a replace, which restarts the row ids,
+        always forces a full build."""
+        store = self._open(str(tmp_path), backend, POINTS[:3])
+        other = SqliteStore(store.db_path)
         cache = SnapshotCache()
-        append_mode = "delta" if backend == "sqlite" else "full"
         try:
-            store.append_points(POINTS[:3])
             snapshot_for_store(store, cache=cache)
 
-            before = self._builds(backend, append_mode)
+            before = self._builds("delta")
             other.append_points(POINTS[3:4])
             snap = snapshot_for_store(store, cache=cache)
-            assert self._builds(backend, append_mode) == before + 1
+            assert self._builds("delta") == before + 1
             assert self._fields(snap) == self._fields(self._full_build(store))
 
             # More rows than before, so a cursor that outlived the
             # replace would splice old rows onto new ones.
-            before = self._builds(backend, "full")
+            before = self._builds("full")
             other.replace_points(POINTS[4:10])
             snap = snapshot_for_store(store, cache=cache)
-            assert self._builds(backend, "full") == before + 1
+            assert self._builds("full") == before + 1
             assert snap.n == 6
             assert self._fields(snap) == self._fields(self._full_build(store))
 
@@ -587,8 +581,8 @@ class TestSnapshotInvalidation:
         """An append committed after a signature read but before the
         row fetch — after the lookup's freshness check, or inside the
         fetch itself — is neither duplicated nor dropped."""
-        store = self._open(str(tmp_path), backend)
-        other = self._reopen(store)
+        store = self._open(str(tmp_path), backend, POINTS[:2])
+        other = SqliteStore(store.db_path)
         cache = SnapshotCache()
         pending = []
 
@@ -601,7 +595,6 @@ class TestSnapshotInvalidation:
             return wrapper
 
         try:
-            store.append_points(POINTS[:2])
             snapshot_for_store(store, cache=cache)
             store.append_points(POINTS[2:4])
             if window == "lookup":

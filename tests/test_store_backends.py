@@ -1,9 +1,10 @@
-"""Store-backend equivalence: JsonlStore and SqliteStore are one store.
+"""The SQLite store against its references, and the legacy layout.
 
 Hypothesis round-trip properties prove that for any corpus and any
-query, the two engines return identical results, that JSONL -> SQLite
-migration is lossless, and that the JSONL backend's bytes are exactly
-what the legacy ``Dataset.save``/``TaskDB.save`` path wrote.
+query the store returns what the in-memory ``Query.apply`` reference
+returns, that importing the legacy ``dataset-<name>.jsonl`` /
+``tasks-<name>.json`` layout is lossless, and that exporting writes
+exactly the bytes ``Dataset.save``/``TaskDB.save`` write.
 """
 
 import json
@@ -17,13 +18,7 @@ from repro.core.dataset import DataPoint, Dataset
 from repro.core.query import Query
 from repro.core.scenarios import Scenario
 from repro.core.taskdb import TaskDB, TaskRecord, TaskStatus
-from repro.store import (
-    JsonlStore,
-    SqliteStore,
-    open_deployment_store,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.store import SqliteStore, export_legacy, open_deployment_store
 
 # -- strategies -------------------------------------------------------------------
 
@@ -129,14 +124,17 @@ def _unique_records(records):
     return out
 
 
-def _make_stores(tmp_path, tag=""):
-    jsonl = JsonlStore(str(tmp_path / f"d{tag}.jsonl"),
-                       str(tmp_path / f"t{tag}.json"))
-    sqlite = SqliteStore(str(tmp_path / f"s{tag}.sqlite"))
-    return jsonl, sqlite
+def _legacy_layout(tmp_path, points, records, name="x"):
+    """Write the legacy layout with the legacy writers; returns the
+    (dataset, task file, database) paths of deployment ``name``."""
+    dataset_path = str(tmp_path / f"dataset-{name}.jsonl")
+    taskdb_path = str(tmp_path / f"tasks-{name}.json")
+    Dataset(points).save(dataset_path)
+    TaskDB.from_records(records).save(taskdb_path)
+    return dataset_path, taskdb_path, str(tmp_path / f"store-{name}.sqlite")
 
 
-# -- equivalence properties -------------------------------------------------------
+# -- the store against the in-memory reference ------------------------------------
 
 
 class TestBackendEquivalence:
@@ -144,15 +142,13 @@ class TestBackendEquivalence:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(points=st.lists(_points(), max_size=20), query=_queries())
     def test_identical_query_results(self, tmp_path_factory, points, query):
-        tmp_path = tmp_path_factory.mktemp("equiv")
-        jsonl, sqlite = _make_stores(tmp_path)
+        sqlite = SqliteStore(str(tmp_path_factory.mktemp("equiv")
+                                 / "s.sqlite"))
         try:
-            jsonl.append_points(points)
             sqlite.append_points(points)
-            assert jsonl.query_points(query) == sqlite.query_points(query)
-            assert jsonl.count_points(query) == sqlite.count_points(query)
-            # and both agree with the in-memory reference semantics
-            assert jsonl.query_points(query) == query.apply(points)
+            assert sqlite.query_points(query) == query.apply(points)
+            assert sqlite.count_points(query) == len(
+                query.without_window().apply(points))
         finally:
             sqlite.close()
 
@@ -160,12 +156,9 @@ class TestBackendEquivalence:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(points=st.lists(_points(), max_size=15))
     def test_point_round_trip_is_exact(self, tmp_path_factory, points):
-        tmp_path = tmp_path_factory.mktemp("rt")
-        jsonl, sqlite = _make_stores(tmp_path)
+        sqlite = SqliteStore(str(tmp_path_factory.mktemp("rt") / "s.sqlite"))
         try:
-            jsonl.append_points(points)
             sqlite.append_points(points)
-            assert jsonl.query_points() == points
             assert sqlite.query_points() == points
         finally:
             sqlite.close()
@@ -175,18 +168,16 @@ class TestBackendEquivalence:
     @given(records=st.lists(_records(), max_size=12))
     def test_task_round_trip_is_exact(self, tmp_path_factory, records):
         records = _unique_records(records)
-        tmp_path = tmp_path_factory.mktemp("tasks")
-        jsonl, sqlite = _make_stores(tmp_path)
+        sqlite = SqliteStore(str(tmp_path_factory.mktemp("tasks")
+                                 / "s.sqlite"))
         try:
-            jsonl.sync_tasks(records, records)
-            sqlite.sync_tasks(records, records)
-            assert jsonl.load_tasks() == records
+            sqlite.sync_tasks(records)
             assert sqlite.load_tasks() == records
         finally:
             sqlite.close()
 
     def test_sqlite_upsert_preserves_insertion_order(self, tmp_path):
-        _, sqlite = _make_stores(tmp_path)
+        sqlite = SqliteStore(str(tmp_path / "s.sqlite"))
         try:
             records = [
                 TaskRecord(scenario=Scenario(
@@ -195,10 +186,10 @@ class TestBackendEquivalence:
                 ))
                 for i in range(5)
             ]
-            sqlite.sync_tasks(records, records)
+            sqlite.sync_tasks(records)
             records[1].status = TaskStatus.COMPLETED
             records[1].exec_time_s = 12.5
-            sqlite.sync_tasks([records[1]], records)
+            sqlite.sync_tasks([records[1]])
             loaded = sqlite.load_tasks()
             assert [r.scenario.scenario_id for r in loaded] == \
                 [f"s{i}" for i in range(5)]
@@ -207,7 +198,7 @@ class TestBackendEquivalence:
             sqlite.close()
 
 
-# -- migration --------------------------------------------------------------------
+# -- import of the legacy layout -----------------------------------------------------
 
 
 class TestMigration:
@@ -218,21 +209,18 @@ class TestMigration:
            query=_queries())
     def test_migrated_sqlite_equals_direct_jsonl(self, tmp_path_factory,
                                                  points, records, query):
+        """The imported store answers every query as the legacy files
+        read directly do."""
         records = _unique_records(records)
-        tmp_path = tmp_path_factory.mktemp("mig")
-        dataset_path = str(tmp_path / "dataset-x.jsonl")
-        taskdb_path = str(tmp_path / "tasks-x.json")
-        db_path = str(tmp_path / "store-x.sqlite")
-        legacy = JsonlStore(dataset_path, taskdb_path)
-        legacy.append_points(points)
-        legacy.sync_tasks(records, records)
-        expected_points = legacy.query_points(query)
-        expected_tasks = legacy.load_tasks()
+        dataset_path, taskdb_path, db_path = _legacy_layout(
+            tmp_path_factory.mktemp("mig"), points, records)
+        expected_points = Dataset.load(dataset_path).query(query).points()
+        expected_tasks = TaskDB.load(taskdb_path).all()
+        assert expected_points == query.apply(points)
+        assert expected_tasks == records
 
-        migrated = open_deployment_store(dataset_path, taskdb_path, db_path,
-                                         backend="sqlite")
+        migrated = open_deployment_store(dataset_path, taskdb_path, db_path)
         try:
-            assert migrated.kind == "sqlite"
             assert migrated.query_points(query) == expected_points
             assert migrated.load_tasks() == expected_tasks
             # Legacy files are frozen aside, not left live.
@@ -242,27 +230,24 @@ class TestMigration:
             migrated.close()
 
     def test_migration_happens_once(self, tmp_path):
-        dataset_path = str(tmp_path / "dataset-y.jsonl")
-        taskdb_path = str(tmp_path / "tasks-y.json")
-        db_path = str(tmp_path / "store-y.sqlite")
-        JsonlStore(dataset_path, taskdb_path).append_points(
-            [DataPoint(appname="lammps", sku=_SKUS[0], nnodes=1, ppn=1,
-                       exec_time_s=1.0, cost_usd=0.1)]
-        )
-        first = open_deployment_store(dataset_path, taskdb_path, db_path,
-                                      backend="sqlite")
+        point = DataPoint(appname="lammps", sku=_SKUS[0], nnodes=1, ppn=1,
+                          exec_time_s=1.0, cost_usd=0.1)
+        dataset_path, taskdb_path, db_path = _legacy_layout(
+            tmp_path, [point], [], name="y")
+        first = open_deployment_store(dataset_path, taskdb_path, db_path)
         first.close()
-        # Re-opening finds the database and does not re-migrate (the
+        # Re-opening finds the database and does not re-import (the
         # .migrated leftovers must not be re-imported as fresh data).
-        second = open_deployment_store(dataset_path, taskdb_path, db_path,
-                                       backend="sqlite")
+        second = open_deployment_store(dataset_path, taskdb_path, db_path)
         try:
-            assert second.kind == "sqlite"
             assert second.count_points() == 1
+            assert os.path.exists(dataset_path + ".migrated")
         finally:
             second.close()
 
     def test_existing_sqlite_wins_over_configured_jsonl(self, tmp_path):
+        """Legacy files next to an existing database are never
+        imported: the data lives in the database."""
         db_path = str(tmp_path / "store-z.sqlite")
         store = SqliteStore(db_path)
         store.append_point(DataPoint(
@@ -270,13 +255,15 @@ class TestMigration:
             exec_time_s=1.0, cost_usd=0.1,
         ))
         store.close()
-        reopened = open_deployment_store(
-            str(tmp_path / "dataset-z.jsonl"), str(tmp_path / "tasks-z.json"),
-            db_path, backend="jsonl",
-        )
+        stray = [DataPoint(appname="wrf", sku=_SKUS[1], nnodes=n, ppn=1,
+                           exec_time_s=2.0, cost_usd=0.2) for n in (1, 2)]
+        dataset_path, taskdb_path, _ = _legacy_layout(tmp_path, stray, [],
+                                                      name="z")
+        reopened = open_deployment_store(dataset_path, taskdb_path, db_path)
         try:
-            assert reopened.kind == "sqlite"  # the data lives there
             assert reopened.count_points() == 1
+            assert os.path.exists(dataset_path)  # left alone, not frozen
+            assert os.path.exists(taskdb_path)
         finally:
             reopened.close()
 
@@ -285,6 +272,8 @@ class TestMigration:
 
 
 class TestJsonlByteCompatibility:
+    """``export_legacy`` writes the bytes the legacy writers write."""
+
     def test_appends_match_legacy_dataset_save(self, tmp_path):
         points = [
             DataPoint(appname="lammps", sku=_SKUS[i % 2], nnodes=i + 1,
@@ -294,58 +283,67 @@ class TestJsonlByteCompatibility:
         ]
         legacy_path = tmp_path / "legacy.jsonl"
         Dataset(points).save(str(legacy_path))
-        store = JsonlStore(str(tmp_path / "store.jsonl"),
-                           str(tmp_path / "tasks.json"))
-        for point in points:  # one append per point, like a sweep
-            store.append_point(point)
-        assert (tmp_path / "store.jsonl").read_bytes() == \
+        store = SqliteStore(str(tmp_path / "store.sqlite"))
+        try:
+            for point in points:  # one append per point, like a sweep
+                store.append_point(point)
+            store.flush_points()
+            export_legacy(store, str(tmp_path / "dataset.jsonl"),
+                          str(tmp_path / "tasks.json"))
+        finally:
+            store.close()
+        assert (tmp_path / "dataset.jsonl").read_bytes() == \
             legacy_path.read_bytes()
 
     def test_task_sync_matches_legacy_taskdb_save(self, tmp_path):
-        db = TaskDB(path=str(tmp_path / "legacy.json"))
-        db.add_scenarios([
+        scenarios = [
             Scenario(scenario_id=f"s{i}", sku_name=_SKUS[0], nnodes=1,
                      ppn=1, appname="lammps", appinputs={})
             for i in range(4)
-        ])
-        db.mark_completed("s1", exec_time_s=3.0, cost_usd=0.2)
-        db.save()
-        store = JsonlStore(str(tmp_path / "d.jsonl"),
-                           str(tmp_path / "store-tasks.json"))
-        store.sync_tasks(db.all(), db.all())
+        ]
+        store = SqliteStore(str(tmp_path / "store.sqlite"))
+        try:
+            for db in (TaskDB(path=str(tmp_path / "legacy.json")),
+                       TaskDB(store=store)):
+                db.add_scenarios(scenarios)
+                db.mark_completed("s1", exec_time_s=3.0, cost_usd=0.2)
+                db.mark_failed("s3", "quota")
+                db.save()
+            written = export_legacy(store, str(tmp_path / "d.jsonl"),
+                                    str(tmp_path / "store-tasks.json"))
+        finally:
+            store.close()
+        # No sweep saved a dataset, so only the task file is written.
+        assert written == (str(tmp_path / "store-tasks.json"),)
         assert (tmp_path / "store-tasks.json").read_bytes() == \
             (tmp_path / "legacy.json").read_bytes()
 
 
-# -- resolution --------------------------------------------------------------------
+# -- the one store ------------------------------------------------------------------
 
 
 class TestBackendResolution:
-    def test_env_selects_backend(self, monkeypatch):
+    def test_default_is_sqlite(self, tmp_path, monkeypatch):
+        from repro.api import AdvisorSession
+        from tests.conftest import make_config
+
+        # The variable that used to select the engine is ignored.
         monkeypatch.setenv("REPRO_STORE", "jsonl")
-        assert resolve_backend() == "jsonl"
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
-        assert resolve_backend() == "sqlite"
+        for backend in (None, "sqlite"):
+            session = AdvisorSession(state_dir=str(tmp_path / str(backend)),
+                                     store_backend=backend)
+            name = session.deploy(make_config()).name
+            assert session.collect(deployment=name).store_backend == "sqlite"
+            assert session.data_store(name).kind == "sqlite"
 
-    def test_default_is_sqlite(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        assert resolve_backend() == "sqlite"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "jsonl")
-        set_default_backend("sqlite")
-        try:
-            assert resolve_backend() == "sqlite"
-            assert resolve_backend("jsonl") == "jsonl"  # explicit wins
-        finally:
-            set_default_backend(None)
-
-    def test_unknown_backend_rejected(self, monkeypatch):
+    def test_unknown_backend_rejected(self, tmp_path):
+        from repro.api import AdvisorSession
         from repro.errors import ConfigError
 
-        monkeypatch.setenv("REPRO_STORE", "mongodb")
-        with pytest.raises(ConfigError, match="unknown store backend"):
-            resolve_backend()
+        for backend in ("jsonl", "mongodb"):
+            with pytest.raises(ConfigError, match="export"):
+                AdvisorSession(state_dir=str(tmp_path),
+                               store_backend=backend)
 
 
 # -- store signatures --------------------------------------------------------------
@@ -385,9 +383,9 @@ class TestSignatures:
         ))
         old = (store.dataset_signature(), store.tasks_signature())
         store.close()
-        for path in store.data_paths:
-            if os.path.exists(path):
-                os.unlink(path)
+        for suffix in ("", "-wal", "-shm"):
+            if os.path.exists(db_path + suffix):
+                os.unlink(db_path + suffix)
         store = SqliteStore(db_path)
         try:
             store.append_point(DataPoint(
@@ -399,16 +397,6 @@ class TestSignatures:
         finally:
             store.close()
 
-    def test_jsonl_signature_sees_appends(self, tmp_path):
-        store = JsonlStore(str(tmp_path / "d.jsonl"),
-                           str(tmp_path / "t.json"))
-        sig = store.dataset_signature()
-        store.append_point(DataPoint(
-            appname="lammps", sku=_SKUS[0], nnodes=1, ppn=1,
-            exec_time_s=1.0, cost_usd=0.1,
-        ))
-        assert store.dataset_signature() != sig
-
     def test_sqlite_exists_semantics(self, tmp_path):
         store = SqliteStore(str(tmp_path / "e.sqlite"))
         try:
@@ -419,12 +407,36 @@ class TestSignatures:
             store.close()
 
     def test_jsonl_query_tolerates_missing_files(self, tmp_path):
-        store = JsonlStore(str(tmp_path / "nope.jsonl"),
-                           str(tmp_path / "nope.json"))
-        assert store.query_points(Query(sku="hb120rs_v3")) == []
-        assert store.count_points() == 0
-        assert store.load_tasks() == []
-        assert not store.exists()
+        """A legacy layout missing either file imports what is there;
+        with neither file there is nothing to import."""
+        point = DataPoint(appname="lammps", sku=_SKUS[0], nnodes=1, ppn=1,
+                          exec_time_s=1.0, cost_usd=0.1)
+        record = TaskRecord(scenario=Scenario(
+            scenario_id="s0", sku_name=_SKUS[0], nnodes=1, ppn=1,
+            appname="lammps", appinputs={}))
+        for keep, points, tasks, exists in (
+                ("dataset", [point], [], True),
+                ("tasks", [], [record], False),
+                ("", [], [], False)):
+            root = tmp_path / (keep or "neither")
+            root.mkdir()
+            dataset_path, taskdb_path, db_path = _legacy_layout(
+                root, points, tasks)
+            for kind, path in (("dataset", dataset_path),
+                               ("tasks", taskdb_path)):
+                if kind != keep:
+                    os.unlink(path)
+            store = open_deployment_store(dataset_path, taskdb_path,
+                                          db_path)
+            try:
+                assert store.query_points(Query(sku="hb120rs_v3")) == points
+                assert store.count_points() == len(points)
+                assert store.load_tasks() == tasks
+                assert store.exists() is exists
+                assert not os.path.exists(dataset_path)
+                assert not os.path.exists(taskdb_path)
+            finally:
+                store.close()
 
 
 class TestMigrationCrashSafety:
@@ -432,19 +444,15 @@ class TestMigrationCrashSafety:
         """A crash mid-migration must not leave a database that hides
         the intact legacy corpus: the build happens at a temp path and
         only a *complete* database lands at db_path."""
-        dataset_path = str(tmp_path / "dataset-c.jsonl")
-        taskdb_path = str(tmp_path / "tasks-c.json")
-        db_path = str(tmp_path / "store-c.sqlite")
-        JsonlStore(dataset_path, taskdb_path).append_points([
+        dataset_path, taskdb_path, db_path = _legacy_layout(tmp_path, [
             DataPoint(appname="lammps", sku=_SKUS[0], nnodes=n, ppn=1,
                       exec_time_s=float(n), cost_usd=0.1)
             for n in (1, 2)
-        ])
+        ], [], name="c")
         # Simulate the crash debris: a schema-only half-built temp DB.
         SqliteStore(db_path + ".migrating").close()
 
-        store = open_deployment_store(dataset_path, taskdb_path, db_path,
-                                      backend="sqlite")
+        store = open_deployment_store(dataset_path, taskdb_path, db_path)
         try:
             assert store.count_points() == 2  # nothing lost
             assert not os.path.exists(db_path + ".migrating")
@@ -462,7 +470,7 @@ class TestSignatureIndependence:
             record = TaskRecord(scenario=Scenario(
                 scenario_id="s0", sku_name=_SKUS[0], nnodes=1, ppn=1,
                 appname="lammps", appinputs={}))
-            store.sync_tasks([record], [record])
+            store.sync_tasks([record])
             assert store.dataset_signature() == point_sig
             task_sig = store.tasks_signature()
             store.append_point(DataPoint(
@@ -475,8 +483,7 @@ class TestSignatureIndependence:
 
 
 class TestQueryViewSaveSafety:
-    def test_filtered_view_cannot_overwrite_the_store(self, tmp_path,
-                                                      monkeypatch):
+    def test_filtered_view_cannot_overwrite_the_store(self, tmp_path):
         """Regression: query_dataset results used to carry the SQLite
         file as their path, so a stray save() destroyed the database."""
         import sqlite3
@@ -485,7 +492,6 @@ class TestQueryViewSaveSafety:
         from repro.errors import DatasetError
         from tests.conftest import make_config
 
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
         session = AdvisorSession(state_dir=str(tmp_path / "state"))
         info = session.deploy(make_config())
         session.collect(deployment=info.name)
@@ -539,14 +545,13 @@ class TestNonFiniteMeasurements:
                 "appname": "lammps", "sku": "Standard_HB120rs_v3",
                 "nnodes": 1, "exec_time_s": value, "cost_usd": 1.0})
 
-    @pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
     @pytest.mark.parametrize("field, change", [
         ("cost_usd", {"cost_usd": float("inf")}),
         ("makespan_s", {"makespan_s": float("nan")}),
         ("infra_metrics", {"infra_metrics": {"net_mbps": float("inf")}}),
     ])
     def test_store_refuses_the_row_and_advice_still_works(
-            self, tmp_path, backend, field, change):
+            self, tmp_path, field, change):
         import dataclasses
 
         from repro.api.requests import AdviseRequest
@@ -555,8 +560,7 @@ class TestNonFiniteMeasurements:
         from repro.errors import DatasetError
         from tests.conftest import make_config
 
-        session = AdvisorSession(store=StateStore(
-            root=str(tmp_path), store_backend=backend))
+        session = AdvisorSession(store=StateStore(root=str(tmp_path)))
         name = session.deploy(make_config()).name
         store = session.data_store(name)
         store.append_points(self.GOOD)
@@ -576,17 +580,15 @@ class TestNonFiniteMeasurements:
             assert answers[0] == answers[1] and answers[0]
 
     @pytest.mark.parametrize("token", ["Infinity", "1e999"])
-    @pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
     def test_legacy_row_is_named_and_the_documented_repair_works(
-            self, tmp_path, backend, token):
+            self, tmp_path, token):
         """A store written before non-finite values were refused may
         hold an ``Infinity`` exec time (what ``json.dumps`` wrote).
-        Every read names the field and where the row is (file line on
-        JSONL, row id on SQLite), and the hand repair in docs/STORAGE.md
-        brings the deployment back.  SQLite before 3.42 cannot parse
-        ``Infinity`` and later versions can; ``1e999`` is valid JSON
-        that every version reads as inf, so both column-fetch checks
-        run whatever the SQLite version."""
+        Every read names the field and the row id, and the hand repair
+        in docs/STORAGE.md brings the deployment back.  SQLite before
+        3.42 cannot parse ``Infinity`` and later versions can; ``1e999``
+        is valid JSON that every version reads as inf, so both
+        column-fetch checks run whatever the SQLite version."""
         import sqlite3
 
         from repro.api.requests import AdviseRequest
@@ -595,8 +597,7 @@ class TestNonFiniteMeasurements:
         from repro.errors import DatasetError
         from tests.conftest import make_config
 
-        session = AdvisorSession(store=StateStore(
-            root=str(tmp_path), store_backend=backend))
+        session = AdvisorSession(store=StateStore(root=str(tmp_path)))
         name = session.deploy(make_config()).name
         store = session.data_store(name)
         store.append_points(self.GOOD)
@@ -608,21 +609,17 @@ class TestNonFiniteMeasurements:
         before = advise("columnar")
         legacy = dict(self.GOOD[1].to_dict(), exec_time_s=float("inf"))
         payload = json.dumps(legacy).replace("Infinity", token)
-        if backend == "jsonl":
-            with open(store.dataset_path, "a", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            where = f"{store.dataset_path!r} line 4"
-        else:  # as the old append_points did: insert, bump, commit
-            with sqlite3.connect(store.db_path) as conn:
-                conn.execute(
-                    "INSERT INTO datapoints (appname, sku, sku_lower,"
-                    " nnodes, ppn, capacity, predicted, payload)"
-                    " VALUES (?, ?, ?, ?, ?, ?, 0, ?)",
-                    ("lammps", legacy["sku"], legacy["sku"].lower(), 2,
-                     100, "ondemand", payload))
-                conn.execute("UPDATE meta SET value = CAST(value AS INTEGER)"
-                             " + 1 WHERE key = 'points_gen'")
-            where = f"{store.db_path!r}, datapoints id 4"
+        # As the old append_points did: insert, bump, commit.
+        with sqlite3.connect(store.db_path) as conn:
+            conn.execute(
+                "INSERT INTO datapoints (appname, sku, sku_lower,"
+                " nnodes, ppn, capacity, predicted, payload)"
+                " VALUES (?, ?, ?, ?, ?, ?, 0, ?)",
+                ("lammps", legacy["sku"], legacy["sku"].lower(), 2,
+                 100, "ondemand", payload))
+            conn.execute("UPDATE meta SET value = CAST(value AS INTEGER)"
+                         " + 1 WHERE key = 'points_gen'")
+        where = f"{store.db_path!r}, datapoints id 4"
         for read in (store.query_points, lambda: advise("objects"),
                      lambda: advise("columnar")):
             with pytest.raises(DatasetError) as caught:
@@ -631,17 +628,59 @@ class TestNonFiniteMeasurements:
             assert "non-finite exec_time_s: inf" in str(caught.value)
 
         # The repair from docs/STORAGE.md, "Repairing a corrupt row".
-        if backend == "jsonl":
-            with open(store.dataset_path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-            with open(store.dataset_path, "w", encoding="utf-8") as fh:
-                fh.writelines(lines[:3] + lines[4:])
-        else:
-            with sqlite3.connect(store.db_path) as conn:
-                conn.executescript(
-                    "BEGIN;"
-                    " DELETE FROM datapoints WHERE id = 4;"
-                    " UPDATE meta SET value = lower(hex(randomblob(8)))"
-                    "  WHERE key = 'points_epoch';"
-                    " COMMIT;")
+        with sqlite3.connect(store.db_path) as conn:
+            conn.executescript(
+                "BEGIN;"
+                " DELETE FROM datapoints WHERE id = 4;"
+                " UPDATE meta SET value = lower(hex(randomblob(8)))"
+                "  WHERE key = 'points_epoch';"
+                " COMMIT;")
         assert advise("columnar") == advise("objects") == before
+
+    @pytest.mark.parametrize("token", ["Infinity", "1e999"])
+    def test_legacy_file_row_fails_the_import_until_repaired(
+            self, tmp_path, token):
+        """The same row in a legacy ``dataset-<name>.jsonl``: the import
+        names the file and line and creates no database, and once the
+        line is deleted as docs/STORAGE.md says, the import runs."""
+        from repro.api.requests import AdviseRequest
+        from repro.api.session import AdvisorSession
+        from repro.core.statefiles import StateStore
+        from repro.errors import DatasetError
+        from tests.conftest import make_config
+
+        reference = AdvisorSession()
+        name = reference.deploy(make_config()).name
+        reference.dataset(name, must_exist=False).extend(self.GOOD)
+        before = reference.advise(AdviseRequest(deployment=name)).rows
+
+        session = AdvisorSession(store=StateStore(root=str(tmp_path)))
+        assert session.deploy(make_config()).name == name
+        dataset_path = session.store.dataset_path(name)
+        db_path = session.store.db_path(name)
+        legacy = dict(self.GOOD[1].to_dict(), exec_time_s=float("inf"))
+        Dataset(self.GOOD).save(dataset_path)
+        with open(dataset_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(legacy).replace("Infinity", token) + "\n")
+
+        def advise(engine):
+            return session.advise(AdviseRequest(
+                deployment=name, engine=engine)).rows
+
+        for engine in ("objects", "columnar"):
+            with pytest.raises(DatasetError) as caught:
+                advise(engine)
+            assert f"{dataset_path!r} line 4" in str(caught.value)
+            assert "non-finite exec_time_s: inf" in str(caught.value)
+            assert not os.path.exists(db_path)
+            assert not os.path.exists(db_path + ".migrating")
+            assert os.path.exists(dataset_path)
+
+        # The repair from docs/STORAGE.md: delete the line, then open.
+        with open(dataset_path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        with open(dataset_path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:3] + lines[4:])
+        assert advise("columnar") == advise("objects") == before
+        assert os.path.exists(db_path)
+        assert os.path.exists(dataset_path + ".migrated")

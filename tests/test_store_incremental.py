@@ -1,20 +1,27 @@
-"""Incremental persistence end to end: crash safety, migration, parity.
+"""Incremental persistence end to end: crash safety, import, parity.
 
-The acceptance contract of the ``repro.store`` refactor:
+The acceptance contract of the ``repro.store`` layer:
 
 * a sweep killed mid-flight keeps **every** completed point and task
-  status on disk (no end-of-sweep save required) — under both engines;
+  status on disk (no end-of-sweep save required);
 * a process hard-killed inside the batched engine's per-pool commit
   never leaves a completed task row without its point, and the resumed
   sweep re-runs exactly the scenarios that commit did not cover;
 * the scheduled walk (per-scenario write-through) and the batched
-  engine's one-pool loop (per-pool commits) leave byte-identical
-  JSONL files and row-identical SQLite corpora;
-* an existing JSON state directory migrates to SQLite in place with
-  identical advice output before and after.
+  engine's one-pool loop (per-pool commits) leave row-identical
+  corpora and byte-identical exports;
+* a state directory in the legacy JSONL layout imports in place with
+  identical advice, and export then import reproduces points, tasks
+  and advice exactly.
+
+Tests taking the ``origin`` fixture run twice: on the store a sweep
+wrote (``sqlite``), and on that store after a round trip through the
+legacy layout (``jsonl``): exported, its database deleted, and the
+files imported on the next open.
 """
 
 import os
+import shutil
 
 import pytest
 
@@ -23,13 +30,36 @@ from repro.core.query import Query
 from repro.core.statefiles import StateStore
 from tests.conftest import make_config
 
-BACKENDS = ("jsonl", "sqlite")
+ORIGINS = ("jsonl", "sqlite")
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE", request.param)
+@pytest.fixture(params=ORIGINS)
+def origin(request):
     return request.param
+
+
+def _as_legacy_layout(state_dir, name, export_dir):
+    """Replace the deployment's database with its export, so the next
+    open imports the legacy files (what a state directory written by an
+    older release holds)."""
+    store = StateStore(root=state_dir)
+    written = store.export_data(name, export_dir)
+    store.release_data_store(name)
+    db_path = store.db_path(name)
+    for suffix in ("", "-wal", "-shm"):
+        if os.path.exists(db_path + suffix):
+            os.unlink(db_path + suffix)
+    for path in written:
+        shutil.move(path, os.path.join(state_dir, os.path.basename(path)))
+
+
+def _settle(origin, session, name, tmp_path):
+    """For the ``jsonl`` origin, round-trip the deployment through the
+    legacy layout (module docstring)."""
+    if origin == "jsonl":
+        session.store.release_data_store(name)
+        _as_legacy_layout(session.store.root, name,
+                          str(tmp_path / "export"))
 
 
 def _config(**kwargs):
@@ -44,7 +74,7 @@ class Boom(Exception):
 
 class TestKillMidSweep:
     def test_completed_points_survive_an_aborted_sweep(self, tmp_path,
-                                                       backend):
+                                                       origin):
         """Abort after the second scenario outcome: both completed
         points and their task records must already be on disk."""
         state_dir = str(tmp_path / "state")
@@ -60,6 +90,7 @@ class TestKillMidSweep:
         with pytest.raises(Boom):
             session.collect(deployment=info.name, progress=bomb)
         assert max(seen) == 2
+        _settle(origin, session, info.name, tmp_path)
 
         # A *fresh* process (new session, new store handles) sees the
         # two completed points and resumes the remaining scenarios.
@@ -73,7 +104,7 @@ class TestKillMidSweep:
         assert resumed.dataset_points == 4
 
     def test_kill_before_any_save_still_persists_first_point(
-            self, tmp_path, backend):
+            self, tmp_path, origin):
         state_dir = str(tmp_path / "state")
         session = AdvisorSession(state_dir=state_dir)
         info = session.deploy(_config())
@@ -83,6 +114,7 @@ class TestKillMidSweep:
 
         with pytest.raises(Boom):
             session.collect(deployment=info.name, progress=bomb)
+        _settle(origin, session, info.name, tmp_path)
         fresh = AdvisorSession(state_dir=state_dir)
         assert len(fresh.dataset(info.name)) == 1
 
@@ -94,18 +126,16 @@ class TestKillMidSweep:
 _KILL_CHILD = """
 import os, sys
 from repro.api import AdvisorSession
-from repro.store.jsonl import JsonlStore
 from repro.store.sqlite import SqliteStore
 
 state_dir, name, method, kill_at = sys.argv[1:5]
 calls = [0]
-for cls in (JsonlStore, SqliteStore):
-    def dying(self, *args, _real=getattr(cls, method)):
-        calls[0] += 1
-        if calls[0] == int(kill_at):
-            os._exit(9)
-        return _real(self, *args)
-    setattr(cls, method, dying)
+def dying(self, *args, _real=getattr(SqliteStore, method)):
+    calls[0] += 1
+    if calls[0] == int(kill_at):
+        os._exit(9)
+    return _real(self, *args)
+setattr(SqliteStore, method, dying)
 AdvisorSession(state_dir=state_dir).collect(deployment=name,
                                             engine="batched")
 """
@@ -127,7 +157,7 @@ class TestHardKillMidCommit:
         ("append_points", 2),   # inside the second pool's commit
         ("sync_tasks", 2),      # second commit, between points and tasks
     ])
-    def test_no_completed_task_without_its_point(self, tmp_path, backend,
+    def test_no_completed_task_without_its_point(self, tmp_path, origin,
                                                  method, kill_at):
         import subprocess
         import sys
@@ -148,6 +178,7 @@ class TestHardKillMidCommit:
         assert child.returncode == 9, child.stderr
 
         fresh = AdvisorSession(state_dir=state_dir)
+        _settle(origin, fresh, info.name, tmp_path)
         records = fresh.taskdb(info.name).all()
         completed = [r for r in records
                      if r.status.value == "completed"]
@@ -164,15 +195,8 @@ class TestHardKillMidCommit:
         final = self._point_keys(fresh.dataset(info.name).points())
         assert set(final) == set(self._scenario_keys(
             fresh.taskdb(info.name).all()))
-        if backend == "sqlite" or method == "append_points":
-            # Points and tasks commit together (SQLite), or the kill
-            # came before the points were written: each point once.
-            assert len(final) == 12
-        else:
-            # JSONL writes points first: the second pool's points made
-            # it to disk, its task rows did not, so the resume measured
-            # them again.  Duplicated, never lost.
-            assert len(final) == 18
+        # Points and tasks commit together: each point once.
+        assert len(final) == 12
 
 
 class TestStoreCommit:
@@ -191,33 +215,50 @@ class TestStoreCommit:
             appname="lammps", appinputs={"BOXFACTOR": "4"}))
         before = store.dataset_signature()
 
-        def broken_sync(changed, full):
+        def broken_sync(changed):
             raise Boom("disk full")
 
         store.sync_tasks = broken_sync
         with pytest.raises(Boom):
-            store.commit([point], [record], [record])
+            store.commit([point], [record])
         assert store.count_points() == 0
         assert store.dataset_signature() == before
         del store.sync_tasks  # the class method again
-        store.commit([point], [record], [record])
+        store.commit([point], [record])
         assert store.query_points() == [point]
         assert [r.scenario.scenario_id for r in store.load_tasks()] == ["s1"]
         store.close()
 
 
 class TestBackendParity:
-    def test_both_backends_collect_identical_measurements(self, tmp_path,
-                                                          monkeypatch):
-        points = {}
-        for backend in BACKENDS:
-            monkeypatch.setenv("REPRO_STORE", backend)
-            session = AdvisorSession(state_dir=str(tmp_path / backend))
-            info = session.deploy(_config())
-            result = session.collect(deployment=info.name)
-            assert result.store_backend == backend
-            points[backend] = session.dataset(info.name).points()
-        assert points["jsonl"] == points["sqlite"]
+    def test_both_backends_collect_identical_measurements(self, tmp_path):
+        """collect -> export -> a fresh state directory holding the two
+        files: the store a sweep wrote and the store imported from its
+        legacy layout hold identical points and tasks and give
+        identical advice, and a resumed collect runs nothing."""
+        session = AdvisorSession(state_dir=str(tmp_path / "sqlite"))
+        info = session.deploy(_config())
+        assert session.collect(deployment=info.name).store_backend \
+            == "sqlite"
+        export_dir = str(tmp_path / "export")
+        written = session.store.export_data(info.name, export_dir)
+        assert sorted(os.listdir(export_dir)) == [
+            f"dataset-{info.name}.jsonl", f"tasks-{info.name}.json"]
+
+        state_dir = str(tmp_path / "jsonl")
+        fresh = AdvisorSession(state_dir=state_dir)
+        assert fresh.deploy(_config()).name == info.name
+        for path in written:
+            shutil.copy(path, state_dir)
+        assert fresh.dataset(info.name).points() \
+            == session.dataset(info.name).points()
+        assert self._tasks(fresh, info.name) \
+            == self._tasks(session, info.name)
+        for engine in ("objects", "columnar"):
+            assert fresh.advise(deployment=info.name, engine=engine) \
+                == session.advise(deployment=info.name, engine=engine)
+        assert fresh.collect(deployment=info.name).executed == 0
+        assert os.path.exists(fresh.store.db_path(info.name))
 
     def _sweep(self, state_dir, engine):
         """One full sweep at one pool: ``object`` runs the scheduled
@@ -234,23 +275,22 @@ class TestBackendParity:
         return [r.to_dict() for r in session.taskdb(name).all()]
 
     def test_scheduled_and_sequential_files_are_byte_identical(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         """The incremental write path preserves the scheduler-equals-
-        sequential guarantee down to the stored JSONL bytes."""
-        monkeypatch.setenv("REPRO_STORE", "jsonl")
-        blobs, tasks = {}, {}
+        sequential guarantee down to the exported legacy bytes."""
+        blobs = {}
         for engine in ("object", "batched"):
             session, info = self._sweep(str(tmp_path / engine), engine)
-            path = session.store.dataset_path(info.name)
-            with open(path, "rb") as fh:
-                blobs[engine] = fh.read()
-            tasks[engine] = self._tasks(session, info.name)
+            blobs[engine] = []
+            for path in session.store.export_data(
+                    info.name, str(tmp_path / f"export-{engine}")):
+                with open(path, "rb") as fh:
+                    blobs[engine].append(fh.read())
+        assert len(blobs["object"]) == 2
         assert blobs["object"] == blobs["batched"]
-        assert tasks["object"] == tasks["batched"]
 
     def test_scheduled_and_sequential_sqlite_rows_identical(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
+            self, tmp_path):
         rows, tasks = {}, {}
         for engine in ("object", "batched"):
             session, info = self._sweep(str(tmp_path / engine), engine)
@@ -260,7 +300,7 @@ class TestBackendParity:
         assert tasks["object"] == tasks["batched"]
 
     def test_higher_parallelism_keeps_measurements_identical(
-            self, tmp_path, backend):
+            self, tmp_path):
         """Overlapped pools may reorder appends and shift timestamps,
         but the stored measurements are the same set."""
 
@@ -280,20 +320,20 @@ class TestBackendParity:
 
 
 class TestInPlaceMigration:
-    def test_jsonl_state_dir_migrates_with_identical_advice(self, tmp_path,
-                                                            monkeypatch):
+    def test_jsonl_state_dir_migrates_with_identical_advice(self, tmp_path):
         state_dir = str(tmp_path / "state")
-        # 1. Collect under the legacy JSONL engine.
-        monkeypatch.setenv("REPRO_STORE", "jsonl")
+        # 1. A state dir in the legacy JSONL layout.
         session = AdvisorSession(state_dir=state_dir)
         info = session.deploy(_config())
         session.collect(deployment=info.name)
         before = session.advise(deployment=info.name)
+        session.store.release_data_store(info.name)
+        _as_legacy_layout(state_dir, info.name, str(tmp_path / "export"))
         legacy_dataset = session.store.dataset_path(info.name)
         assert os.path.exists(legacy_dataset)
+        assert not os.path.exists(session.store.db_path(info.name))
 
-        # 2. Re-open the same state dir under the SQLite default.
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
+        # 2. Re-open the same state dir: the first open imports it.
         migrated = AdvisorSession(state_dir=state_dir)
         after = migrated.advise(deployment=info.name)
         assert after.rows == before.rows
@@ -307,23 +347,28 @@ class TestInPlaceMigration:
         resumed = migrated.collect(deployment=info.name)
         assert resumed.executed == 0
 
-    def test_migrated_store_keeps_appending(self, tmp_path, monkeypatch):
+    def test_migrated_store_keeps_appending(self, tmp_path):
         state_dir = str(tmp_path / "state")
-        monkeypatch.setenv("REPRO_STORE", "jsonl")
         session = AdvisorSession(state_dir=state_dir)
         info = session.deploy(_config(skus=["Standard_HB120rs_v3"]))
         session.collect(deployment=info.name)
+        session.store.release_data_store(info.name)
+        _as_legacy_layout(state_dir, info.name, str(tmp_path / "export"))
 
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
         migrated = AdvisorSession(state_dir=state_dir)
-        assert len(migrated.dataset(info.name)) == 2
+        dataset = migrated.dataset(info.name)
+        assert len(dataset) == 2
+        dataset.append(dataset.points()[0])
+        assert len(AdvisorSession(state_dir=state_dir).dataset(
+            info.name)) == 3
 
 
 class TestSessionQueryPushdown:
-    def test_datapoints_pagination_and_total(self, tmp_path, backend):
+    def test_datapoints_pagination_and_total(self, tmp_path, origin):
         session = AdvisorSession(state_dir=str(tmp_path / "state"))
         info = session.deploy(_config())
         session.collect(deployment=info.name)
+        _settle(origin, session, info.name, tmp_path)
         page = session.datapoints(info.name, Query(limit=3))
         assert page.total == 4
         assert len(page.points) == 3
@@ -334,21 +379,23 @@ class TestSessionQueryPushdown:
         assert page.points + rest.points == tuple(
             session.dataset(info.name).points()
         )
-        assert page.store_backend == backend
+        assert page.store_backend == "sqlite"
 
-    def test_filtered_count_matches_query(self, tmp_path, backend):
+    def test_filtered_count_matches_query(self, tmp_path, origin):
         session = AdvisorSession(state_dir=str(tmp_path / "state"))
         info = session.deploy(_config())
         session.collect(deployment=info.name)
+        _settle(origin, session, info.name, tmp_path)
         q = Query(sku="hb120rs_v3")
         assert session.count_points(info.name, q) == 2
         assert len(session.query_points(info.name, q)) == 2
 
-    def test_query_dataset_cold_cache_pushes_down(self, tmp_path, backend):
+    def test_query_dataset_cold_cache_pushes_down(self, tmp_path, origin):
         state_dir = str(tmp_path / "state")
         session = AdvisorSession(state_dir=state_dir)
         info = session.deploy(_config())
         session.collect(deployment=info.name)
+        _settle(origin, session, info.name, tmp_path)
         # A brand-new session has no cached dataset: the filter runs in
         # the storage engine and returns only the matching points.
         cold = AdvisorSession(state_dir=state_dir)
@@ -360,14 +407,15 @@ class TestSessionQueryPushdown:
 
 
 class TestPurge:
-    def test_shutdown_purge_removes_orphaned_state(self, tmp_path, backend):
-        """Regression (ISSUE 5 satellite): remove_deployment used to drop
-        only the index entry, leaving dataset/taskdb/store and lock
-        files orphaned forever."""
+    def test_shutdown_purge_removes_orphaned_state(self, tmp_path, origin):
+        """Regression: remove_deployment used to drop only the index
+        entry, leaving dataset/taskdb/store and lock files orphaned
+        forever.  After an import the ``.migrated`` files go too."""
         state_dir = str(tmp_path / "state")
         session = AdvisorSession(state_dir=state_dir)
         info = session.deploy(_config())
         session.collect(deployment=info.name)
+        _settle(origin, session, info.name, tmp_path)
         session.plot(deployment=info.name)
         assert session.store.data_files(info.name)
 
@@ -379,19 +427,21 @@ class TestPurge:
         ]
         assert leftovers == []  # no data, no .lock, no plots dir
 
-    def test_default_shutdown_keeps_data(self, tmp_path, backend):
+    def test_default_shutdown_keeps_data(self, tmp_path, origin):
         session = AdvisorSession(state_dir=str(tmp_path / "state"))
         info = session.deploy(_config())
         session.collect(deployment=info.name)
+        _settle(origin, session, info.name, tmp_path)
         session.shutdown(info.name)
         assert session.store.data_files(info.name)
 
-    def test_store_level_purge_regression(self, tmp_path, backend):
+    def test_store_level_purge_regression(self, tmp_path, origin):
         """StateStore.remove_deployment(purge_data=True) cleans the lock
         sidecars too."""
         session = AdvisorSession(state_dir=str(tmp_path / "state"))
         info = session.deploy(_config(skus=["Standard_HB120rs_v3"]))
         session.collect(deployment=info.name)
+        _settle(origin, session, info.name, tmp_path)
         store = StateStore(root=session.store.root)
         store.remove_deployment(info.name, purge_data=True)
         assert store.data_files(info.name) == ()
@@ -402,7 +452,7 @@ class TestPurge:
 
 class TestReadPathSideEffects:
     def test_listing_never_created_deployments_creates_no_files(
-            self, tmp_path, backend):
+            self, tmp_path):
         """`deploy list` over never-collected deployments must not
         litter the state dir with empty store databases."""
         state_dir = str(tmp_path / "state")
@@ -421,17 +471,20 @@ class TestReadPathSideEffects:
         assert not any(f.startswith("store-") for f in files)
         assert not any(f.startswith("dataset-") for f in files)
 
+    @pytest.mark.parametrize("read", [
+        lambda session, name: session.dataset(name),
+        lambda session, name: session.query_dataset(name, Query()),
+        lambda session, name: session.snapshot(name),
+    ], ids=["dataset", "query_dataset", "snapshot"])
     def test_must_exist_read_does_not_create_database(self, tmp_path,
-                                                      backend):
-        import pytest as _pytest
-
+                                                      read):
         from repro.errors import ReproError
 
         session = AdvisorSession(state_dir=str(tmp_path / "state"))
         info = session.deploy(_config(skus=["Standard_HB120rs_v3"],
                                       nnodes=[1]))
-        with _pytest.raises(ReproError, match="run collect first"):
-            session.dataset(info.name)
+        with pytest.raises(ReproError, match="run collect first"):
+            read(session, info.name)
         assert session.store.data_files(info.name) == ()
 
 

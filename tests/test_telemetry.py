@@ -370,7 +370,7 @@ def test_global_registry_is_singleton():
     assert telemetry.global_registry() is telemetry.global_registry()
     # The product code registers the cross-layer families at import time.
     import repro.fleet.cache  # noqa: F401
-    import repro.store.base   # noqa: F401
+    import repro.store.sqlite  # noqa: F401
 
     names = {l.split()[2] for l in telemetry.global_registry().render()
              if l.startswith("# TYPE")}
