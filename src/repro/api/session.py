@@ -323,14 +323,19 @@ class AdvisorSession:
         return self.store is not None and not self.store.data_files(name)
 
     def dataset(self, name: str, must_exist: bool = True) -> Dataset:
-        """The deployment's full dataset (cached; store-backed when
-        persisted, so appends write through incrementally).
+        """The deployment's full dataset (cached).
 
         The cache is invalidated whenever the store changed underneath
         (e.g. a ``collect`` run while the GUI server keeps its session),
         so long-lived sessions never serve stale data.  Filtered reads
         should prefer :meth:`query_dataset`, which pushes the filter
         down to the storage engine instead of materializing everything.
+
+        For a persistent session the result is an in-memory copy of the
+        store: appending to it does not persist.  Sweeps commit each
+        point together with its task record (``DataCollector``), and
+        ``data_store(name).append_points`` adds points to the store
+        directly.
         """
         if self.store is None:
             if name not in self._datasets:
@@ -357,10 +362,9 @@ class AdvisorSession:
                     f"no dataset for deployment {name!r}; "
                     "run collect first"
                 )
-            dataset = Dataset(path=backend.db_path, store=backend)
+            dataset = Dataset()
         else:
-            dataset = Dataset(backend.query_points(),
-                              path=backend.db_path, store=backend)
+            dataset = Dataset(backend.query_points())
         self._datasets[name] = dataset
         self._dataset_sigs[name] = sig
         return dataset
@@ -474,8 +478,8 @@ class AdvisorSession:
         )
 
     def taskdb(self, name: str) -> TaskDB:
-        """The deployment's task DB (cached; store-backed when persisted,
-        so every status transition persists as it happens).
+        """The deployment's task DB (cached; a ``collect`` commits its
+        transitions to the store as the sweep goes).
 
         Invalidated on external changes like :meth:`dataset` — a stale
         task DB would make a resumed ``collect`` re-execute scenarios
@@ -491,11 +495,7 @@ class AdvisorSession:
             return self._taskdbs[name]
         self._taskdbs.pop(name, None)
         self._taskdb_sigs.pop(name, None)
-        db = TaskDB.from_records(
-            backend.load_tasks(),
-            path=backend.db_path,
-            store=backend,
-        )
+        db = TaskDB.from_records(backend.load_tasks())
         self._taskdbs[name] = db
         self._taskdb_sigs[name] = sig
         return db
@@ -602,7 +602,11 @@ class AdvisorSession:
                     file_lock(self.store.taskdb_path(name)))
                 stack.enter_context(
                     file_lock(self.store.dataset_path(name)))
-            dataset = self.dataset(name, must_exist=False)
+            backend_store = self.data_store(name)
+            # The collector only appends: a persistent sweep starts from
+            # an empty dataset instead of parsing every stored row.
+            dataset = (self.dataset(name, must_exist=False)
+                       if backend_store is None else Dataset())
             taskdb = self.taskdb(name)
             sampler, smart = self._make_sampler(req, deployment, config,
                                                 scenarios)
@@ -612,6 +616,7 @@ class AdvisorSession:
                 script=registry.apps.create(config.appname),
                 dataset=dataset,
                 taskdb=taskdb,
+                store=backend_store,
                 deployment_name=name,
                 delete_pool_on_switch=req.delete_pools,
                 sampler=sampler,
@@ -625,7 +630,14 @@ class AdvisorSession:
                 engine=req.engine,
                 on_progress=progress,
             )
-            report = collector.collect(scenarios)
+            try:
+                report = collector.collect(scenarios)
+            except BaseException:
+                # The cached task DB may hold transitions the aborted
+                # sweep could not commit: reload it from the store.
+                if backend_store is not None:
+                    self._taskdbs.pop(name, None)
+                raise
             sweep_span.set("engine", report.engine)
             sweep_span.set("executed", report.executed)
             sweep_span.set("completed", report.completed)
@@ -634,12 +646,10 @@ class AdvisorSession:
             for stage, seconds in report.profile.items():
                 if stage != "total_s":
                     telemetry.emit_event(f"stage.{stage}", seconds)
-            # collect() wrote through our own cached objects; record the
-            # new signatures so the next dataset()/taskdb() call does not
-            # reload.
-            backend_store = self.data_store(name)
+            # collect() committed the transitions of our own cached task
+            # DB; record the new signature so the next taskdb() call does
+            # not reload it.
             if backend_store is not None:
-                self._dataset_sigs[name] = backend_store.dataset_signature()
                 self._taskdb_sigs[name] = backend_store.tasks_signature()
         return CollectResult(
             deployment=name,
@@ -664,8 +674,10 @@ class AdvisorSession:
             preemptions=report.preemptions,
             wasted_node_s=report.wasted_node_s,
             failures=tuple(report.failures),
-            dataset_points=len(dataset),
-            dataset_path=dataset.path or "",
+            dataset_points=(len(dataset) if backend_store is None
+                            else backend_store.count_points()),
+            dataset_path=(backend_store.db_path
+                          if backend_store is not None else ""),
             store_backend=(backend_store.kind
                            if backend_store is not None else ""),
             sampler_decisions=(tuple(smart.decisions_log) if smart else ()),

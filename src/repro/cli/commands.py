@@ -398,7 +398,6 @@ def engines(state_dir: Optional[str] = None, as_json: bool = False) -> int:
     """List the collect and advice read engines and what each covers."""
     from repro.core.columnar import describe_advice_engines
     from repro.simd import describe_engines
-    from repro.simd.vector import vector_ready
 
     matrix = describe_engines()
     advice_matrix = describe_advice_engines()
@@ -407,8 +406,8 @@ def engines(state_dir: Optional[str] = None, as_json: bool = False) -> int:
         import json
 
         print(json.dumps(
-            {"engines": matrix, "vectorized_physics": vector_ready(),
-             "advice_engines": advice_matrix, "snapshots": snapshots},
+            {"engines": matrix, "advice_engines": advice_matrix,
+             "snapshots": snapshots},
             indent=1,
         ))
         return 0
@@ -418,9 +417,6 @@ def engines(state_dir: Optional[str] = None, as_json: bool = False) -> int:
         print(f"  concurrency: {'yes' if entry['concurrency'] else 'no'}")
         print(f"  batching:    {'yes' if entry['batching'] else 'no'}")
         print(f"  coverage:    {entry['coverage']}")
-    print("vectorized physics: "
-          + ("available (numpy)" if vector_ready()
-             else "unavailable (numpy missing; scalar table only)"))
     print()
     print("advice read engines:")
     for entry in advice_matrix:

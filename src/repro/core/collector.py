@@ -52,20 +52,19 @@ point's ``cost_usd`` is the *effective* spot cost, and ``preemptions`` /
 With an eviction rate of zero the spot path degenerates to the
 on-demand execution byte for byte (only priced at the spot rate).
 
-**Persistence** is incremental: when the dataset and task DB are backed
-by a :mod:`repro.store` database (as the session always arranges for
-persistent state), a crashed or cancelled sweep keeps everything it
-measured and a resumed sweep starts from exactly what completed.  The
-object walk writes every ``dataset.append`` and task-status transition
-through to the store the moment it happens, point before task.  The
-batched kernel holds them in memory and commits each pool's group at
-its release (Algorithm 1 line 13), and whatever is left when the sweep
-ends or aborts, as one transaction
-(:meth:`repro.store.sqlite.SqliteStore.commit`).  Either way a
-completed task never reaches the store without its point, and a hard
-kill loses at most the VM type in flight.  The end-of-sweep
-``_save_state`` is then only a durability flush, never a whole-corpus
-rewrite.
+**Persistence**: the collector is the one writer of sweep results.
+``Dataset`` and ``TaskDB`` only hold the sweep's new points and task
+transitions in memory; the collector takes them
+(:meth:`~repro.core.dataset.Dataset.take_held`,
+:meth:`~repro.core.taskdb.TaskDB.take_held`) and hands them to its
+``store``'s :meth:`~repro.store.sqlite.SqliteStore.commit`, which writes
+them in one transaction.  The object walk commits after every scenario
+outcome; the batched kernel at every pool release (Algorithm 1 line
+13); both once more when the sweep ends or aborts.  So a point and its
+task always land together, and a hard kill loses at most the object
+walk's outcome in flight, or the kernel's pool in flight; a resumed
+sweep re-runs exactly what was not committed.  Progress
+(``on_progress``) may report an outcome before it is committed.
 """
 
 from __future__ import annotations
@@ -73,10 +72,9 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import (Callable, Dict, Generator, Iterator, List, Optional,
-                    Protocol, runtime_checkable)
+from typing import (TYPE_CHECKING, Callable, Dict, Generator, Iterator, List,
+                    Optional, Protocol, runtime_checkable)
 
 from repro.appkit.script import AppScript
 from repro.backends.base import ExecutionBackend, ScenarioRunResult
@@ -87,6 +85,9 @@ from repro.core.scenarios import Scenario
 from repro.core.taskdb import TaskDB, TaskStatus
 from repro.errors import BackendError, ConfigError
 from repro.telemetry import SweepProfiler, global_registry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.store.sqlite import SqliteStore
 
 #: Engine decisions, observable on /metrics: which engine each sweep
 #: ran on, and how often an ``auto`` or ``batched`` request had to
@@ -224,6 +225,9 @@ class DataCollector:
     script: AppScript
     dataset: Dataset
     taskdb: TaskDB
+    #: Where the sweep's points and task records are committed (module
+    #: docstring); ``None`` keeps them in memory only.
+    store: Optional["SqliteStore"] = None
     deployment_name: str = ""
     delete_pool_on_switch: bool = False
     sampler: Optional[SamplingPlanner] = None
@@ -331,15 +335,11 @@ class DataCollector:
         )
         engine_used, fallback = self._resolve_engine(ordered)
         try:
+            # The initial PENDING rows ride along with the first commit.
+            self._register_scenarios(scenarios)
             if engine_used == "batched":
-                # The initial PENDING rows, the points and every status
-                # transition are held in memory and committed per pool
-                # (module docstring) instead of per scenario.
-                with self._held_writes():
-                    self._register_scenarios(scenarios)
-                    report = self._collect_batched(ordered)
+                report = self._collect_batched(ordered)
             else:
-                self._register_scenarios(scenarios)
                 report = self._collect_scheduled(ordered)
         except BaseException:
             # An aborted sweep (e.g. cooperative cancellation raised from
@@ -357,8 +357,7 @@ class DataCollector:
         report.provisioning_overhead_s = self.backend.provisioning_overhead_s
         report.engine = engine_used
         report.engine_fallback = fallback
-        with self._profiler.stage("persist"):
-            self._save_state()
+        self._save_state()
         report.profile = self._profiler.as_dict()
         return report
 
@@ -423,44 +422,27 @@ class DataCollector:
             recovery=self.recovery if self.capacity == "spot" else "",
         )
 
-    @contextmanager
-    def _held_writes(self) -> Iterator[None]:
-        """Hold the sweep's point appends and task transitions in memory
-        for :meth:`_commit_held`; leaving the block commits whatever is
-        still held, also when the sweep aborts."""
-        self.dataset.hold_writes()
-        self.taskdb.hold_writes()
-        try:
-            yield
-        finally:
-            try:
-                self._commit_held()
-            finally:
-                self.dataset.hold_writes(False)
-                self.taskdb.hold_writes(False)
-
     def _commit_held(self) -> None:
-        """Write the held points and task updates as one unit
-        (:meth:`repro.store.sqlite.SqliteStore.commit`), timed as
-        ``persist``."""
+        """Commit the points and task updates held since the last commit
+        as one unit (:meth:`repro.store.sqlite.SqliteStore.commit`),
+        timed as ``persist``."""
         with self._profiler.stage("persist"):
             points = self.dataset.take_held()
             changed = self.taskdb.take_held()
-            store = self.taskdb.store
-            if store is not None and store is self.dataset.store:
-                store.commit(points, changed)
-                return
-            # Separate stores, or only one: still points first.
-            if points:
-                self.dataset.store.append_points(points)
-            if changed:
-                store.sync_tasks(changed)
+            if self.store is not None and (points or changed):
+                self.store.commit(points, changed)
 
     def _save_state(self) -> None:
-        if self.taskdb.path:
-            self.taskdb.save()
-        if self.dataset.path:
-            self.dataset.save()
+        """The end-of-sweep commit, then a durability flush (and the
+        legacy files of a dataset or task DB that has a path)."""
+        self._commit_held()
+        with self._profiler.stage("persist"):
+            if self.store is not None:
+                self.store.flush_points()
+            if self.taskdb.path:
+                self.taskdb.save()
+            if self.dataset.path:
+                self.dataset.save()
 
     def _notify(self, report: CollectionReport) -> None:
         if self.on_progress is not None:
@@ -499,7 +481,8 @@ class DataCollector:
         launch()
         # Coarse attribution: the whole event-queue drive is scenario
         # work, minus whatever the lifecycles spent persisting results
-        # (credited to "persist" by _record_result as it happens).
+        # (credited to "persist" by _record_result and _commit_held as
+        # it happens).
         persist_before = self._profiler.totals.get("persist", 0.0)
         drive_started = time.perf_counter()
         engine.run_until_idle()
@@ -527,6 +510,7 @@ class DataCollector:
             if record.status is not TaskStatus.PENDING or record.skipped_by_sampler:
                 continue  # resumed sweep: already handled
             if not self._should_run(scenario, report):
+                self._commit_held()  # the skip or prediction
                 continue
 
             # -- Algorithm 1 lines 3-7: pool bring-up -----------------------
@@ -539,6 +523,7 @@ class DataCollector:
                 yield setup_op.ready_at
                 if not setup_op.finish():
                     self._fail_setup_group(sku, group, report)
+                    self._commit_held()
                     break
             provisioned = True
             op = self.backend.submit_provision(sku, scenario.nnodes)
@@ -559,6 +544,7 @@ class DataCollector:
                     op.finish()
                 result = yield from self._run_scheduled(scenario)
             self._record_result(scenario, result, report)
+            self._commit_held()
             if not result.succeeded and self.stop_on_failure:
                 state.stop = True
                 break

@@ -4,19 +4,18 @@ Paper Sec. I: "data is collected, filtered, and organized"; the dataset is
 what the plot and advice commands consume, optionally through "a given data
 filter" (a :class:`~repro.core.query.Query`).
 
-Persistence comes in two shapes:
+A ``Dataset`` only holds points in memory; it never writes to a store.
+The sweep collector (:mod:`repro.core.collector`) is the one writer of
+sweep results: it takes each sweep's new points with
+:meth:`Dataset.take_held` and hands them to
+:meth:`repro.store.sqlite.SqliteStore.commit` together with the task
+records that describe them, so a point and its task always land
+together.  To add points to a deployment's store directly, use
+``AdvisorSession.data_store(name).append_points``.
 
-* **store-backed** (``Dataset(..., store=<SqliteStore>)``) — every
-  ``append`` writes through to the :mod:`repro.store` database
-  immediately, so sweeps persist each completed point incrementally
-  and a killed sweep keeps everything it measured; ``save()`` is just
-  a flush.  A batched sweep may hold appends in memory instead
-  (:meth:`Dataset.hold_writes`) and commit them together with their
-  task records.
-* **path-backed** (``Dataset(..., path=...)``, no store) — the legacy
-  ``dataset-<name>.jsonl`` shape: ``save()`` atomically rewrites the
-  whole JSON-lines file and :meth:`Dataset.load` reads one.  The store's
-  import and export of the legacy layout use exactly these two.
+:meth:`Dataset.save` and :meth:`Dataset.load` write and read the legacy
+``dataset-<name>.jsonl`` shape (one JSON object per line); the store's
+import and export of the legacy layout use exactly these two.
 """
 
 from __future__ import annotations
@@ -24,14 +23,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
-                    Optional)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.core.query import Query
 from repro.errors import DatasetError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.store.sqlite import SqliteStore
 
 
 @dataclass(frozen=True)
@@ -172,55 +167,30 @@ def _non_finite_field(payload: Mapping[str, object]) -> str:
 class Dataset:
     """Append-only collection of data points with filtering.
 
-    With a ``store`` attached, appends write through to it immediately
-    (see module docstring); the points already present at construction
-    are assumed to be the store's current contents and are never
-    re-written.
+    The points given at construction count as already persisted;
+    :meth:`take_held` returns the ones appended since (module
+    docstring).
     """
 
     def __init__(self, points: Optional[Iterable[DataPoint]] = None,
-                 path: Optional[str] = None,
-                 store: Optional["SqliteStore"] = None) -> None:
+                 path: Optional[str] = None) -> None:
         self._points: List[DataPoint] = list(points or [])
         self.path = path
-        self._store = store
-        self._synced = len(self._points) if store is not None else 0
-        self._holding = False
-
-    @property
-    def store(self) -> Optional["SqliteStore"]:
-        return self._store
+        self._taken = len(self._points)
 
     # -- basic access -------------------------------------------------------------
 
     def append(self, point: DataPoint) -> None:
         self._points.append(point)
-        self._write_through()
 
     def extend(self, points: Iterable[DataPoint]) -> None:
         self._points.extend(points)
-        self._write_through()
-
-    def _write_through(self) -> None:
-        if self._holding:
-            return
-        if self._store is not None and self._synced < len(self._points):
-            self._store.append_points(self._points[self._synced:])
-            self._synced = len(self._points)
-
-    def hold_writes(self, hold: bool = True) -> None:
-        """Start (or stop) holding appends in memory instead of writing
-        them through; :meth:`take_held` hands them to the caller to
-        persist.  No-op without a store."""
-        self._holding = hold and self._store is not None
 
     def take_held(self) -> List[DataPoint]:
-        """The points appended since the last store write, in append
-        order; from now on the caller is the one persisting them."""
-        if self._store is None:
-            return []
-        points = self._points[self._synced:]
-        self._synced = len(self._points)
+        """The points appended since construction or the last take, in
+        append order; from now on the caller is the one persisting them."""
+        points = self._points[self._taken:]
+        self._taken = len(self._points)
         return points
 
     def points(self) -> List[DataPoint]:
@@ -258,7 +228,7 @@ class Dataset:
         (Query cannot express that — its empty tuple means "no filter").
         """
         if nnodes is not None and not tuple(nnodes):
-            return Dataset([], path=self.path)
+            return Dataset()
         query = Query(
             appname=appname,
             sku=sku,
@@ -277,16 +247,14 @@ class Dataset:
               ) -> "Dataset":
         """Apply a :class:`Query` (filter + window) in memory.
 
-        The result never inherits a store-backed parent's ``path``: that
-        path names the live store file (possibly a SQLite database),
-        and a stray ``save()`` on a filtered view must not overwrite it
-        with JSON lines.
+        The result never carries a path: the parent's path names the
+        whole corpus, and a stray ``save()`` on a filtered view must not
+        overwrite it with the subset.
         """
         kept = [p for p in self._points
                 if query.matches(p)
                 and (predicate is None or predicate(p))]
-        path = None if self._store is not None else self.path
-        return Dataset(query._window(kept), path=path)
+        return Dataset(query._window(kept))
 
     def distinct(self, attr: str) -> List[object]:
         """Sorted distinct values of a DataPoint attribute."""
@@ -301,25 +269,13 @@ class Dataset:
     # -- persistence --------------------------------------------------------------------
 
     def save(self, path: Optional[str] = None) -> str:
-        """Persist this instance's points.
+        """Write this instance's points as a legacy JSON-lines file.
 
-        Store-backed datasets have already written every append through
-        to the store; ``save()`` only flushes any remaining tail and
-        marks the corpus durable, never rewriting what is stored.
-
-        Path-backed datasets atomically rewrite the file.  Readers never
-        see a partial file, but concurrent *read-modify-write* cycles
-        are the caller's job: ``AdvisorSession.collect`` holds the
-        dataset's advisory ``file_lock`` from load to save so sweeps
-        cannot lose each other's appends.
+        The file is rewritten atomically: readers never see a partial
+        file, but concurrent *read-modify-write* cycles are the
+        caller's job (hold the file's advisory ``file_lock`` from load
+        to save).
         """
-        if self._store is not None and (path is None or path == self.path):
-            self._write_through()
-            self._store.flush_points()
-            if self.path is None:
-                self.path = self._store.db_path
-            return self.path
-
         # Imported here: statefiles sits above this module in the layering
         # (it pulls in the deployer), and save() is called once per sweep.
         from repro.core.statefiles import atomic_write

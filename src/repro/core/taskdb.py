@@ -1,17 +1,18 @@
-"""Task list with execution state, persisted as JSON or through a store.
+"""Task list with execution state.
 
 Paper Sec. III-C: "This list is recorded and stored in a JSON file.  The
 list also contains the status of the task, which can be pending, failed, or
 completed."
 
-With a :mod:`repro.store` database attached, every status transition
-is persisted immediately (an upsert of just the changed record), so an
-aborted sweep resumes from exactly what it completed.  A batched sweep
-may hold transitions in memory instead (:meth:`TaskDB.hold_writes`) and
-commit them together with their points.  Without a store, ``save()``
-atomically rewrites the JSON file and :meth:`TaskDB.load` reads one —
-the legacy ``tasks-<name>.json`` shape, which the store's import and
-export of the legacy layout use.
+A ``TaskDB`` only holds records in memory; it never writes to a store.
+Every status transition is remembered until :meth:`TaskDB.take_held`
+hands it over, and the sweep collector (:mod:`repro.core.collector`)
+commits what it takes together with the points those transitions
+describe (:meth:`repro.store.sqlite.SqliteStore.commit`), so a point
+and its task always land together.  ``save()`` atomically rewrites a
+JSON file and :meth:`TaskDB.load` reads one: the legacy
+``tasks-<name>.json`` shape, which the store's import and export of the
+legacy layout use.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.core.scenarios import Scenario
 from repro.errors import DatasetError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.store.sqlite import SqliteStore
 
 
 class TaskStatus(enum.Enum):
@@ -94,52 +92,28 @@ def _opt_float(value: object) -> Optional[float]:
 
 
 class TaskDB:
-    """The scenario/task list, optionally persisted (module docstring)."""
+    """The scenario/task list (module docstring)."""
 
-    def __init__(self, path: Optional[str] = None,
-                 store: Optional["SqliteStore"] = None) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
         self._records: Dict[str, TaskRecord] = {}
-        self._store = store
-        #: Records changed while holding writes, by scenario id, in
-        #: first-change order (``None`` when writing through).
-        self._held: Optional[Dict[str, TaskRecord]] = None
-
-    @property
-    def store(self) -> Optional["SqliteStore"]:
-        return self._store
+        #: Records changed since the last :meth:`take_held`, by scenario
+        #: id, in first-change order.
+        self._held: Dict[str, TaskRecord] = {}
 
     @classmethod
-    def from_records(cls, records: Iterable[TaskRecord],
-                     path: Optional[str] = None,
-                     store: Optional["SqliteStore"] = None) -> "TaskDB":
+    def from_records(cls, records: Iterable[TaskRecord]) -> "TaskDB":
         """A task DB over already-persisted records (store load path)."""
-        db = cls(path=path, store=store)
+        db = cls()
         for record in records:
             db._records[record.scenario.scenario_id] = record
         return db
-
-    def _sync(self, changed: List[TaskRecord]) -> None:
-        if self._held is not None:
-            for record in changed:
-                self._held[record.scenario.scenario_id] = record
-            return
-        if self._store is not None and changed:
-            self._store.sync_tasks(changed)
-
-    def hold_writes(self, hold: bool = True) -> None:
-        """Start (or stop) holding status transitions in memory instead
-        of syncing them; :meth:`take_held` hands them to the caller to
-        persist.  No-op without a store."""
-        self._held = {} if hold and self._store is not None else None
 
     def take_held(self) -> List[TaskRecord]:
         """Every record changed since the last take, each at its current
         state, in first-change order — what the per-transition upserts
         would have left behind, since upserts keep insertion order.
         From now on the caller is the one persisting them."""
-        if not self._held:
-            return []
         changed = list(self._held.values())
         self._held.clear()
         return changed
@@ -147,7 +121,6 @@ class TaskDB:
     # -- population -----------------------------------------------------------
 
     def add_scenarios(self, scenarios: Iterable[Scenario]) -> None:
-        added = []
         for scenario in scenarios:
             if scenario.scenario_id in self._records:
                 raise DatasetError(
@@ -155,8 +128,7 @@ class TaskDB:
                 )
             record = TaskRecord(scenario=scenario)
             self._records[scenario.scenario_id] = record
-            added.append(record)
-        self._sync(added)
+            self._held[scenario.scenario_id] = record
 
     # -- queries ------------------------------------------------------------------
 
@@ -205,7 +177,7 @@ class TaskDB:
         record.finished_at = finished_at
         record.predicted = predicted
         record.preemptions = preemptions
-        self._sync([record])
+        self._held[scenario_id] = record
         return record
 
     def mark_failed(self, scenario_id: str, reason: str,
@@ -218,32 +190,26 @@ class TaskDB:
         record.started_at = started_at
         record.finished_at = finished_at
         record.preemptions = preemptions
-        self._sync([record])
+        self._held[scenario_id] = record
         return record
 
     def mark_skipped(self, scenario_id: str) -> TaskRecord:
         """Sampler decided this scenario need not run (stays pending)."""
         record = self.get(scenario_id)
         record.skipped_by_sampler = True
-        self._sync([record])
+        self._held[scenario_id] = record
         return record
 
     # -- persistence -----------------------------------------------------------------
 
     def save(self, path: Optional[str] = None) -> str:
-        """Persist this instance's records.
+        """Write this instance's records as a legacy JSON file.
 
-        Store-backed task DBs persisted every transition as it happened,
-        so ``save()`` has nothing left to write.  Path-backed ones
-        atomically rewrite the file; readers never see a partial file,
-        but concurrent *read-modify-write* cycles are the caller's job:
-        ``AdvisorSession.collect`` holds the task DB's advisory
-        ``file_lock`` from load to save so sweeps cannot lose each
-        other's updates.
+        The file is rewritten atomically: readers never see a partial
+        file, but concurrent *read-modify-write* cycles are the
+        caller's job (hold the file's advisory ``file_lock`` from load
+        to save).
         """
-        if self._store is not None and (path is None or path == self.path):
-            return self.path or ""
-
         # Imported here: statefiles sits above this module in the layering
         # (it pulls in the deployer), and save() is called once per sweep.
         from repro.core.statefiles import atomic_write

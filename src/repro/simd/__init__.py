@@ -10,7 +10,7 @@ from repro.simd.engine import (batch_eligibility, describe_engines,
                                run_batched_sweep)
 from repro.simd.physics import (ADAPTERS, FastPhysics, ScenarioPhysics,
                                 covers, shared_physics, supported_apps)
-from repro.simd.vector import prime_grid, vector_ready
+from repro.simd.vector import prime_grid
 
 __all__ = [
     "ADAPTERS",
@@ -24,5 +24,4 @@ __all__ = [
     "run_batched_sweep",
     "shared_physics",
     "supported_apps",
-    "vector_ready",
 ]

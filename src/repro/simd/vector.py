@@ -43,10 +43,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence
 
-try:  # the supported toolchain bakes numpy in; degrade gracefully without
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by gating tests
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from repro.cloud.skus import VmSku
 from repro.cluster.network import NetworkModel, network_for_sku
@@ -69,11 +66,6 @@ _TWO_THIRDS = 2.0 / 3.0
 #: (script failure for every shape) / raise ConfigError in the scalar walk.
 _PREP_SCRIPT_FAIL = ("script-fail",)
 _PREP_CONFIG_ERROR = ("config-error",)
-
-
-def vector_ready() -> bool:
-    """Whether the vectorized prime path is available (NumPy importable)."""
-    return _np is not None
 
 
 def _surface(col: List[float]):
@@ -250,7 +242,7 @@ def prime_grid(physics: ScenarioPhysics, scenarios: Sequence[Scenario],
     exactly are omitted — never approximated.
     """
     primed: Dict[str, FastPhysics] = {}
-    if _np is None or physics.noise.sigma > 0.0 or not scenarios:
+    if physics.noise.sigma > 0.0 or not scenarios:
         return primed
     results = physics._results
     params_memo = physics._params
@@ -460,10 +452,9 @@ def prime_spot_draws(eviction, sku_name: str, rows: Sequence[tuple], *,
     scalar timeline) simply makes the walk fall back to scalar draws
     keyed on the same cumulative counter, which yields the identical
     value; prediction accuracy is a throughput concern, never a
-    correctness one.  Returns ``{}`` when the rate is zero or NumPy is
-    unavailable.
+    correctness one.  Returns ``{}`` when the rate is zero.
     """
-    if _np is None or not rows or eviction is None:
+    if not rows or eviction is None:
         return {}
     sids = [r[0] for r in rows]
     nnodes = [int(r[1]) for r in rows]

@@ -3,12 +3,12 @@
 One WAL-mode database per deployment holds both the data points and the
 task records.  Design points:
 
-* **Incremental appends** — each completed scenario is one ``INSERT``
-  (points) or one upsert (tasks); nothing ever rewrites the corpus, so
-  a 50k-point deployment pays the same per-append cost as an empty one
-  and a killed sweep keeps every committed row.  A batched
-  :meth:`SqliteStore.commit` puts the points insert and the task
-  upsert, each with its generation bump, in one transaction.
+* **Incremental appends** — a sweep's results arrive through
+  :meth:`SqliteStore.commit`: one ``INSERT`` of the new points and one
+  upsert of the changed task records, each with its generation bump,
+  in one transaction.  Nothing ever rewrites the corpus, so a
+  50k-point deployment pays the same per-append cost as an empty one
+  and a killed sweep keeps every committed row.
 * **Query pushdown** — the scalar clauses of a
   :class:`~repro.core.query.Query` (app, SKU, node counts, capacity,
   predicted, ppn) become an indexed SQL ``WHERE``; ``limit``/``offset``
@@ -237,7 +237,7 @@ class SqliteStore:
                changed: Sequence[TaskRecord]) -> None:
         """Persist ``points`` and the task updates that describe them in
         one transaction, so a completed task never persists without its
-        point."""
+        point (the way sweep results reach the store)."""
         with self.transaction():
             if points:
                 self.append_points(points)

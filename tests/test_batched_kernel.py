@@ -14,9 +14,8 @@ pin that promise down:
 * Hypothesis-generated sweeps: any (inputs, nodes, eviction, recovery,
   retries) draw must agree engine-to-engine;
 * graceful degradation: ineligible sweeps fall back to the object
-  engine with the reason recorded, and a missing NumPy only un-primes
-  the vector pass (the batched engine stays exact through the scalar
-  path);
+  engine with the reason recorded, and scenarios the vector pass left
+  un-primed stay exact through the scalar path;
 * the per-pool store commits still persist completed work when a sweep
   aborts mid-flight.
 """
@@ -37,7 +36,7 @@ from repro.core.deployer import Deployer
 from repro.core.scenarios import Scenario, generate_scenarios
 from repro.core.taskdb import TaskDB, TaskStatus
 from repro.errors import ConfigError
-from repro.simd import batch_eligibility, prime_grid, vector_ready
+from repro.simd import batch_eligibility, prime_grid
 from repro.simd.physics import ScenarioPhysics
 from tests.conftest import make_config
 
@@ -56,8 +55,9 @@ def sweep(engine, appname="lammps", appinputs=None, skus=None,
         backend=AzureBatchBackend(service=deployment.batch,
                                   capacity=capacity),
         script=get_plugin(appname),
-        dataset=Dataset(store=store),
-        taskdb=TaskDB(store=store),
+        dataset=Dataset(),
+        taskdb=TaskDB(),
+        store=store,
         deployment_name="batched-kernel-test",
         capacity=capacity, recovery=recovery, eviction=eviction,
         retry_failed=retry_failed, engine=engine,
@@ -286,7 +286,6 @@ def assert_physics_equal(reference, primed_value, scenario):
             assert repr(ref) == repr(got)
 
 
-@pytest.mark.skipif(not vector_ready(), reason="NumPy not available")
 def test_prime_grid_bit_equal_to_scalar():
     import random
 
@@ -308,15 +307,11 @@ def test_prime_grid_bit_equal_to_scalar():
 
 
 def test_prime_grid_without_numpy(monkeypatch):
-    """No NumPy -> no vector pass, but the batched engine stays exact
-    through the scalar path."""
-    import repro.simd.vector as vector
+    """No vector pass (every scenario left un-primed): the batched
+    engine stays exact through the scalar path."""
+    import repro.simd.engine as engine
 
-    monkeypatch.setattr(vector, "_np", None)
-    assert not vector.vector_ready()
-    scenarios = random_grid(__import__("random").Random(1), 10)
-    assert prime_grid(ScenarioPhysics(), scenarios,
-                      lambda name: get_sku(name)) == {}
+    monkeypatch.setattr(engine, "prime_grid", lambda *args: {})
     assert_equivalent(appinputs={"BOXFACTOR": ["4", "8"]})
 
 

@@ -303,12 +303,14 @@ class TestJsonlByteCompatibility:
         ]
         store = SqliteStore(str(tmp_path / "store.sqlite"))
         try:
-            for db in (TaskDB(path=str(tmp_path / "legacy.json")),
-                       TaskDB(store=store)):
+            legacy = TaskDB(path=str(tmp_path / "legacy.json"))
+            stored = TaskDB()
+            for db in (legacy, stored):
                 db.add_scenarios(scenarios)
                 db.mark_completed("s1", exec_time_s=3.0, cost_usd=0.2)
                 db.mark_failed("s3", "quota")
-                db.save()
+            legacy.save()
+            store.sync_tasks(stored.take_held())
             written = export_legacy(store, str(tmp_path / "d.jsonl"),
                                     str(tmp_path / "store-tasks.json"))
         finally:
@@ -506,6 +508,26 @@ class TestQueryViewSaveSafety:
         assert db.execute("SELECT COUNT(*) FROM datapoints").fetchone()[0] \
             == 2
         db.close()
+
+    def test_filtered_view_of_a_legacy_file_cannot_overwrite_it(
+            self, tmp_path):
+        """A view of a dataset loaded from a legacy file carries no path
+        either: a stray save() used to overwrite the whole corpus with
+        the subset."""
+        from repro.errors import DatasetError
+
+        path = str(tmp_path / "dataset.jsonl")
+        points = [DataPoint(appname="lammps", sku=_SKUS[0], nnodes=n,
+                            ppn=4, exec_time_s=10.0 / n, cost_usd=1.0)
+                  for n in (1, 2, 4)]
+        Dataset(points).save(path)
+        for view in (Dataset.load(path).filter(min_nodes=2),
+                     Dataset.load(path).filter(nnodes=()),
+                     Dataset.load(path).query(Query(nnodes=(1,)))):
+            assert view.path is None
+            with pytest.raises(DatasetError, match="no path"):
+                view.save()
+        assert Dataset.load(path).points() == points
 
 
 class TestPaginationValidation:

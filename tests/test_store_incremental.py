@@ -4,11 +4,12 @@ The acceptance contract of the ``repro.store`` layer:
 
 * a sweep killed mid-flight keeps **every** completed point and task
   status on disk (no end-of-sweep save required);
-* a process hard-killed inside the batched engine's per-pool commit
-  never leaves a completed task row without its point, and the resumed
-  sweep re-runs exactly the scenarios that commit did not cover;
-* the scheduled walk (per-scenario write-through) and the batched
-  engine's one-pool loop (per-pool commits) leave row-identical
+* a process hard-killed inside a commit (the object walk's per-outcome
+  one or the batched engine's per-pool one) never leaves a completed
+  task row without its point, and the resumed sweep re-runs exactly
+  the scenarios that commit did not cover;
+* the scheduled walk (a commit per scenario outcome) and the batched
+  engine's one-pool loop (a commit per pool) leave row-identical
   corpora and byte-identical exports;
 * a state directory in the legacy JSONL layout imports in place with
   identical advice, and export then import reproduces points, tasks
@@ -118,17 +119,40 @@ class TestKillMidSweep:
         fresh = AdvisorSession(state_dir=state_dir)
         assert len(fresh.dataset(info.name)) == 1
 
+    @pytest.mark.parametrize("engine", ["object", "batched"])
+    def test_failed_commit_reruns_in_the_same_session(self, tmp_path,
+                                                      monkeypatch, engine):
+        """A commit that raises (disk full, database locked) persists
+        nothing, but the aborted sweep had already marked its outcomes
+        in the session's cached task DB: the next collect must not
+        trust that cache and skip them."""
+        from repro.store.sqlite import SqliteStore
+
+        session = AdvisorSession(state_dir=str(tmp_path / "state"))
+        info = session.deploy(_config())
+
+        def full_disk(self, points, changed):
+            raise Boom("disk full")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(SqliteStore, "commit", full_disk)
+            with pytest.raises(Boom):
+                session.collect(deployment=info.name, engine=engine)
+        resumed = session.collect(deployment=info.name, engine=engine)
+        assert resumed.executed == 4
+        assert resumed.dataset_points == 4
+
 
 #: Child process for TestHardKillMidCommit: resumes the collect of
-#: deployment argv[2] in state dir argv[1] on the batched engine and
-#: dies (like ``kill -9``: no cleanup, no flush) on call number argv[4]
-#: into the store's ``argv[3]`` method.
+#: deployment argv[2] in state dir argv[1] on engine argv[5] and dies
+#: (like ``kill -9``: no cleanup, no flush) on call number argv[4] into
+#: the store's ``argv[3]`` method.
 _KILL_CHILD = """
 import os, sys
 from repro.api import AdvisorSession
 from repro.store.sqlite import SqliteStore
 
-state_dir, name, method, kill_at = sys.argv[1:5]
+state_dir, name, method, kill_at, engine = sys.argv[1:6]
 calls = [0]
 def dying(self, *args, _real=getattr(SqliteStore, method)):
     calls[0] += 1
@@ -136,14 +160,15 @@ def dying(self, *args, _real=getattr(SqliteStore, method)):
         os._exit(9)
     return _real(self, *args)
 setattr(SqliteStore, method, dying)
-AdvisorSession(state_dir=state_dir).collect(deployment=name,
-                                            engine="batched")
+AdvisorSession(state_dir=state_dir).collect(deployment=name, engine=engine)
 """
 
 
 class TestHardKillMidCommit:
-    """2 SKUs x 2 node counts x 3 inputs: two pools of 6 scenarios, so
-    the batched engine commits twice (once per pool release)."""
+    """2 SKUs x 2 node counts x 3 inputs: two pools of 6 scenarios.  The
+    batched engine commits twice (once per pool release), the object
+    walk once per scenario outcome; each commit writes its points, then
+    its task records, in one transaction."""
 
     def _scenario_keys(self, records):
         return [(r.scenario.sku_name, r.scenario.nnodes,
@@ -152,13 +177,20 @@ class TestHardKillMidCommit:
     def _point_keys(self, points):
         return [(p.sku, p.nnodes, p.inputs_key()) for p in points]
 
-    @pytest.mark.parametrize("method,kill_at", [
-        ("append_points", 1),   # inside the first pool's commit
-        ("append_points", 2),   # inside the second pool's commit
-        ("sync_tasks", 2),      # second commit, between points and tasks
+    @pytest.mark.parametrize("engine,method,kill_at", [
+        # Inside the first pool's commit, inside the second, and in the
+        # second between points and tasks.
+        pytest.param("batched", "append_points", 1, id="append_points-1"),
+        pytest.param("batched", "append_points", 2, id="append_points-2"),
+        pytest.param("batched", "sync_tasks", 2, id="sync_tasks-2"),
+        # Between points and tasks of the second and the eighth
+        # outcome's commit, and in the third's before its points.
+        ("object", "sync_tasks", 2),
+        ("object", "sync_tasks", 8),
+        ("object", "append_points", 3),
     ])
     def test_no_completed_task_without_its_point(self, tmp_path, origin,
-                                                 method, kill_at):
+                                                 engine, method, kill_at):
         import subprocess
         import sys
 
@@ -172,7 +204,7 @@ class TestHardKillMidCommit:
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         child = subprocess.run(
             [sys.executable, "-c", _KILL_CHILD, state_dir, info.name,
-             method, str(kill_at)],
+             method, str(kill_at), engine],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert child.returncode == 9, child.stderr
@@ -185,18 +217,19 @@ class TestHardKillMidCommit:
         point_keys = self._point_keys(
             fresh.dataset(info.name, must_exist=False).points())
         assert set(self._scenario_keys(completed)) <= set(point_keys)
-        # Nothing from the commit the kill landed in: the first pool's
-        # six scenarios at most survive.
-        assert len(completed) == (0 if kill_at == 1 else 6)
 
-        resumed = fresh.collect(deployment=info.name, engine="batched")
-        assert resumed.engine == "batched", resumed.engine_fallback
+        resumed = fresh.collect(deployment=info.name, engine=engine)
+        assert resumed.engine == engine, resumed.engine_fallback
         assert resumed.executed == 12 - len(completed)
         final = self._point_keys(fresh.dataset(info.name).points())
         assert set(final) == set(self._scenario_keys(
             fresh.taskdb(info.name).all()))
         # Points and tasks commit together: each point once.
         assert len(final) == 12
+        # Every commit before the kill survived, nothing of the one it
+        # landed in: a pool of six scenarios, or one outcome.
+        per_commit = 6 if engine == "batched" else 1
+        assert len(completed) == per_commit * (kill_at - 1)
 
 
 class TestStoreCommit:
@@ -358,7 +391,7 @@ class TestInPlaceMigration:
         migrated = AdvisorSession(state_dir=state_dir)
         dataset = migrated.dataset(info.name)
         assert len(dataset) == 2
-        dataset.append(dataset.points()[0])
+        migrated.data_store(info.name).append_points([dataset.points()[0]])
         assert len(AdvisorSession(state_dir=state_dir).dataset(
             info.name)) == 3
 
