@@ -724,16 +724,7 @@ class DataCollector:
                     wasted_node_s=result.wasted_node_s,
                     makespan_s=max(0.0,
                                    result.finished_at - result.started_at),
-                )
-                self.taskdb.mark_completed(
-                    scenario.scenario_id,
-                    exec_time_s=result.exec_time_s,
-                    cost_usd=result.cost_usd,
-                    app_vars=result.app_vars,
-                    infra_metrics=result.infra_metrics,
                     started_at=result.started_at,
-                    finished_at=result.finished_at,
-                    preemptions=result.preemptions,
                 )
             report.completed += 1
             report.task_cost_usd += result.cost_usd
@@ -787,7 +778,10 @@ class DataCollector:
         preemptions: int = 0,
         wasted_node_s: float = 0.0,
         makespan_s: float = 0.0,
+        started_at: Optional[float] = None,
     ) -> None:
+        """Append the point and mark its scenario completed from it; a
+        measured point's task ran from ``started_at`` to ``timestamp``."""
         point = DataPoint(
             appname=scenario.appname,
             sku=scenario.sku_name,
@@ -808,12 +802,7 @@ class DataCollector:
             makespan_s=makespan_s,
         )
         self.dataset.append(point)
-        if predicted:
-            self.taskdb.mark_completed(
-                scenario.scenario_id,
-                exec_time_s=exec_time_s,
-                cost_usd=cost_usd,
-                predicted=True,
-            )
+        self.taskdb.mark_completed(scenario.scenario_id, point, started_at,
+                                   None if predicted else timestamp)
         if self.sampler is not None and not predicted:
             self.sampler.observe(point)

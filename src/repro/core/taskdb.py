@@ -9,10 +9,13 @@ Every status transition is remembered until :meth:`TaskDB.take_held`
 hands it over, and the sweep collector (:mod:`repro.core.collector`)
 commits what it takes together with the points those transitions
 describe (:meth:`repro.store.sqlite.SqliteStore.commit`), so a point
-and its task always land together.  ``save()`` atomically rewrites a
-JSON file and :meth:`TaskDB.load` reads one: the legacy
-``tasks-<name>.json`` shape, which the store's import and export of the
-legacy layout use.
+and its task always land together.  A completion is recorded from its
+point (:meth:`TaskDB.mark_completed`), and until the take the task DB
+remembers which point that was, so the commit can store the task row
+as a link to the point's row instead of a copy of its measurements.
+``save()`` atomically rewrites a JSON file and :meth:`TaskDB.load`
+reads one: the legacy ``tasks-<name>.json`` shape, which the store's
+import and export of the legacy layout use.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
+                    Set)
 
 from repro.core.scenarios import Scenario
 from repro.errors import DatasetError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.dataset import DataPoint
 
 
 class TaskStatus(enum.Enum):
@@ -91,6 +98,28 @@ def _opt_float(value: object) -> Optional[float]:
     return None if value is None else float(value)  # type: ignore[arg-type]
 
 
+class HeldTasks(list):
+    """What :meth:`TaskDB.take_held` returns: the changed records, plus
+    what the store's commit needs to write them compactly.
+
+    ``points`` maps the scenario id of each completion since the last
+    take to the point it was recorded from; ``new`` holds the ids
+    registered since then, and ``payload_changed`` those whose
+    scenario, failure reason or skip flag changed since then
+    (registrations, failures, skips).  All three describe this
+    hand-over only: a caller that ignores them and writes every record
+    in full stores the same records.
+    """
+
+    def __init__(self, records: Iterable[TaskRecord],
+                 points: Dict[str, "DataPoint"], new: Set[str],
+                 payload_changed: Set[str]) -> None:
+        super().__init__(records)
+        self.points = points
+        self.new = new
+        self.payload_changed = payload_changed
+
+
 class TaskDB:
     """The scenario/task list (module docstring)."""
 
@@ -100,6 +129,12 @@ class TaskDB:
         #: Records changed since the last :meth:`take_held`, by scenario
         #: id, in first-change order.
         self._held: Dict[str, TaskRecord] = {}
+        #: Since the last take: the point each completion was recorded
+        #: from, the ids registered, and the ids whose payload fields
+        #: changed (HeldTasks).
+        self._points: Dict[str, "DataPoint"] = {}
+        self._new: Set[str] = set()
+        self._payload_changed: Set[str] = set()
 
     @classmethod
     def from_records(cls, records: Iterable[TaskRecord]) -> "TaskDB":
@@ -109,13 +144,18 @@ class TaskDB:
             db._records[record.scenario.scenario_id] = record
         return db
 
-    def take_held(self) -> List[TaskRecord]:
+    def take_held(self) -> HeldTasks:
         """Every record changed since the last take, each at its current
         state, in first-change order — what the per-transition upserts
         would have left behind, since upserts keep insertion order.
-        From now on the caller is the one persisting them."""
-        changed = list(self._held.values())
-        self._held.clear()
+        From now on the caller is the one persisting them; the task DB
+        keeps no reference to the points handed over."""
+        changed = HeldTasks(self._held.values(), self._points, self._new,
+                            self._payload_changed)
+        self._held = {}
+        self._points = {}
+        self._new = set()
+        self._payload_changed = set()
         return changed
 
     # -- population -----------------------------------------------------------
@@ -129,6 +169,8 @@ class TaskDB:
             record = TaskRecord(scenario=scenario)
             self._records[scenario.scenario_id] = record
             self._held[scenario.scenario_id] = record
+            self._new.add(scenario.scenario_id)
+            self._payload_changed.add(scenario.scenario_id)
 
     # -- queries ------------------------------------------------------------------
 
@@ -155,29 +197,24 @@ class TaskDB:
 
     # -- updates --------------------------------------------------------------------
 
-    def mark_completed(
-        self,
-        scenario_id: str,
-        exec_time_s: float,
-        cost_usd: float,
-        app_vars: Mapping[str, str] = (),
-        infra_metrics: Mapping[str, float] = (),
-        started_at: Optional[float] = None,
-        finished_at: Optional[float] = None,
-        predicted: bool = False,
-        preemptions: int = 0,
-    ) -> TaskRecord:
+    def mark_completed(self, scenario_id: str, point: "DataPoint",
+                       started_at: Optional[float] = None,
+                       finished_at: Optional[float] = None) -> TaskRecord:
+        """Record the scenario's measurement: exec time, cost, app and
+        infra variables, the predicted flag and preemptions come from
+        ``point``, the execution window from the arguments."""
         record = self.get(scenario_id)
         record.status = TaskStatus.COMPLETED
-        record.exec_time_s = exec_time_s
-        record.cost_usd = cost_usd
-        record.app_vars = dict(app_vars)
-        record.infra_metrics = dict(infra_metrics)
+        record.exec_time_s = point.exec_time_s
+        record.cost_usd = point.cost_usd
+        record.app_vars = dict(point.app_vars)
+        record.infra_metrics = dict(point.infra_metrics)
         record.started_at = started_at
         record.finished_at = finished_at
-        record.predicted = predicted
-        record.preemptions = preemptions
+        record.predicted = point.predicted
+        record.preemptions = point.preemptions
         self._held[scenario_id] = record
+        self._points[scenario_id] = point
         return record
 
     def mark_failed(self, scenario_id: str, reason: str,
@@ -191,6 +228,8 @@ class TaskDB:
         record.finished_at = finished_at
         record.preemptions = preemptions
         self._held[scenario_id] = record
+        self._points.pop(scenario_id, None)
+        self._payload_changed.add(scenario_id)
         return record
 
     def mark_skipped(self, scenario_id: str) -> TaskRecord:
@@ -198,6 +237,8 @@ class TaskDB:
         record = self.get(scenario_id)
         record.skipped_by_sampler = True
         self._held[scenario_id] = record
+        self._points.pop(scenario_id, None)
+        self._payload_changed.add(scenario_id)
         return record
 
     # -- persistence -----------------------------------------------------------------

@@ -529,16 +529,7 @@ def run_batched_sweep(collector: "DataCollector",
             dataset_append(point)
             if sampler is not None:
                 sampler.observe(point)
-            mark_completed(
-                sid,
-                exec_time_s=wall,
-                cost_usd=cost,
-                app_vars=phys.app_vars,
-                infra_metrics=phys.infra_metrics,
-                started_at=started,
-                finished_at=finished,
-                preemptions=0,
-            )
+            mark_completed(sid, point, started, finished)
             report.completed += 1
             report.task_cost_usd += cost
         else:

@@ -5,10 +5,17 @@ task records.  Design points:
 
 * **Incremental appends** — a sweep's results arrive through
   :meth:`SqliteStore.commit`: one ``INSERT`` of the new points and one
-  upsert of the changed task records, each with its generation bump,
+  write of the changed task records, each with its generation bump,
   in one transaction.  Nothing ever rewrites the corpus, so a
   50k-point deployment pays the same per-append cost as an empty one
   and a killed sweep keeps every committed row.
+* **Linked task rows** — a task row is inserted once, when its task is
+  registered.  A completion whose point is in the same commit only
+  sets the row's status, ``point_id`` and execution window; its
+  measurements are read back from the point row by
+  :meth:`SqliteStore.load_tasks`.  Every other task row carries its
+  whole record; one still pending since registration needs only its
+  scenario (``docs/STORAGE.md``, "Task rows").
 * **Query pushdown** — the scalar clauses of a
   :class:`~repro.core.query.Query` (app, SKU, node counts, capacity,
   predicted, ppn) become an indexed SQL ``WHERE``; ``limit``/``offset``
@@ -47,7 +54,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import DataPoint, point_row
 from repro.core.query import Query
-from repro.core.taskdb import TaskRecord
+from repro.core.taskdb import TaskRecord, TaskStatus
 from repro.errors import DatasetError
 from repro.telemetry import Series, global_registry
 
@@ -96,16 +103,28 @@ _SIMPLE_KEY = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _EXEC_TIME = POINT_COLUMN_FIELDS.index("exec_time_s")
 
 
-def _dumps(payload: dict) -> str:
-    """Compact task-row payload: parsed only by machines, so the default
-    ``", "``/``": "`` separators are pure write amplification — on a
-    50k-row corpus the whitespace alone is megabytes of WAL traffic.
-    Point rows get the same separators from ``point_row(compact=True)``."""
-    return json.dumps(payload, separators=(",", ":"))
+#: Task-row payloads are parsed only by machines, so the default
+#: ``", "``/``": "`` separators are pure write amplification — on a
+#: 50k-row corpus the whitespace alone is megabytes of WAL traffic.
+#: Point rows get the same separators from ``point_row(compact=True)``.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _new_epoch() -> str:
     return os.urandom(8).hex()
+
+
+def _short_payload(record: TaskRecord) -> str:
+    """The payload of a task row linked to its point, or registered and
+    still pending: the scenario, plus the failure reason and skip flag
+    when set.  ``TaskRecord.from_dict`` gives every field left out its
+    default; a linked row's point and columns supply the rest."""
+    payload: Dict[str, object] = {"scenario": record.scenario.to_dict()}
+    if record.failure_reason is not None:
+        payload["failure_reason"] = record.failure_reason
+    if record.skipped_by_sampler:
+        payload["skipped_by_sampler"] = True
+    return _dumps(payload)
 
 
 _SCHEMA = """
@@ -125,13 +144,46 @@ CREATE INDEX IF NOT EXISTS idx_datapoints_query
 CREATE TABLE IF NOT EXISTS tasks (
     scenario_id TEXT PRIMARY KEY,
     status      TEXT NOT NULL,
-    payload     TEXT NOT NULL
+    payload     TEXT NOT NULL,
+    point_id    INTEGER,
+    started_at  REAL,
+    finished_at REAL
 );
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
 """
+
+#: Insert a task row, or rewrite one in place (an upsert keeps the
+#: row's rowid, and so its position in load order).
+_TASK_UPSERT = (
+    "INSERT INTO tasks (scenario_id, status, payload, point_id,"
+    " started_at, finished_at) VALUES (?, ?, ?, ?, ?, ?)"
+    " ON CONFLICT(scenario_id) DO UPDATE SET status = excluded.status,"
+    " payload = excluded.payload, point_id = excluded.point_id,"
+    " started_at = excluded.started_at, finished_at = excluded.finished_at"
+)
+
+#: The ``tasks`` columns that link a row to its point, with their
+#: types: a database written before they existed gains them on open.
+_TASK_LINK_COLUMNS = (("point_id", "INTEGER"), ("started_at", "REAL"),
+                      ("finished_at", "REAL"))
+
+#: Fields of a linked task record that its point row supplies, each
+#: with the value it takes when the point payload lacks it.
+_POINT_FIELDS = (("exec_time_s", None), ("cost_usd", None),
+                 ("app_vars", {}), ("infra_metrics", {}),
+                 ("predicted", False), ("preemptions", 0))
+
+#: Every task row, in registration order, with its point row's payload
+#: when it is linked to one (NULL when it is not, or that row is gone).
+_TASK_SELECT = (
+    "SELECT tasks.scenario_id, tasks.status, tasks.payload,"
+    " tasks.point_id, tasks.started_at, tasks.finished_at,"
+    " datapoints.payload"
+    " FROM tasks LEFT JOIN datapoints ON datapoints.id = tasks.point_id"
+)
 
 
 class SqliteStore:
@@ -159,6 +211,7 @@ class SqliteStore:
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
+        self._add_task_link_columns()
         if self._conn.execute(
                 "SELECT 1 FROM meta WHERE key = 'points_epoch'"
         ).fetchone() is None:
@@ -172,6 +225,31 @@ class SqliteStore:
         self._closed = False
         #: True inside :meth:`transaction`: writes leave the COMMIT to it.
         self._in_transaction = False
+        #: Each ``append_points`` of the open transaction: (the points,
+        #: the row id of the last one).  Task completions link to these
+        #: rows; cleared when the transaction ends.
+        self._appended: List[Tuple[Sequence[DataPoint], int]] = []
+
+    def _add_task_link_columns(self) -> None:
+        """Give a ``tasks`` table written before the link columns existed
+        those columns (in a write transaction, so two handles opening
+        the same old database at once both succeed)."""
+        def missing() -> List[Tuple[str, str]]:
+            have = {row[1] for row in
+                    self._conn.execute("PRAGMA table_info(tasks)")}
+            return [c for c in _TASK_LINK_COLUMNS if c[0] not in have]
+
+        if not missing():
+            return
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            for name, sql_type in missing():  # re-read under the lock
+                self._conn.execute(
+                    f"ALTER TABLE tasks ADD COLUMN {name} {sql_type}")
+        except BaseException:
+            self._conn.rollback()
+            raise
+        self._conn.commit()
 
     def _stat_ino(self) -> Optional[int]:
         try:
@@ -194,6 +272,7 @@ class SqliteStore:
         self.append_points((point,))
 
     def append_points(self, points: Iterable[DataPoint]) -> None:
+        points = list(points)
         rows = [
             (p.appname, p.sku, p.sku.lower(), p.nnodes, p.ppn, p.capacity,
              int(p.predicted), point_row(p, compact=True))
@@ -208,6 +287,13 @@ class SqliteStore:
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
+            if self._in_transaction:
+                # Read inside the write transaction, right after the
+                # insert: no other connection can insert before our
+                # COMMIT, so these rows hold the last len(rows) ids.
+                last_id = self._conn.execute(
+                    "SELECT last_insert_rowid()").fetchone()[0]
+                self._appended.append((points, last_id))
             self._bump("points_gen")
             self._autocommit()
 
@@ -228,6 +314,7 @@ class SqliteStore:
                 raise
             finally:
                 self._in_transaction = False
+                self._appended = []
 
     def _autocommit(self) -> None:
         if not self._in_transaction:
@@ -237,7 +324,10 @@ class SqliteStore:
                changed: Sequence[TaskRecord]) -> None:
         """Persist ``points`` and the task updates that describe them in
         one transaction, so a completed task never persists without its
-        point (the way sweep results reach the store)."""
+        point (the way sweep results reach the store).  When ``changed``
+        is a :class:`~repro.core.taskdb.HeldTasks`, each completion whose
+        point is among ``points`` is stored as a link to that point's
+        row (:meth:`sync_tasks`)."""
         with self.transaction():
             if points:
                 self.append_points(points)
@@ -265,9 +355,18 @@ class SqliteStore:
         # One transaction: a crash mid-replace must never leave an
         # emptied corpus, and no reader may observe the gap.  Row ids
         # restart, so the epoch rotates with them: no snapshot cursor
-        # taken before the replace can match after it.
+        # taken before the replace can match after it.  Task rows linked
+        # to the old rows are first written back in full, so the
+        # records load_tasks returns do not change.
         with self._lock:
             try:
+                self._conn.executemany(
+                    "UPDATE tasks SET status = ?, payload = ?,"
+                    " point_id = NULL, started_at = NULL,"
+                    " finished_at = NULL WHERE scenario_id = ?",
+                    [(r.status.value, _dumps(r.to_dict()), scenario_id)
+                     for scenario_id, r in self._read_tasks(
+                         " WHERE tasks.point_id IS NOT NULL")])
                 self._conn.execute("DELETE FROM datapoints")
                 self._conn.execute(
                     "INSERT OR REPLACE INTO meta (key, value)"
@@ -465,41 +564,112 @@ class SqliteStore:
     # -- task records ----------------------------------------------------------
 
     def sync_tasks(self, changed: Sequence[TaskRecord]) -> None:
-        """Upsert the changed task records."""
-        rows = [
-            (r.scenario.scenario_id, r.status.value,
-             _dumps(r.to_dict()))
-            for r in changed
-        ]
-        if not rows:
+        """Write the changed task records.
+
+        With a :class:`~repro.core.taskdb.HeldTasks` (what :meth:`commit`
+        gets from a sweep), a completion whose point was appended
+        earlier in the same transaction becomes a link: an ``UPDATE`` of
+        the row's status, ``point_id`` and execution window that encodes
+        no JSON, plus the short payload (:func:`_short_payload`) when the
+        row is new or its failure reason or skip flag changed.  A record
+        registered since the last hand-over and still pending is
+        inserted with the short payload.  Every other record is upserted
+        with its full ``to_dict`` payload and no link.
+        """
+        if not changed:
             return
         with self._timed("sync_tasks"), self._lock:
-            # The upsert form keeps each row's rowid, preserving the
-            # original insertion order that load_tasks restores.
-            self._conn.executemany(
-                "INSERT INTO tasks (scenario_id, status, payload)"
-                " VALUES (?, ?, ?)"
-                " ON CONFLICT(scenario_id)"
-                " DO UPDATE SET status = excluded.status,"
-                "               payload = excluded.payload",
-                rows,
-            )
+            point_ids = self._point_ids(getattr(changed, "points", None))
+            new = getattr(changed, "new", ())
+            payload_changed = getattr(changed, "payload_changed", ())
+            pending = TaskStatus.PENDING
+            upserts, links = [], []
+            for r in changed:
+                scenario_id = r.scenario.scenario_id
+                point_id = (point_ids.get(scenario_id) if point_ids
+                            else None)
+                if point_id is not None:
+                    if scenario_id in payload_changed:
+                        upserts.append((scenario_id, r.status.value,
+                                        _short_payload(r), point_id,
+                                        r.started_at, r.finished_at))
+                    else:
+                        links.append((r.status.value, point_id,
+                                      r.started_at, r.finished_at,
+                                      scenario_id))
+                elif r.status is pending and scenario_id in new:
+                    upserts.append((scenario_id, pending.value,
+                                    _short_payload(r), None, None, None))
+                else:
+                    upserts.append((scenario_id, r.status.value,
+                                    _dumps(r.to_dict()), None, None, None))
+            # One upsert for every row that carries a payload, in
+            # first-change order: new rows take their rowids in
+            # registration order, which load_tasks restores, and the
+            # upsert form keeps an existing row's rowid.
+            if upserts:
+                self._conn.executemany(_TASK_UPSERT, upserts)
+            if links:
+                cursor = self._conn.executemany(
+                    "UPDATE tasks SET status = ?, point_id = ?,"
+                    " started_at = ?, finished_at = ? WHERE scenario_id = ?",
+                    links)
+                if cursor.rowcount != len(links):
+                    # Some row is missing (deleted by hand, or never
+                    # registered in this database): write them all in
+                    # full rather than lose a completion.
+                    by_id = {r.scenario.scenario_id: r for r in changed}
+                    self._conn.executemany(_TASK_UPSERT, [
+                        (sid, status, _short_payload(by_id[sid]),
+                         point_id, started, finished)
+                        for status, point_id, started, finished, sid
+                        in links])
             self._bump("tasks_gen")
             self._autocommit()
+
+    def _point_ids(self, points: Optional[Dict[str, DataPoint]]
+                   ) -> Dict[str, int]:
+        """Scenario id -> row id, for each point in ``points`` appended
+        in the open transaction (none outside one)."""
+        if not points or not self._appended:
+            return {}
+        row_of = {}
+        for appended, last_id in self._appended:
+            row_of.update(
+                (id(p), row_id) for row_id, p in
+                enumerate(appended, last_id - len(appended) + 1))
+        return {scenario_id: row_of[id(p)]
+                for scenario_id, p in points.items() if id(p) in row_of}
 
     def load_tasks(self) -> List[TaskRecord]:
         """All task records in insertion order."""
         with self._timed("load_tasks"), self._lock:
-            rows = self._conn.execute(
-                "SELECT payload FROM tasks ORDER BY rowid"
-            ).fetchall()
-        return [TaskRecord.from_dict(json.loads(row[0])) for row in rows]
+            return [record for _, record in self._read_tasks("")]
 
-    def count_tasks(self) -> int:
-        with self._lock:
-            return int(self._conn.execute(
-                "SELECT COUNT(*) FROM tasks"
-            ).fetchone()[0])
+    def _read_tasks(self, where: str) -> List[Tuple[str, TaskRecord]]:
+        """(scenario id, record) of the task rows ``where`` selects, in
+        insertion order.  A linked row takes its measurements from its
+        point row and its window from its own columns; a linked row
+        whose point row is gone loads as a fresh pending record, so the
+        next sweep measures it again."""
+        rows = self._conn.execute(
+            _TASK_SELECT + where + " ORDER BY tasks.rowid").fetchall()
+        out = []
+        for scenario_id, status, payload, point_id, started, finished, \
+                point_payload in rows:
+            data = json.loads(payload)
+            if point_id is not None:
+                if point_payload is None:
+                    data = {"scenario": data["scenario"]}
+                else:
+                    point = json.loads(point_payload)
+                    for key, default in _POINT_FIELDS:
+                        data[key] = point.get(key, default)
+                    data["status"] = status
+                    data["started_at"] = started
+                    data["finished_at"] = finished
+            out.append((scenario_id, TaskRecord.from_dict(data)))
+        return out
 
     # -- lifecycle -------------------------------------------------------------
 

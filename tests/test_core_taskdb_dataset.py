@@ -43,10 +43,15 @@ class TestTaskDB:
     def test_mark_completed(self):
         db = TaskDB()
         db.add_scenarios([scenario("a")])
-        record = db.mark_completed("a", exec_time_s=36.0, cost_usd=0.576,
-                                   app_vars={"LAMMPSSTEPS": "100"})
+        record = db.mark_completed(
+            "a", point(t=36.0, cost=0.576, app_vars={"LAMMPSSTEPS": "100"}),
+            started_at=10.0, finished_at=46.0)
         assert record.status is TaskStatus.COMPLETED
         assert db.counts()["completed"] == 1
+        assert (record.exec_time_s, record.cost_usd) == (36.0, 0.576)
+        assert record.app_vars == {"LAMMPSSTEPS": "100"}
+        assert (record.started_at, record.finished_at) == (10.0, 46.0)
+        assert not record.predicted and record.preemptions == 0
 
     def test_mark_failed(self):
         db = TaskDB()
@@ -71,8 +76,8 @@ class TestTaskDB:
         path = str(tmp_path / "tasks.json")
         db = TaskDB(path=path)
         db.add_scenarios([scenario("a"), scenario("b", nnodes=4)])
-        db.mark_completed("a", exec_time_s=36.0, cost_usd=0.576,
-                          infra_metrics={"cpu_util": 0.8})
+        db.mark_completed("a", point(t=36.0, cost=0.576,
+                                     infra_metrics={"cpu_util": 0.8}))
         db.mark_failed("b", "quota")
         db.save()
         restored = TaskDB.load(path)

@@ -141,7 +141,10 @@ def test_taskdb_json_roundtrip(node_counts, tmp_path_factory):
                  nnodes=n, ppn=44, appname="lammps")
         for i, n in enumerate(node_counts)
     ])
-    db.mark_completed("t0", exec_time_s=1.0, cost_usd=0.1)
+    db.mark_completed("t0", DataPoint(appname="lammps",
+                                      sku="Standard_HC44rs",
+                                      nnodes=node_counts[0], ppn=44,
+                                      exec_time_s=1.0, cost_usd=0.1))
     db.save()
     restored = TaskDB.load(path)
     assert restored.counts() == db.counts()

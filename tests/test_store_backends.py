@@ -307,7 +307,9 @@ class TestJsonlByteCompatibility:
             stored = TaskDB()
             for db in (legacy, stored):
                 db.add_scenarios(scenarios)
-                db.mark_completed("s1", exec_time_s=3.0, cost_usd=0.2)
+                db.mark_completed("s1", DataPoint(
+                    appname="lammps", sku=_SKUS[0], nnodes=1, ppn=1,
+                    exec_time_s=3.0, cost_usd=0.2))
                 db.mark_failed("s3", "quota")
             legacy.save()
             store.sync_tasks(stored.take_held())
