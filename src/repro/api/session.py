@@ -64,6 +64,13 @@ from repro import telemetry
 
 ConfigLike = Union[MainConfig, Mapping, str]
 
+_DATAPOINT_READS = telemetry.global_registry().counter(
+    "advisor_datapoints_reads_total",
+    "Datapoints pages served, by source: the columnar snapshot this"
+    " process already held (snapshot) or the store's query pushdown"
+    " (store).",
+)
+
 
 class AdvisorSession:
     """Facade over the full advisory pipeline (see module docstring).
@@ -375,9 +382,9 @@ class AdvisorSession:
 
         When the full dataset is already cached and fresh, the query is
         applied in memory; otherwise it is pushed down to the storage
-        engine, so only matching points are deserialized — this is the
-        read path ``advise``/``plot``/``predict`` and the service's
-        ``/v1/datapoints`` all go through.
+        engine, so only matching points are deserialized — the read path
+        of the objects engine and of :meth:`datapoints` in a process
+        that holds no snapshot of the store.
         """
         if self.store is None:
             return self.dataset(name, must_exist=must_exist).query(query)
@@ -433,6 +440,16 @@ class AdvisorSession:
                             backend=backend.kind):
             return snapshot_for_store(backend)
 
+    def _snapshot_held(self, name: str) -> bool:
+        """Does this process hold a snapshot of the deployment's stored
+        corpus (of any generation)?"""
+        from repro.store.snapshot import snapshot_held
+
+        if self.store is None or self._no_data_yet(name):
+            return False
+        backend = self.data_store(name)
+        return backend.exists() and snapshot_held(backend)
+
     def query_points(self, name: str, query: Optional[Query] = None,
                      must_exist: bool = True) -> List[DataPoint]:
         """Matching points, via pushdown (see :meth:`query_dataset`)."""
@@ -460,13 +477,30 @@ class AdvisorSession:
                    query: Optional[Query] = None) -> DataPointsResult:
         """One page of the deployment's points plus the filter's total.
 
-        The windowed page and the total count both run as store
-        queries; this backs ``GET /v1/datapoints`` and the CLI ``data``
-        command.
+        When this process already holds a columnar snapshot of the
+        deployment's store (of any generation), the snapshot is brought
+        current as the next advice would, the total is the count of the
+        query's row mask, and the page is the query's window over the
+        matching rows.  Otherwise the windowed page and the total run as
+        store queries, so listing a page never builds a snapshot of the
+        whole corpus.  Both return the same points in the same order.
+        This backs ``GET /v1/datapoints`` and the CLI ``data`` command.
         """
         query = query or Query()
-        points = self.query_points(name, query)
-        total = self.count_points(name, query)
+        if self._snapshot_held(name):
+            snap = self.snapshot(name)
+            matching = snap.query_mask(query).nonzero()[0]
+            total = len(matching)
+            points = [snap.point(int(i)) for i in query._window(matching)]
+            _DATAPOINT_READS.labels(source="snapshot").inc()
+        else:
+            # A process that holds no snapshot pushes the page down
+            # rather than build one of the whole corpus for it.  Once
+            # persisted snapshot checkpoints let a cold process load a
+            # snapshot in milliseconds, this branch can go.
+            points = self.query_points(name, query)
+            total = self.count_points(name, query)
+            _DATAPOINT_READS.labels(source="store").inc()
         backend = self.data_store(name)
         return DataPointsResult(
             deployment=name,

@@ -152,12 +152,13 @@ class RemoteSession:
     def datapoints(self, deployment: str,
                    query: Optional[Query] = None, /,
                    **kwargs) -> DataPointsResult:
-        """One page of a deployment's stored points (server pushdown).
+        """One page of a deployment's stored points.
 
         Accepts a :class:`Query` or its fields as keyword arguments
         (``sku=...``, ``nnodes=(...)``, ``limit=...``, ...); the filter
-        runs inside the server's storage engine and only the requested
-        page travels over the wire.
+        runs on the server (over the snapshot its worker holds, or
+        pushed down to the store) and only the requested page travels
+        over the wire.
         """
         if query is not None and kwargs:
             raise ConfigError(

@@ -11,7 +11,10 @@ that pipeline over a :class:`~repro.store.snapshot.ColumnarSnapshot`:
   memo (:func:`repro.core.cost.spot_pair_risks`): the pairs it lacks get
   their Monte-Carlo P95s from one batched kernel call
   (:func:`repro.core.cost.p95_spot_runtimes`) and their expected
-  makespans from the closed form;
+  makespans from the closed form.  The per-row results are kept on the
+  snapshot per eviction model and recovery policy, so a repeated
+  what-if skips the grouping, and one on an extended snapshot groups
+  only the appended rows;
 * advice (:func:`advise_columns`) filters by dictionary codes and runs
   the vectorized Pareto sweeps, materializing
   :class:`~repro.core.advisor.AdviceRow` objects only for the front;
@@ -49,6 +52,14 @@ from repro.core.cost import (  # noqa: F401
 from repro.core.pareto import pareto_indices, pareto_indices_nd
 from repro.errors import AdvisorError
 from repro.store.snapshot import ColumnarSnapshot
+from repro.telemetry import global_registry
+
+_RISK_COLUMNS = global_registry().counter(
+    "advisor_risk_columns_total",
+    "Spot risk-column lookups on a snapshot, by result: hit (kept for"
+    " every row), extended (computed for the appended rows only) or"
+    " computed (for every row).",
+)
 
 #: Advice read engines (request vocabulary, mirroring the collect
 #: engines): ``auto`` resolves to ``columnar``; ``objects`` forces the
@@ -181,13 +192,14 @@ def _task_cost(nnodes: np.ndarray, hourly: np.ndarray,
     return nnodes * hourly * seconds / 3600.0
 
 
-def _rates_per_row(snap: ColumnarSnapshot,
-                   eviction: EvictionModel) -> np.ndarray:
-    """``eviction.rate_per_hour(sku, nnodes)`` per row, deduped on one
-    packed (sku code, node count) integer key."""
-    low = int(snap.nnodes.min())
-    span = int(snap.nnodes.max()) - low + 1
-    keys = snap.sku_codes.astype(np.int64) * span + (snap.nnodes - low)
+def _rates_per_row(snap: ColumnarSnapshot, eviction: EvictionModel,
+                   start: int = 0) -> np.ndarray:
+    """``eviction.rate_per_hour(sku, nnodes)`` per row from ``start``
+    on, deduped on one packed (sku code, node count) integer key."""
+    nnodes = snap.nnodes[start:]
+    low = int(nnodes.min())
+    span = int(nnodes.max()) - low + 1
+    keys = snap.sku_codes[start:].astype(np.int64) * span + (nnodes - low)
     uniq, inverse = np.unique(keys, return_inverse=True)
     rates = np.asarray([
         eviction.rate_per_hour(snap.skus[int(key) // span],
@@ -216,6 +228,45 @@ def _unique_pairs(values: np.ndarray,
     return order[starts], inverse
 
 
+def _spot_risks(snap: ColumnarSnapshot, model: EvictionModel,
+                recovery: str, checkpoint_interval_s: float,
+                checkpoint_overhead_s: float,
+                p95_samples: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(P95, expected) makespan per row of a non-empty snapshot.
+
+    Kept in the snapshot's row memo under every input that decides a
+    row's value, besides the row's own exec time, SKU and node count.
+    An entry inherited from the snapshot this one extends covers its
+    first rows; only the rows after them are grouped and looked up.
+    Each row's value is a pure function of its (exec time, rate) pair
+    and the key, so every path gives the same bits.
+    """
+    key = ("spot_risks", tuple(sorted(model.rates.items())),
+           model.default_rate_per_hour, model.region, model.seed,
+           recovery, checkpoint_interval_s, checkpoint_overhead_s,
+           p95_samples)
+    entry = snap.row_memo(key)
+    done = 0 if entry is None else len(entry[0])
+    if done == snap.n:
+        _RISK_COLUMNS.labels(result="hit").inc()
+        return entry
+    rates = _rates_per_row(snap, model, done)
+    exec_times = snap.exec_time_s[done:]
+    firsts, inverse = _unique_pairs(exec_times, rates)
+    p95, expected = spot_pair_risks(
+        exec_times[firsts], rates[firsts], recovery,
+        checkpoint_interval_s, checkpoint_overhead_s,
+        samples=p95_samples, seed=model.seed)
+    p95, expected = p95[inverse], expected[inverse]
+    if entry is not None:
+        p95 = np.concatenate((entry[0], p95))
+        expected = np.concatenate((entry[1], expected))
+    snap.keep_row_memo(key, (p95, expected))
+    _RISK_COLUMNS.labels(
+        result="computed" if entry is None else "extended").inc()
+    return p95, expected
+
+
 def capacity_columns(
     snap: ColumnarSnapshot,
     catalog: PriceCatalog,
@@ -233,7 +284,8 @@ def capacity_columns(
     points would carry (costs, makespans, P95 metric, capacity labels),
     with the risk kernels evaluated once per unique ``(exec_time,
     rate)`` pair instead of once per point, and only for pairs no
-    earlier request evaluated.
+    earlier request evaluated.  A spot view reuses the risk columns an
+    earlier request left on the snapshot (:func:`_spot_risks`).
     """
     base = advice_columns(snap)
     if capacity == "ondemand":
@@ -264,13 +316,9 @@ def capacity_columns(
             region=region
         )
         if snap.n:
-            rates = _rates_per_row(snap, model)
-            firsts, inverse = _unique_pairs(snap.exec_time_s, rates)
-            p95, expected = spot_pair_risks(
-                snap.exec_time_s[firsts], rates[firsts], recovery,
-                checkpoint_interval_s, checkpoint_overhead_s,
-                samples=p95_samples, seed=model.seed)
-            p95, expected = p95[inverse], expected[inverse]
+            p95, expected = _spot_risks(
+                snap, model, recovery, checkpoint_interval_s,
+                checkpoint_overhead_s, p95_samples)
         else:
             p95 = expected = np.empty(0, dtype=np.float64)
         measured_spot = np.asarray(

@@ -13,7 +13,9 @@ response cache uses — :meth:`SqliteStore.dataset_signature` — so a
 snapshot can never serve data an ETag would have revalidated: whenever
 the ETag key changes, the snapshot misses, and vice versa.  A miss after
 appends extends the cached snapshot with just the new rows fetched by
-cursor; a rotated epoch or a new database rebuilds it.
+cursor; a rotated epoch or a new database rebuilds it.  A snapshot also
+keeps a few per-row arrays its callers derived from it (the spot risk
+columns); an extension inherits them for the rows they cover.
 
 Row order is store order (``ORDER BY id``), identical to
 ``query_points()``, so positional indices agree with the object path.
@@ -43,6 +45,7 @@ __all__ = [
     "SnapshotCache",
     "snapshot_cache",
     "snapshot_for_store",
+    "snapshot_held",
     "snapshot_status",
 ]
 
@@ -142,6 +145,11 @@ _CODED = (
 #: Every per-row array field.
 _ARRAYS = tuple(f for _, f, _ in _NUMERIC) + tuple(f for _, f, _ in _CODED)
 
+#: Row-memo entries one snapshot keeps; the oldest is dropped first.
+ROW_MEMO_MAX = 4
+#: Guards every snapshot's row memo: service threads share snapshots.
+_ROW_MEMO_LOCK = threading.Lock()
+
 
 @dataclass
 class ColumnarSnapshot:
@@ -192,6 +200,9 @@ class ColumnarSnapshot:
     _codebooks: Dict[str, _Encoder] = field(default_factory=dict,
                                             repr=False)
     _lazy: Dict[str, Any] = field(default_factory=dict, repr=False)
+    #: Per-row arrays derived by callers, by key (:meth:`row_memo`).
+    _row_memo: Dict[Any, Tuple[np.ndarray, ...]] = field(
+        default_factory=dict, repr=False)
 
     # -- derived tables (computed once per snapshot) -----------------------------
 
@@ -226,6 +237,31 @@ class ColumnarSnapshot:
         which every request of that generation shares.
         """
         return self._lazy.setdefault("price_memo", {})
+
+    def row_memo(self, key: Any) -> Optional[Tuple[np.ndarray, ...]]:
+        """The per-row arrays kept under ``key``, or None.
+
+        An entry covers the *first* ``len(entry[0])`` rows, which may be
+        fewer than :attr:`n`: a snapshot extended by appended rows
+        inherits its base's entries, and they stay valid for the rows
+        they cover.  What an entry means is the caller's business.
+        """
+        with _ROW_MEMO_LOCK:
+            return self._row_memo.get(key)
+
+    def keep_row_memo(self, key: Any,
+                      arrays: Tuple[np.ndarray, ...]) -> None:
+        """Keep ``arrays`` (per-row, covering a prefix of the rows) under
+        ``key``, replacing its entry; at most :data:`ROW_MEMO_MAX`
+        entries stay, the oldest dropped first.  The arrays become
+        read-only: later snapshots extended from this one share them."""
+        for array in arrays:
+            array.setflags(write=False)
+        with _ROW_MEMO_LOCK:
+            self._row_memo.pop(key, None)
+            self._row_memo[key] = arrays
+            while len(self._row_memo) > ROW_MEMO_MAX:
+                del self._row_memo[next(iter(self._row_memo))]
 
     # -- construction ------------------------------------------------------------
 
@@ -286,7 +322,9 @@ class ColumnarSnapshot:
         only the new rows are encoded, against copies of ``base``'s code
         dictionaries, and the arrays are concatenated.  Codes keep their
         first-seen order, so it equals a build over all the rows at
-        once; ``base`` itself is left unchanged.
+        once; ``base`` itself is left unchanged.  The result starts with
+        a copy of ``base``'s row memo, whose entries cover the base's
+        rows, a prefix of its own.
         """
         if rows:
             (app_c, sku_c, nnodes_c, ppn_c, cap_c, pred_c, exec_c,
@@ -331,8 +369,13 @@ class ColumnarSnapshot:
             # Snapshots are shared (the LRU, unfiltered views, delta
             # bases), so nothing may write through their arrays.
             fields[name].setflags(write=False)
+        memo: Dict[Any, Tuple[np.ndarray, ...]] = {}
+        if base is not None:
+            with _ROW_MEMO_LOCK:
+                memo = dict(base._row_memo)
         return cls(n=len(fields["exec_time_s"]), signature=signature,
-                   cursor=cursor, _codebooks=encoders, **fields)
+                   cursor=cursor, _codebooks=encoders, _row_memo=memo,
+                   **fields)
 
     # -- filtering ---------------------------------------------------------------
 
@@ -398,7 +441,8 @@ class ColumnarSnapshot:
         return self.select(idx)
 
     def select(self, mask: np.ndarray) -> "ColumnarSnapshot":
-        """A filtered view (row subset; group tables shared, uncached)."""
+        """A filtered view (row subset; group tables shared, uncached,
+        no row memo: its entries describe other rows)."""
         return ColumnarSnapshot(
             n=int(np.count_nonzero(mask)) if mask.dtype == bool
             else len(mask),
@@ -521,6 +565,18 @@ def snapshot_for_store(store: "SqliteStore",
     _ROWS.labels(kind=store.kind).set(float(snap.n))
     cache.put(key, snap.signature, snap)
     return snap
+
+
+def snapshot_held(store: "SqliteStore",
+                  cache: Optional[SnapshotCache] = None) -> bool:
+    """Does the LRU hold a snapshot of ``store``, of any generation?
+
+    :func:`snapshot_for_store` brings a held snapshot current for the
+    cost of the rows appended since (or a rebuild after a replace), so
+    a reader that needs only a few rows takes the snapshot only then.
+    """
+    cache = cache if cache is not None else _CACHE
+    return cache.peek(_cache_key(store)) is not None
 
 
 def snapshot_status(store: "SqliteStore",
