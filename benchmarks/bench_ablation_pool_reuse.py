@@ -8,7 +8,7 @@ and infrastructure-cost difference over a two-pass sweep.
 """
 
 from benchmarks.conftest import make_backend, paper_config
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.core.collector import DataCollector
 from repro.core.dataset import Dataset
 from repro.core.deployer import Deployer
@@ -24,7 +24,7 @@ def two_pass_sweep(delete_pools: bool, rgprefix: str):
     for sweep in range(2):
         collector = DataCollector(
             backend=backend,
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(),
             taskdb=TaskDB(),
             delete_pool_on_switch=delete_pools,

@@ -17,7 +17,7 @@ actual eviction simulation on one configuration.
 """
 
 from benchmarks.conftest import paper_config, run_sweep
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.cloud.eviction import EvictionModel
 from repro.cloud.pricing import PriceCatalog
@@ -146,7 +146,7 @@ def test_ablation_expected_vs_simulated():
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch,
                                       capacity="spot"),
-            script=get_plugin(config.appname),
+            script=apps.create(config.appname),
             dataset=Dataset(), taskdb=TaskDB(),
             capacity="spot", recovery="checkpoint_restart",
             checkpoint_interval_s=CHECKPOINT_INTERVAL_S,

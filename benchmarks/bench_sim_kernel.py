@@ -58,7 +58,7 @@ import tempfile
 import time
 
 from conftest import paper_config
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.cloud.eviction import EvictionModel
 from repro.core.collector import DataCollector
@@ -131,7 +131,7 @@ def run_sweep(config, engine: str, store_backend: str,
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch,
                                       capacity=capacity),
-            script=get_plugin(config.appname),
+            script=apps.create(config.appname),
             dataset=Dataset(),
             taskdb=TaskDB(),
             store=store,
@@ -209,7 +209,7 @@ def _sweep_pair(engine: str, capacity: str = "ondemand",
     collector = DataCollector(
         backend=AzureBatchBackend(service=deployment.batch,
                                   capacity=capacity),
-        script=get_plugin("lammps"),
+        script=apps.create("lammps"),
         dataset=Dataset(), taskdb=TaskDB(),
         deployment_name="benchsimeq",
         capacity=capacity, recovery=recovery, eviction=eviction,

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.backends.base import ExecutionBackend
 from repro.backends.slurm import SlurmBackend
@@ -77,7 +77,7 @@ def run_sweep(config: MainConfig, backend_kind: str = "azurebatch",
     deployment = Deployer().deploy(config)
     collector = DataCollector(
         backend=make_backend(deployment, backend_kind),
-        script=get_plugin(config.appname),
+        script=apps.create(config.appname),
         dataset=Dataset(),
         taskdb=TaskDB(),
         deployment_name=deployment.name,

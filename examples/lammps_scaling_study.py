@@ -47,10 +47,10 @@ plots = session.plot(deployment=info.name, output_dir=OUTPUT_DIR)
 for path in plots.paths:
     print(f"wrote {path}")
 
-# Console view of the headline series.
-dataset = session.dataset(info.name)
+# Console view of the headline series, from the columns `plot` read.
+columns = session.snapshot(info.name)
 for builder in (speedup, efficiency):
-    data = builder(dataset)
+    data = builder(columns)
     print(f"\n{data.title} [{data.subtitle}]")
     for series in data.series:
         formatted = "  ".join(

@@ -66,11 +66,16 @@ from repro.core.deployer import Deployer, Deployment
 from repro.core.pareto import pareto_front
 from repro.core.scenarios import Scenario, generate_scenarios
 from repro.core.taskdb import TaskDB, TaskRecord, TaskStatus
-from repro.appkit.plugins import get_plugin, list_plugins
+from repro.api.registry import apps as _apps, perf_models as _perf_models
+# Built-in capabilities register when their home module is imported.  The
+# imports here (apps, perf models, and the backends and sampling policies
+# below) are what fill the registries: Python runs this file before any
+# ``repro.*`` module, so no lookup ever sees a registry without them.
+from repro.appkit import plugins as _builtin_apps  # noqa: F401
+from repro.perf import apps as _builtin_perf_models  # noqa: F401
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.backends.slurm import SlurmBackend
-from repro.perf.noise import NoiseModel
-from repro.perf.registry import get_model, list_models
+from repro.perf.noise import NO_NOISE, NoiseModel
 from repro.sampling.planner import SamplerPolicy, SmartSampler
 from repro.api.requests import (
     AdviseRequest,
@@ -88,6 +93,17 @@ from repro.api.results import (
     SessionInfo,
 )
 from repro.api.session import AdvisorSession
+
+# The pre-registry lookup names, bound to the capability registry.
+get_plugin = _apps.create
+list_plugins = _apps.names
+list_models = _perf_models.names
+
+
+def get_model(name: str, noise: NoiseModel = NO_NOISE):
+    """The performance model registered under ``name``, with ``noise``."""
+    return _perf_models.create(name, noise)
+
 
 __version__ = "1.1.0"
 

@@ -8,15 +8,17 @@ One registry mechanism for everything pluggable in the pipeline:
 * **sampling policies** — named :class:`~repro.sampling.planner.SamplerPolicy`
   presets for smart sampling.
 
-It replaces the previous three ad-hoc registries (``repro.perf.registry``,
-``repro.appkit.plugins``, and the backend ``if/else`` in the CLI) with one
-idiom: a :class:`Registry` per capability kind, plus ``register_*``
-decorators.  The legacy modules keep their public functions but delegate
-here, so old imports keep working.
+It replaces the previous three ad-hoc registries (the perf-model and
+app-plugin lookup functions and the backend ``if/else`` in the CLI) with
+one idiom: a :class:`Registry` per capability kind, plus ``register_*``
+decorators.  The pre-registry top-level names ``repro.get_model``,
+``repro.list_models``, ``repro.get_plugin`` and ``repro.list_plugins``
+are bound to these registries' ``create`` and ``names``.
 
-Built-in capabilities self-register when their home module is imported;
-each registry lazily imports those modules on first lookup, so importing
-``repro.api.registry`` alone stays cheap and cycle-free.
+Built-in capabilities self-register when their home module is imported.
+``repro/__init__.py`` imports every one of those modules, and Python runs
+it before any ``repro.*`` module, so the registries are complete before
+the first lookup.
 
 Extending the tool is one decorator::
 
@@ -42,24 +44,7 @@ class Registry:
     kind: str
     error_cls: Type[Exception] = ConfigError
     missing_template: str = "no {kind} named {name!r} (known: {known})"
-    #: Imports the module(s) whose import side-effect registers built-ins.
-    loader: Optional[Callable[[], None]] = None
     _entries: Dict[str, Callable] = field(default_factory=dict)
-    _loaded: bool = False
-    _loading: bool = False
-
-    def _ensure_builtins(self) -> None:
-        if self._loaded or self._loading or self.loader is None:
-            return
-        # The loading flag breaks recursion (builtin modules consult the
-        # registry while registering); loaded is only set on success so a
-        # failed import is retried, not swallowed into an empty registry.
-        self._loading = True
-        try:
-            self.loader()
-            self._loaded = True
-        finally:
-            self._loading = False
 
     # -- registration ---------------------------------------------------------
 
@@ -88,7 +73,6 @@ class Registry:
 
     def get(self, name: str) -> Callable:
         """The factory registered under ``name``."""
-        self._ensure_builtins()
         try:
             return self._entries[name.lower()]
         except KeyError:
@@ -103,31 +87,13 @@ class Registry:
         return self.get(name)(*args, **kwargs)
 
     def names(self) -> List[str]:
-        self._ensure_builtins()
         return sorted(self._entries)
 
     def __contains__(self, name: str) -> bool:
-        self._ensure_builtins()
         return name.lower() in self._entries
 
 
 # -- the four capability kinds ------------------------------------------------------
-
-
-def _load_backend_builtins() -> None:
-    import repro.backends  # noqa: F401  (registers azurebatch + slurm)
-
-
-def _load_app_builtins() -> None:
-    import repro.appkit.plugins  # noqa: F401
-
-
-def _load_perf_builtins() -> None:
-    import repro.perf.registry  # noqa: F401
-
-
-def _load_sampling_builtins() -> None:
-    import repro.sampling.planner  # noqa: F401
 
 
 #: Execution back-ends.  Factory signature:
@@ -137,7 +103,6 @@ backends = Registry(
     kind="execution backend",
     error_cls=BackendError,
     missing_template="no execution backend named {name!r} (known: {known})",
-    loader=_load_backend_builtins,
 )
 
 #: Application plugins.  Factory signature: ``() -> AppScript``.
@@ -147,7 +112,6 @@ apps = Registry(
     missing_template=(
         "no built-in plugin for application {name!r} (known: {known})"
     ),
-    loader=_load_app_builtins,
 )
 
 #: Application performance models.  Factory signature:
@@ -158,7 +122,6 @@ perf_models = Registry(
     missing_template=(
         "no performance model for application {name!r} (known: {known})"
     ),
-    loader=_load_perf_builtins,
 )
 
 #: Named smart-sampling policy presets.  Factory signature:
@@ -167,7 +130,6 @@ sampling_policies = Registry(
     kind="sampling policy",
     error_cls=SamplingError,
     missing_template="no sampling policy named {name!r} (known: {known})",
-    loader=_load_sampling_builtins,
 )
 
 

@@ -109,8 +109,8 @@ class AdvisorSession:
         self.store = store
         self.deployer = deployer or Deployer()
         self._deployments: Dict[str, Deployment] = {}
+        #: An ephemeral session's corpora (a persistent one holds none).
         self._datasets: Dict[str, Dataset] = {}
-        self._dataset_sigs: Dict[str, Tuple[int, int]] = {}
         self._taskdbs: Dict[str, TaskDB] = {}
         self._taskdb_sigs: Dict[str, Tuple[int, int]] = {}
         self._count_cache: Dict[str, Tuple[Tuple[int, int], int]] = {}
@@ -180,7 +180,6 @@ class AdvisorSession:
             # Plots are regenerable from the archived dataset.
             shutil.rmtree(self.store.plots_dir(name), ignore_errors=True)
         self._datasets.pop(name, None)
-        self._dataset_sigs.pop(name, None)
         self._taskdbs.pop(name, None)
         self._taskdb_sigs.pop(name, None)
         self._count_cache.pop(name, None)
@@ -306,7 +305,6 @@ class AdvisorSession:
             del self._backends[key]
         if purge_data:
             self._datasets.pop(name, None)
-            self._dataset_sigs.pop(name, None)
             self._taskdbs.pop(name, None)
             self._taskdb_sigs.pop(name, None)
             self._count_cache.pop(name, None)
@@ -330,19 +328,20 @@ class AdvisorSession:
         return self.store is not None and not self.store.data_files(name)
 
     def dataset(self, name: str, must_exist: bool = True) -> Dataset:
-        """The deployment's full dataset (cached).
+        """The deployment's full dataset as :class:`DataPoint` objects.
 
-        The cache is invalidated whenever the store changed underneath
-        (e.g. a ``collect`` run while the GUI server keeps its session),
-        so long-lived sessions never serve stale data.  Filtered reads
-        should prefer :meth:`query_dataset`, which pushes the filter
-        down to the storage engine instead of materializing everything.
-
-        For a persistent session the result is an in-memory copy of the
-        store: appending to it does not persist.  Sweeps commit each
-        point together with its task record (``DataCollector``), and
+        An ephemeral session returns its in-memory corpus, which
+        ``collect`` appends to.  A persistent session decodes the
+        store's JSON rows afresh on every call, so a long-lived session
+        (the GUI server) never serves stale data, and appending to the
+        result does not persist: sweeps commit each point together with
+        its task record (``DataCollector``), and
         ``data_store(name).append_points`` adds points to the store
-        directly.
+        directly.  The decode deliberately does not read the columnar
+        snapshot, so the objects engine and correctness checks built on
+        this accessor keep a read of their own.  Column readers (advice,
+        plots, the GUI) use :meth:`snapshot`; filtered reads
+        :meth:`query_dataset`.
         """
         if self.store is None:
             if name not in self._datasets:
@@ -353,38 +352,16 @@ class AdvisorSession:
                     )
                 self._datasets[name] = Dataset()
             return self._datasets[name]
-        if must_exist and self._no_data_yet(name):
-            raise ReproError(
-                f"no dataset for deployment {name!r}; run collect first"
-            )
-        backend = self.data_store(name)
-        sig = backend.dataset_signature()
-        if name in self._datasets and self._dataset_sigs.get(name) == sig:
-            return self._datasets[name]
-        self._datasets.pop(name, None)
-        self._dataset_sigs.pop(name, None)
-        if not backend.exists():
-            if must_exist:
-                raise ReproError(
-                    f"no dataset for deployment {name!r}; "
-                    "run collect first"
-                )
-            dataset = Dataset()
-        else:
-            dataset = Dataset(backend.query_points())
-        self._datasets[name] = dataset
-        self._dataset_sigs[name] = sig
-        return dataset
+        return self.query_dataset(name, Query(), must_exist=must_exist)
 
     def query_dataset(self, name: str, query: Query,
                       must_exist: bool = True) -> Dataset:
         """A filtered view of the deployment's dataset.
 
-        When the full dataset is already cached and fresh, the query is
-        applied in memory; otherwise it is pushed down to the storage
-        engine, so only matching points are deserialized — the read path
-        of the objects engine and of :meth:`datapoints` in a process
-        that holds no snapshot of the store.
+        For a persistent session the query is pushed down to SQL, so
+        only matching points are deserialized — the read path of the
+        objects engine and of :meth:`datapoints` in a process that holds
+        no snapshot of the store.
         """
         if self.store is None:
             return self.dataset(name, must_exist=must_exist).query(query)
@@ -393,10 +370,6 @@ class AdvisorSession:
                 f"no dataset for deployment {name!r}; run collect first"
             )
         backend = self.data_store(name)
-        if (name in self._datasets
-                and self._dataset_sigs.get(name)
-                == backend.dataset_signature()):
-            return self._datasets[name].query(query)
         if not backend.exists():
             if must_exist:
                 raise ReproError(
@@ -515,7 +488,7 @@ class AdvisorSession:
         """The deployment's task DB (cached; a ``collect`` commits its
         transitions to the store as the sweep goes).
 
-        Invalidated on external changes like :meth:`dataset` — a stale
+        Invalidated whenever the store's task signature changes — a stale
         task DB would make a resumed ``collect`` re-execute scenarios
         another process already completed, duplicating dataset points.
         """
@@ -1106,22 +1079,23 @@ class AdvisorSession:
         return str(self.record(name).get("region") or "")
 
     def _point_count(self, name: str) -> int:
-        if name in self._datasets:
-            return len(self.dataset(name, must_exist=False))
-        if self.store is not None and not self._no_data_yet(name):
-            backend = self.store.data_store(name)
-            if backend.exists():
-                # Cache on the store signature: listings (the GUI index
-                # polls list_deployments per request) cost a freshness
-                # probe, not a count query — and the count itself is a
-                # pushed-down COUNT(*)/line scan, never a deserialize.
-                sig = backend.dataset_signature()
-                cached = self._count_cache.get(name)
-                if cached is None or cached[0] != sig:
-                    cached = (sig, backend.count_points())
-                    self._count_cache[name] = cached
-                return cached[1]
-        return 0
+        if self.store is None:
+            return len(self._datasets.get(name, ()))
+        if self._no_data_yet(name):
+            return 0
+        backend = self.store.data_store(name)
+        if not backend.exists():
+            return 0
+        # Cache on the store signature: listings (the GUI index polls
+        # list_deployments per request) cost a freshness probe, not a
+        # count query — and the count itself is a COUNT(*), never a
+        # deserialize.
+        sig = backend.dataset_signature()
+        cached = self._count_cache.get(name)
+        if cached is None or cached[0] != sig:
+            cached = (sig, backend.count_points())
+            self._count_cache[name] = cached
+        return cached[1]
 
 
 def _generate_scenarios(config: MainConfig):

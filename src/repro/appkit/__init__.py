@@ -13,7 +13,6 @@ from repro.appkit.envvars import TABLE1_VARS, build_task_env
 from repro.appkit.metricvars import extract_vars, format_var, MARKER
 from repro.appkit.context import AppRunContext
 from repro.appkit.script import AppScript, parse_bash_script
-from repro.appkit.plugins import get_plugin, list_plugins
 
 __all__ = [
     "TABLE1_VARS",
@@ -24,6 +23,4 @@ __all__ = [
     "AppRunContext",
     "AppScript",
     "parse_bash_script",
-    "get_plugin",
-    "list_plugins",
 ]

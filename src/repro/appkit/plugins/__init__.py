@@ -7,17 +7,14 @@ setup, rewrite input files from environment variables, mpirun, check the
 application log for success, and emit HPCADVISORVAR metrics.
 
 Plugins live in the unified capability registry
-(:mod:`repro.api.registry`); third-party applications register with the
-``@register_app("name")`` decorator.  :func:`get_plugin` and
-:func:`list_plugins` are kept as the historical entry points.
+(:mod:`repro.api.registry`): ``apps.create(name)`` instantiates one and
+third-party applications register with the ``@register_app("name")``
+decorator.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.api.registry import apps, register_app
-from repro.appkit.script import AppScript
 
 from repro.appkit.plugins.lammps import make_lammps_script
 from repro.appkit.plugins.openfoam import make_openfoam_script
@@ -41,12 +38,3 @@ BUNDLED = {
 for _name, _factory in BUNDLED.items():
     if _name not in apps:
         register_app(_name)(_factory)
-
-
-def get_plugin(appname: str) -> AppScript:
-    """Instantiate the plugin registered for ``appname``."""
-    return apps.create(appname)
-
-
-def list_plugins() -> List[str]:
-    return apps.names()

@@ -114,10 +114,11 @@ class MpiLauncher:
                 f"{nodes} nodes x {effective_ppn} ppn = {expected_np}"
             )
         from repro.perf.noise import NO_NOISE
-        from repro.perf.registry import get_model
+        from repro.api.registry import perf_models
 
         noise = self.noise if self.noise is not None else NO_NOISE
-        perf_model = model if model is not None else get_model(app, noise)
+        perf_model = (model if model is not None
+                      else perf_models.create(app, noise))
         result = perf_model.simulate(
             self.sku, nodes, effective_ppn, inputs, network=self.network
         )

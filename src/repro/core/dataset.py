@@ -60,6 +60,18 @@ class DataPoint:
     makespan_s: float = 0.0
 
     def __post_init__(self) -> None:
+        # Mapping values are strings wherever a point is read (JSON rows,
+        # SQL pushdown, snapshot masks), so a point built with others
+        # (``appinputs={"BOXFACTOR": 4}``) holds them as strings too.
+        # str.join accepts only strings: one C-level check of every key
+        # and value.
+        try:
+            "".join((*self.appinputs, *self.appinputs.values(),
+                     *self.app_vars, *self.app_vars.values(),
+                     *self.tags, *self.tags.values()))
+        except TypeError:
+            for name in ("appinputs", "app_vars", "tags"):
+                object.__setattr__(self, name, _str_map(getattr(self, name)))
         if self.nnodes < 1:
             raise DatasetError(f"invalid nnodes: {self.nnodes}")
         # Views replace cost and makespan (spot_view_point may make them
@@ -109,11 +121,11 @@ class DataPoint:
             ppn=int(data.get("ppn", 1)),  # type: ignore[arg-type]
             exec_time_s=float(data["exec_time_s"]),  # type: ignore[arg-type]
             cost_usd=float(data["cost_usd"]),  # type: ignore[arg-type]
-            appinputs=_str_map(data.get("appinputs")),
-            app_vars=_str_map(data.get("app_vars")),
+            appinputs=dict(data.get("appinputs") or {}),
+            app_vars=dict(data.get("app_vars") or {}),
             infra_metrics={k: float(v) for k, v in  # type: ignore[arg-type]
                            dict(data.get("infra_metrics", {})).items()},
-            tags=_str_map(data.get("tags")),
+            tags=dict(data.get("tags") or {}),
             deployment=str(data.get("deployment", "")),
             timestamp=float(data.get("timestamp", 0.0)),  # type: ignore[arg-type]
             predicted=bool(data.get("predicted", False)),

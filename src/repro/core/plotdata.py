@@ -10,35 +10,36 @@
 Series are keyed by the SKU short name (``hb120rs_v3`` style, as in the
 paper's legends); the subtitle mirrors the paper's "atoms=860M"-style
 annotation built from app variables or inputs.
+
+Every builder reads one model of the data: the columns of a
+:class:`~repro.store.snapshot.ColumnarSnapshot` (what
+``AdvisorSession.snapshot`` returns).  A :class:`Dataset` is converted
+to columns once, at the builder's entry (:func:`as_columns`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.dataset import DataPoint, Dataset
-from repro.core.query import Query
+from repro.core.dataset import Dataset
 from repro.errors import DatasetError
 from repro.store.snapshot import ColumnarSnapshot
 
+PlotInput = Union[Dataset, ColumnarSnapshot]
 
-def _apply_query(dataset, query: Optional[Query]):
-    """The plot functions' shared data filter (None = everything).
 
-    Store-backed callers should push the query down when *loading*
-    (``AdvisorSession.query_dataset``); this in-memory fallback exists
-    so ad-hoc datasets speak the same filter vocabulary.  Accepts a
-    :class:`~repro.store.snapshot.ColumnarSnapshot` as well: every
-    builder below then stays in column space.
+def as_columns(data: PlotInput) -> ColumnarSnapshot:
+    """The builders' input as snapshot columns.
+
+    Callers filter before building: ``snapshot(name).view(query)`` for a
+    stored corpus, ``dataset.query(query)`` for an in-memory one.
     """
-    if query is None:
-        return dataset
-    if isinstance(dataset, ColumnarSnapshot):
-        return dataset.view(query)
-    return dataset.query(query)
+    if isinstance(data, Dataset):
+        return ColumnarSnapshot.from_points(data.points())
+    return data
 
 
 @dataclass(frozen=True)
@@ -81,18 +82,11 @@ def _short(sku: str) -> str:
     return name.lower()
 
 
-def _group_by_sku(dataset: Dataset) -> Dict[str, List[DataPoint]]:
-    groups: Dict[str, List[DataPoint]] = {}
-    for point in dataset:
-        groups.setdefault(_short(point.sku), []).append(point)
-    return dict(sorted(groups.items()))
-
-
 def _group_rows_by_sku(snap: ColumnarSnapshot) -> Dict[str, np.ndarray]:
     """Row indices per short SKU name, rows in store order.
 
     Distinct full SKU spellings can share one short name, so grouping
-    goes through the code table (same merge the object path does).
+    goes through the code table and merges them.
     """
     codes_by_short: Dict[str, List[int]] = {}
     for code, sku in enumerate(snap.skus):
@@ -111,8 +105,8 @@ def _sorted_pairs(xs: np.ndarray, ys: np.ndarray) -> Tuple[Tuple[float, float], 
     return tuple(zip(xs[order].tolist(), ys[order].tolist()))
 
 
-def _require_points(dataset, what: str) -> None:
-    if len(dataset) == 0:
+def _require_points(snap: ColumnarSnapshot, what: str) -> None:
+    if snap.n == 0:
         raise DatasetError(f"no data points to build the {what} plot")
 
 
@@ -122,30 +116,15 @@ _SUBTITLE_VARS = {
 }
 
 
-def default_subtitle(dataset) -> str:
-    """Paper-style subtitle like ``atoms=860M`` from app vars or inputs."""
-    if isinstance(dataset, ColumnarSnapshot):
-        return _subtitle_from_columns(dataset)
-    for point in dataset:
-        for key in ("LAMMPSATOMS", "OFCELLS", "WRFGRIDPOINTS", "GMXATOMS",
-                    "NAMDATOMS", "MMSIZE"):
-            if key in point.app_vars:
-                value = float(point.app_vars[key])
-                label = _SUBTITLE_VARS[key]
-                return f"{label}={_human(value)}"
-        if point.appinputs:
-            return ",".join(f"{k}={v}" for k, v in sorted(point.appinputs.items()))
-    return ""
-
-
-def _subtitle_from_columns(snap: ColumnarSnapshot) -> str:
-    # Same first-row-that-answers walk as the object path, but over the
-    # group codes (almost always returns on the first row).
+def default_subtitle(dataset: PlotInput) -> str:
+    """Paper-style subtitle like ``atoms=860M`` from app vars or inputs:
+    the first row (store order) that has a size variable or any input
+    answers."""
+    snap = as_columns(dataset)
     for var_code, inp_code in zip(snap.app_vars_codes.tolist(),
                                   snap.appinputs_codes.tolist()):
         app_vars = snap.app_vars_groups[var_code]
-        for key in ("LAMMPSATOMS", "OFCELLS", "WRFGRIDPOINTS", "GMXATOMS",
-                    "NAMDATOMS", "MMSIZE"):
+        for key in _SUBTITLE_VARS:
             if key in app_vars:
                 return f"{_SUBTITLE_VARS[key]}={_human(float(app_vars[key]))}"
         appinputs = snap.appinputs_groups[inp_code]
@@ -161,155 +140,102 @@ def _human(value: float) -> str:
     return f"{value:g}"
 
 
+def _plot(snap: ColumnarSnapshot, title: str, xlabel: str, ylabel: str,
+          series: List[Series], subtitle: Optional[str]) -> PlotData:
+    return PlotData(
+        title=title,
+        xlabel=xlabel,
+        ylabel=ylabel,
+        series=tuple(series),
+        subtitle=subtitle if subtitle is not None else default_subtitle(snap),
+    )
+
+
 # -- the four plot types -------------------------------------------------------------
 
 
-def exectime_vs_nodes(dataset, subtitle: Optional[str] = None,
-                      query: Optional[Query] = None) -> PlotData:
+def exectime_vs_nodes(dataset: PlotInput,
+                      subtitle: Optional[str] = None) -> PlotData:
     """Plot type 1 (the paper's Fig. 2)."""
-    dataset = _apply_query(dataset, query)
-    _require_points(dataset, "exec-time-vs-nodes")
-    series = []
-    if isinstance(dataset, ColumnarSnapshot):
-        nodes = dataset.nnodes.astype(np.float64)
-        for sku, rows in _group_rows_by_sku(dataset).items():
-            series.append(Series(label=sku, points=_sorted_pairs(
-                nodes[rows], dataset.exec_time_s[rows])))
-    else:
-        for sku, points in _group_by_sku(dataset).items():
-            pairs = sorted((float(p.nnodes), p.exec_time_s) for p in points)
-            series.append(Series(label=sku, points=tuple(pairs)))
-    return PlotData(
-        title="Exectime",
-        xlabel="Number of VMs",
-        ylabel="Execution time (seconds)",
-        series=tuple(series),
-        subtitle=subtitle if subtitle is not None else default_subtitle(dataset),
-    )
+    snap = as_columns(dataset)
+    _require_points(snap, "exec-time-vs-nodes")
+    nodes = snap.nnodes.astype(np.float64)
+    series = [Series(label=sku, points=_sorted_pairs(
+                  nodes[rows], snap.exec_time_s[rows]))
+              for sku, rows in _group_rows_by_sku(snap).items()]
+    return _plot(snap, "Exectime", "Number of VMs",
+                 "Execution time (seconds)", series, subtitle)
 
 
-def exectime_vs_cost(dataset, subtitle: Optional[str] = None,
-                     query: Optional[Query] = None) -> PlotData:
+def exectime_vs_cost(dataset: PlotInput,
+                     subtitle: Optional[str] = None) -> PlotData:
     """Plot type 2 (the paper's Fig. 3): x = exec time, y = cost."""
-    dataset = _apply_query(dataset, query)
-    _require_points(dataset, "exec-time-vs-cost")
-    series = []
-    if isinstance(dataset, ColumnarSnapshot):
-        for sku, rows in _group_rows_by_sku(dataset).items():
-            series.append(Series(label=sku, points=_sorted_pairs(
-                dataset.exec_time_s[rows], dataset.cost_usd[rows])))
-    else:
-        for sku, points in _group_by_sku(dataset).items():
-            pairs = sorted((p.exec_time_s, p.cost_usd) for p in points)
-            series.append(Series(label=sku, points=tuple(pairs)))
-    return PlotData(
-        title="Cost",
-        xlabel="Execution time (seconds)",
-        ylabel="Cost (USD)",
-        series=tuple(series),
-        subtitle=subtitle if subtitle is not None else default_subtitle(dataset),
-    )
+    snap = as_columns(dataset)
+    _require_points(snap, "exec-time-vs-cost")
+    series = [Series(label=sku, points=_sorted_pairs(
+                  snap.exec_time_s[rows], snap.cost_usd[rows]))
+              for sku, rows in _group_rows_by_sku(snap).items()]
+    return _plot(snap, "Cost", "Execution time (seconds)", "Cost (USD)",
+                 series, subtitle)
 
 
-def _baseline_time(points: List[DataPoint]) -> Tuple[float, float]:
-    """(nodes, time) of the smallest-node measurement for a SKU.
+def _speedup_rows(snap: ColumnarSnapshot,
+                  rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(kept rows, speedup per kept row) for one SKU's rows.
 
     The paper defines speedup vs the single-node run; when a sweep starts
     above one node (their Figures start at 2), the smallest run is the
-    reference and speedup is normalised by the node ratio.
+    reference and speedup is normalised by the node ratio.  The
+    reference is the first row (store order) with the fewest nodes;
+    rows with a zero execution time are left out.
     """
-    reference = min(points, key=lambda p: p.nnodes)
-    return float(reference.nnodes), reference.exec_time_s
-
-
-def _baseline_time_rows(snap: ColumnarSnapshot,
-                        rows: np.ndarray) -> Tuple[float, float]:
-    # argmin picks the first minimal-node row, like min() over points.
     ref = rows[int(np.argmin(snap.nnodes[rows]))]
-    return float(snap.nnodes[ref]), float(snap.exec_time_s[ref])
+    ref_nodes, ref_time = float(snap.nnodes[ref]), float(snap.exec_time_s[ref])
+    keep = rows[snap.exec_time_s[rows] > 0]
+    return keep, ref_nodes * ref_time / snap.exec_time_s[keep]
 
 
-def speedup(dataset, subtitle: Optional[str] = None,
-            query: Optional[Query] = None) -> PlotData:
+def speedup(dataset: PlotInput,
+            subtitle: Optional[str] = None) -> PlotData:
     """Plot type 3 (the paper's Fig. 4)."""
-    dataset = _apply_query(dataset, query)
-    _require_points(dataset, "speedup")
+    snap = as_columns(dataset)
+    _require_points(snap, "speedup")
     series = []
-    if isinstance(dataset, ColumnarSnapshot):
-        for sku, rows in _group_rows_by_sku(dataset).items():
-            ref_nodes, ref_time = _baseline_time_rows(dataset, rows)
-            keep = rows[dataset.exec_time_s[rows] > 0]
-            series.append(Series(label=sku, points=_sorted_pairs(
-                dataset.nnodes[keep].astype(np.float64),
-                ref_nodes * ref_time / dataset.exec_time_s[keep])))
-    else:
-        for sku, points in _group_by_sku(dataset).items():
-            ref_nodes, ref_time = _baseline_time(points)
-            pairs = sorted(
-                (float(p.nnodes), ref_nodes * ref_time / p.exec_time_s)
-                for p in points
-                if p.exec_time_s > 0
-            )
-            series.append(Series(label=sku, points=tuple(pairs)))
-    return PlotData(
-        title="Speedup",
-        xlabel="Number of VMs",
-        ylabel="Speedup",
-        series=tuple(series),
-        subtitle=subtitle if subtitle is not None else default_subtitle(dataset),
-    )
+    for sku, rows in _group_rows_by_sku(snap).items():
+        keep, gain = _speedup_rows(snap, rows)
+        series.append(Series(label=sku, points=_sorted_pairs(
+            snap.nnodes[keep].astype(np.float64), gain)))
+    return _plot(snap, "Speedup", "Number of VMs", "Speedup", series,
+                 subtitle)
 
 
-def efficiency(dataset, subtitle: Optional[str] = None,
-               query: Optional[Query] = None) -> PlotData:
+def efficiency(dataset: PlotInput,
+               subtitle: Optional[str] = None) -> PlotData:
     """Plot type 4 (the paper's Fig. 5): speedup / nodes, >1 is superlinear."""
-    dataset = _apply_query(dataset, query)
-    _require_points(dataset, "efficiency")
+    snap = as_columns(dataset)
+    _require_points(snap, "efficiency")
     series = []
-    if isinstance(dataset, ColumnarSnapshot):
-        for sku, rows in _group_rows_by_sku(dataset).items():
-            ref_nodes, ref_time = _baseline_time_rows(dataset, rows)
-            keep = rows[dataset.exec_time_s[rows] > 0]
-            series.append(Series(label=sku, points=_sorted_pairs(
-                dataset.nnodes[keep].astype(np.float64),
-                ref_nodes * ref_time / dataset.exec_time_s[keep]
-                / dataset.nnodes[keep])))
-    else:
-        for sku, points in _group_by_sku(dataset).items():
-            ref_nodes, ref_time = _baseline_time(points)
-            pairs = sorted(
-                (
-                    float(p.nnodes),
-                    ref_nodes * ref_time / p.exec_time_s / p.nnodes,
-                )
-                for p in points
-                if p.exec_time_s > 0
-            )
-            series.append(Series(label=sku, points=tuple(pairs)))
-    return PlotData(
-        title="Efficiency",
-        xlabel="Number of VMs",
-        ylabel="Efficiency",
-        series=tuple(series),
-        subtitle=subtitle if subtitle is not None else default_subtitle(dataset),
-    )
+    for sku, rows in _group_rows_by_sku(snap).items():
+        keep, gain = _speedup_rows(snap, rows)
+        series.append(Series(label=sku, points=_sorted_pairs(
+            snap.nnodes[keep].astype(np.float64),
+            gain / snap.nnodes[keep])))
+    return _plot(snap, "Efficiency", "Number of VMs", "Efficiency", series,
+                 subtitle)
 
 
-def pareto_scatter(dataset) -> Tuple[PlotData, Series]:
+def pareto_scatter(dataset: PlotInput) -> Tuple[PlotData, Series]:
     """The Fig. 6 concept plot: all scenarios plus the Pareto front line."""
     from repro.core.pareto import pareto_front
 
-    _require_points(dataset, "pareto")
-    if isinstance(dataset, ColumnarSnapshot):
-        all_points = list(_sorted_pairs(dataset.exec_time_s,
-                                        dataset.cost_usd))
-    else:
-        all_points = sorted((p.exec_time_s, p.cost_usd) for p in dataset)
-    front = pareto_front(all_points)
+    snap = as_columns(dataset)
+    _require_points(snap, "pareto")
+    all_points = _sorted_pairs(snap.exec_time_s, snap.cost_usd)
+    front = pareto_front(list(all_points))
     scatter = PlotData(
         title="Advice based on pareto front",
         xlabel="Execution time (seconds)",
         ylabel="Cost (USD)",
-        series=(Series(label="Scenarios", points=tuple(all_points)),),
+        series=(Series(label="Scenarios", points=all_points),),
     )
     return scatter, Series(label="Pareto Front", points=tuple(front))

@@ -11,9 +11,10 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.dataset import Dataset
 from repro.core.plotdata import (
     PlotData,
+    PlotInput,
+    as_columns,
     efficiency,
     exectime_vs_cost,
     exectime_vs_nodes,
@@ -34,7 +35,7 @@ class GeneratedPlot:
     data: PlotData
 
 
-def build_plot(dataset: Dataset, kind: str,
+def build_plot(dataset: PlotInput, kind: str,
                subtitle: Optional[str] = None) -> PlotData:
     """Build the PlotData for one chart type."""
     builders = {
@@ -53,14 +54,15 @@ def build_plot(dataset: Dataset, kind: str,
 
 
 def generate_plots(
-    dataset: Dataset,
+    dataset: PlotInput,
     output_dir: str,
     kinds: Optional[List[str]] = None,
     subtitle: Optional[str] = None,
     include_pareto: bool = True,
 ) -> List[GeneratedPlot]:
     """Write SVG charts for the dataset; returns what was generated."""
-    if len(dataset) == 0:
+    dataset = as_columns(dataset)  # a Dataset is converted once, here
+    if dataset.n == 0:
         raise DatasetError("cannot plot an empty dataset")
     os.makedirs(output_dir, exist_ok=True)
     out: List[GeneratedPlot] = []

@@ -2,7 +2,9 @@
 
 Each page renders from an :class:`repro.api.AdvisorSession` — the same
 facade the CLI and the examples use — so the GUI shows exactly what the
-``advice``/``plot`` commands would say.
+``advice``/``plot`` commands would say.  The plots and bottlenecks pages
+read the deployment's columnar snapshot (``session.snapshot``), the one
+in-process model of a stored corpus that advice and ``plot`` read too.
 """
 
 from __future__ import annotations
@@ -148,12 +150,13 @@ def _sweep_section(session: "AdvisorSession", name: str) -> str:
 
 
 def render_plots(session: "AdvisorSession", name: str) -> str:
-    dataset = session.dataset(name)
-    if not len(dataset):
+    """The four Sec. III-D charts, the SVGs ``session.plot`` writes."""
+    snap = session.snapshot(name)
+    if not snap.n:
         raise ReproError(f"no dataset for deployment {name!r}")
     charts = []
     for builder in (exectime_vs_nodes, exectime_vs_cost, speedup, efficiency):
-        charts.append(f"<div>{render_chart(builder(dataset))}</div>")
+        charts.append(f"<div>{render_chart(builder(snap))}</div>")
     body = (
         f"<h2>Plots - {html.escape(name)}</h2>"
         f"<div class='charts'>{''.join(charts)}</div>"
@@ -165,11 +168,13 @@ def render_bottlenecks(session: "AdvisorSession", name: str) -> str:
     """Infrastructure-bottleneck view (paper Sec. III-F third strategy)."""
     from repro.sampling.bottleneck import BottleneckAnalyzer
 
+    snap = session.snapshot(name)
     analyzer = BottleneckAnalyzer()
-    for point in session.dataset(name):
-        if point.infra_metrics:
-            analyzer.observe_dict(point.sku, point.nnodes,
-                                  point.infra_metrics)
+    for sku, nnodes, infra in zip(snap.sku_codes.tolist(),
+                                  snap.nnodes.tolist(),
+                                  snap.infra_codes.tolist()):
+        analyzer.observe_dict(snap.skus[sku], nnodes,
+                              snap.infra_groups[infra])
     rows = "".join(
         "<tr><td>{sku}</td><td>{n}</td><td>{dom}</td><td>{comm:.0%}</td>"
         "<td>{sat}</td></tr>".format(

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import html
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Union
 
 from repro.api.session import AdvisorSession
-from repro.core.statefiles import StateStore
 from repro.errors import ReproError
 from repro.gui import pages
 from repro.service.router import Router, ServiceState
@@ -115,19 +113,9 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         pass  # keep tests/CLI quiet
 
 
-def _coerce_session(
-    session: Union[AdvisorSession, StateStore],
-) -> AdvisorSession:
-    """Accept a bare StateStore for backward compatibility."""
-    if isinstance(session, StateStore):
-        return AdvisorSession(store=session)
-    return session
-
-
-def make_server(session: Union[AdvisorSession, StateStore],
+def make_server(session: AdvisorSession,
                 host: str = "127.0.0.1", port: int = 8040) -> HTTPServer:
     """Create (but do not start) the GUI server."""
-    session = _coerce_session(session)
     # jobs=None: the GUI mount is read-only; job submission needs `serve`.
     router = Router(ServiceState(session=session, jobs=None))
     handler = type(
@@ -137,7 +125,7 @@ def make_server(session: Union[AdvisorSession, StateStore],
     return HTTPServer((host, port), handler)
 
 
-def serve(session: Union[AdvisorSession, StateStore],
+def serve(session: AdvisorSession,
           host: str = "127.0.0.1", port: int = 8040,
           once: bool = False) -> int:
     server = make_server(session, host, port)

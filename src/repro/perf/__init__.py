@@ -17,14 +17,10 @@ and 4, Figures 2-5); see ``EXPERIMENTS.md`` for paper-vs-measured numbers.
 
 from repro.perf.machine import MachineModel
 from repro.perf.model import AppPerfModel, PerfResult, SimError
-from repro.perf.registry import get_model, list_models, register_model
 
 __all__ = [
     "MachineModel",
     "AppPerfModel",
     "PerfResult",
     "SimError",
-    "get_model",
-    "list_models",
-    "register_model",
 ]

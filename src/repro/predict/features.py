@@ -88,9 +88,10 @@ class FeatureSpec:
 
     def _workload(self, appinputs: Mapping[str, str]) -> List[float]:
         if self.appname:
-            from repro.perf.registry import get_model
+            from repro.api.registry import perf_models
+            from repro.perf.noise import NO_NOISE
 
-            model = get_model(self.appname)
+            model = perf_models.create(self.appname, NO_NOISE)
             params = model.validate_inputs(appinputs)
             return [
                 _log(model.total_work(params)),

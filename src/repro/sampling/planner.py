@@ -42,9 +42,10 @@ WorkEstimator = Callable[[Mapping[str, str]], float]
 
 def work_estimator_for_app(appname: str) -> WorkEstimator:
     """A work estimator backed by the application's performance model."""
-    from repro.perf.registry import get_model
+    from repro.api.registry import perf_models
+    from repro.perf.noise import NO_NOISE
 
-    model = get_model(appname)
+    model = perf_models.create(appname, NO_NOISE)
 
     def estimate(appinputs: Mapping[str, str]) -> float:
         return model.total_work(model.validate_inputs(appinputs))

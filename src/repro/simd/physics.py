@@ -26,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from repro.api.registry import perf_models
 from repro.cloud.skus import VmSku
 from repro.cluster.network import NetworkModel, network_for_sku
 from repro.core.scenarios import Scenario
 from repro.perf.machine import MachineModel
 from repro.perf.model import AppPerfModel, PerfResult, RunShape
 from repro.perf.noise import NO_NOISE, NoiseModel
-from repro.perf.registry import get_model
 
 #: What AzureBatchBackend reports when a run script fails without printing
 #: a ``reason:`` line (missing env var, malformed input string).
@@ -232,7 +232,7 @@ class ScenarioPhysics:
 
         model = self._models.get(scenario.appname)
         if model is None:
-            model = get_model(scenario.appname, self.noise)
+            model = perf_models.create(scenario.appname, self.noise)
             self._models[scenario.appname] = model
         machine = self._machines.get(sku.name)
         if machine is None:

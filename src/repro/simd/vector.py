@@ -45,6 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as _np
 
+from repro.api.registry import perf_models
 from repro.cloud.skus import VmSku
 from repro.cluster.network import NetworkModel, network_for_sku
 from repro.core.scenarios import Scenario
@@ -56,7 +57,6 @@ from repro.perf.apps import openfoam as _openfoam
 from repro.perf.cache import cache_profile_for
 from repro.perf.comm import imbalance_factor, solver_reduction_time_per_iter
 from repro.perf.machine import MachineModel
-from repro.perf.registry import get_model
 from repro.simd.physics import (ADAPTERS, FastPhysics, ScenarioPhysics,
                                 _SCRIPT_FAIL)
 
@@ -217,7 +217,7 @@ _VARS: Dict[str, Callable[[dict, float, float], Dict[str, str]]] = {
 def _model_for(physics: ScenarioPhysics, appname: str):
     model = physics._models.get(appname)
     if model is None:
-        model = get_model(appname, physics.noise)
+        model = perf_models.create(appname, physics.noise)
         physics._models[appname] = model
     return model
 

@@ -707,8 +707,8 @@ class SqliteStore:
         with self._lock:
             # The per-table generation counter is bumped inside every
             # write transaction (ours or another connection's), so a
-            # task upsert never invalidates the dataset cache and a
-            # point append never invalidates the task cache.  The epoch
+            # task upsert never invalidates a snapshot or point count
+            # and a point append never invalidates the task cache.  The epoch
             # is read in the same statement (module docstring).
             epoch, gen = self._conn.execute(
                 "SELECT (SELECT value FROM meta WHERE key = 'points_epoch'),"
@@ -717,8 +717,8 @@ class SqliteStore:
         return (ino, epoch, int(gen) if gen is not None else 0)
 
     def dataset_signature(self) -> Tuple:
-        """Freshness token for dataset caches: changes whenever any
-        connection may have altered the stored points."""
+        """Freshness token for snapshots and point counts: changes
+        whenever any connection may have altered the stored points."""
         return self._signature("points_gen")
 
     def tasks_signature(self) -> Tuple:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.cloud.provider import CloudProvider
 from repro.core.collector import DataCollector
@@ -41,7 +41,7 @@ def collect_config(config: MainConfig) -> Dataset:
     deployment = Deployer().deploy(config)
     collector = DataCollector(
         backend=AzureBatchBackend(service=deployment.batch),
-        script=get_plugin(config.appname),
+        script=apps.create(config.appname),
         dataset=Dataset(),
         taskdb=TaskDB(),
         deployment_name=deployment.name,

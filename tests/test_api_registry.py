@@ -94,30 +94,45 @@ class TestBuiltinRegistries:
 
 
 class TestLegacyShims:
-    """The pre-facade registry functions keep their contracts."""
+    """The pre-registry top-level names (``repro.get_model``,
+    ``repro.list_models``, ``repro.get_plugin``, ``repro.list_plugins``)
+    are the registry's ``create`` and ``names``."""
 
     def test_perf_registry_shim(self):
-        from repro.perf.registry import get_model, list_models
+        import repro
+        from repro.perf.apps.lammps import LammpsModel
+        from repro.perf.noise import NoiseModel
 
-        assert "openfoam" in list_models()
-        assert get_model("lammps") is not None
+        assert repro.list_models() == reg.perf_models.names()
+        assert "openfoam" in repro.list_models()
+        assert isinstance(repro.get_model("lammps"), LammpsModel)
+        noise = NoiseModel(sigma=0.1, seed=3)
+        assert repro.get_model("LAMMPS", noise).noise is noise
 
     def test_appkit_shim(self):
-        from repro.appkit.plugins import get_plugin, list_plugins
+        import repro
 
-        assert "lammps" in list_plugins()
-        assert get_plugin("lammps") is not None
+        assert repro.list_plugins() == reg.apps.names()
+        assert "lammps" in repro.list_plugins()
+        assert repro.get_plugin("lammps").appname == "lammps"
 
     def test_custom_registration_visible_through_shim(self):
-        from repro.perf.registry import get_model, register_model
+        """A model registered with the documented ``(noise)`` factory
+        signature gets the no-noise default from ``repro.get_model``."""
+        import repro
+        from repro.perf.noise import NO_NOISE
 
         class FakeModel:
             def __init__(self, noise):
                 self.noise = noise
 
-        register_model("testonly-fake", lambda noise: FakeModel(noise))
+        reg.register_perf_model("testonly-fake")(
+            lambda noise: FakeModel(noise))
         try:
-            assert isinstance(get_model("testonly-fake"), FakeModel)
+            assert "testonly-fake" in repro.list_models()
+            model = repro.get_model("testonly-fake")
+            assert isinstance(model, FakeModel)
+            assert model.noise is NO_NOISE
         finally:
             reg.perf_models.unregister("testonly-fake")
 

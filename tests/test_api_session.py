@@ -405,6 +405,67 @@ class TestPersistenceAndResume:
         assert len(reader.dataset(info.name)) == 3
         assert reader.info(info.name).dataset_points == 3
 
+    def test_listings_count_without_reading_points(self, state_dir,
+                                                   monkeypatch):
+        """A persistent session holds no copy of a stored corpus: after
+        dataset(), info() and list_deployments() count another handle's
+        append with COUNT(*), without reading a point row."""
+        from repro.core.dataset import DataPoint
+        from repro.core.statefiles import StateStore
+        from repro.store.sqlite import SqliteStore
+
+        session = AdvisorSession(state_dir=state_dir)
+        info = session.deploy(make_config())
+        session.collect(deployment=info.name)
+        dataset = session.dataset(info.name)
+        assert len(dataset) == 2
+        assert session.dataset(info.name) is not dataset  # a fresh read
+
+        external = StateStore(root=state_dir).data_store(info.name)
+        external.append_point(DataPoint(
+            appname="lammps", sku="Standard_HB120rs_v3", nnodes=4, ppn=120,
+            exec_time_s=1.0, cost_usd=0.1, appinputs={"BOXFACTOR": "4"},
+        ))
+        external.close()
+
+        def no_point_rows(*args, **kwargs):
+            raise AssertionError("a listing read point rows")
+
+        monkeypatch.setattr(SqliteStore, "query_points", no_point_rows)
+        monkeypatch.setattr(SqliteStore, "fetch_point_columns",
+                            no_point_rows)
+        assert session.info(info.name).dataset_points == 3
+        assert [i.dataset_points for i in session.list_deployments()] \
+            == [3]
+
+    def test_non_string_mapping_values_are_stored_as_strings(self,
+                                                             state_dir):
+        """A point built with a non-string input value matches the same
+        string filter on every read path: the store's pushdown (cold
+        page and total), the snapshot (warm page) and its own round
+        trip."""
+        from repro.core.dataset import DataPoint
+        from repro.core.query import Query
+
+        point = DataPoint(
+            appname="lammps", sku="Standard_HB120rs_v3", nnodes=2, ppn=120,
+            exec_time_s=10.0, cost_usd=0.5, appinputs={"BOXFACTOR": 4},
+            app_vars={"LAMMPSATOMS": 864000000}, tags={"run": 1},
+        )
+        assert point.appinputs == {"BOXFACTOR": "4"}
+        assert DataPoint.from_dict(point.to_dict()) == point
+
+        session = AdvisorSession(state_dir=state_dir)
+        name = session.deploy(make_config()).name
+        session.data_store(name).append_points([point])
+        query = Query(appinputs={"BOXFACTOR": "4"}, tags={"run": "1"})
+        cold = session.datapoints(name, query)
+        session.snapshot(name)  # the process now holds a snapshot
+        warm = session.datapoints(name, query)
+        assert cold.total == warm.total == 1
+        assert [p.to_dict() for p in cold.points] \
+            == [p.to_dict() for p in warm.points] == [point.to_dict()]
+
     def test_taskdb_cache_sees_external_collect(self, state_dir):
         """A session that cached an empty task DB must not re-execute
         scenarios another process completed (duplicate points)."""

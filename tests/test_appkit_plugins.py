@@ -5,7 +5,7 @@ import pytest
 from repro.appkit.context import AppRunContext
 from repro.appkit.envvars import build_task_env
 from repro.appkit.metricvars import extract_vars
-from repro.appkit.plugins import get_plugin, list_plugins
+from repro.api.registry import apps
 from repro.appkit.plugins.lammps import IN_LJ_TEMPLATE, _sed_boxfactor
 from repro.cloud.skus import get_sku
 from repro.cluster.filesystem import SharedFilesystem
@@ -22,7 +22,7 @@ ALL_PLUGINS = {
 
 
 def run_plugin(appname, appinputs, nodes=2, run_setup=True):
-    plugin = get_plugin(appname)
+    plugin = apps.create(appname)
     sku = get_sku("Standard_HB120rs_v3")
     fs = SharedFilesystem()
     from repro.cluster.host import make_hosts
@@ -49,11 +49,11 @@ def run_plugin(appname, appinputs, nodes=2, run_setup=True):
 class TestRegistry:
     def test_paper_apps_all_have_plugins(self):
         for name in ("wrf", "openfoam", "gromacs", "lammps", "namd"):
-            assert name in list_plugins()
+            assert name in apps.names()
 
     def test_unknown_plugin(self):
         with pytest.raises(AppScriptError):
-            get_plugin("crysis")
+            apps.create("crysis")
 
 
 @pytest.mark.parametrize("appname", sorted(ALL_PLUGINS))
@@ -70,7 +70,7 @@ class TestAllPlugins:
 
     def test_setup_idempotent(self, appname):
         """Paper: 'a simple test can be done to avoid repeating such setup'."""
-        plugin = get_plugin(appname)
+        plugin = apps.create(appname)
         sku = get_sku("Standard_HB120rs_v3")
         from repro.cluster.host import make_hosts
 

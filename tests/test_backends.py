@@ -6,7 +6,7 @@ The back-end API is split-phase; these tests wait each op out with
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend, pool_id_for
 from repro.backends.base import AsyncOp, ExecutionBackend, drive
 from repro.backends.slurm import SlurmBackend, partition_for
@@ -83,7 +83,7 @@ class TestNaming:
 class TestBackendContract:
     def test_setup_then_scenario(self, factory):
         backend = factory()
-        plugin = get_plugin("lammps")
+        plugin = apps.create("lammps")
         assert drive_setup(backend, "Standard_HB120rs_v3", plugin)
         result = drive_scenario(backend, scenario(), plugin)
         assert result.succeeded
@@ -93,7 +93,7 @@ class TestBackendContract:
 
     def test_setup_runs_once_per_vmtype(self, factory):
         backend = factory()
-        plugin = get_plugin("lammps")
+        plugin = apps.create("lammps")
         assert drive_setup(backend, "Standard_HB120rs_v3", plugin)
         # Second call must be a cheap no-op returning cached success.
         assert not backend.needs_setup("Standard_HB120rs_v3")
@@ -103,7 +103,7 @@ class TestBackendContract:
 
     def test_failure_reported_not_raised(self, factory):
         backend = factory()
-        plugin = get_plugin("lammps")
+        plugin = apps.create("lammps")
         drive_setup(backend, "Standard_HB120rs_v3", plugin)
         result = drive_scenario(
             backend, scenario(nnodes=1, bf="60"), plugin  # OOM on one node
@@ -113,7 +113,7 @@ class TestBackendContract:
 
     def test_cost_formula(self, factory):
         backend = factory()
-        plugin = get_plugin("lammps")
+        plugin = apps.create("lammps")
         drive_setup(backend, "Standard_HB120rs_v3", plugin)
         result = drive_scenario(backend, scenario(nnodes=2), plugin)
         expected = 2 * 3.60 * result.exec_time_s / 3600.0
@@ -121,14 +121,14 @@ class TestBackendContract:
 
     def test_infrastructure_cost_accrues(self, factory):
         backend = factory()
-        plugin = get_plugin("lammps")
+        plugin = apps.create("lammps")
         drive_setup(backend, "Standard_HB120rs_v3", plugin)
         drive_scenario(backend, scenario(), plugin)
         assert backend.total_infrastructure_cost_usd > 0
 
     def test_release_capacity(self, factory):
         backend = factory()
-        plugin = get_plugin("lammps")
+        plugin = apps.create("lammps")
         drive_setup(backend, "Standard_HB120rs_v3", plugin)
         drive_scenario(backend, scenario(), plugin)
         backend.release_capacity("Standard_HB120rs_v3", delete=False)
@@ -139,7 +139,7 @@ class TestBackendParity:
     """Both back-ends must measure the same physics."""
 
     def test_exec_times_identical(self):
-        plugin = get_plugin("lammps")
+        plugin = apps.create("lammps")
         results = {}
         for name, factory in [("batch", make_batch_backend),
                               ("slurm", make_slurm_backend)]:
@@ -158,7 +158,7 @@ class TestBackendParity:
 class TestAzureBatchSpecifics:
     def test_pool_reused_across_scenarios(self):
         backend = make_batch_backend()
-        plugin = get_plugin("lammps")
+        plugin = apps.create("lammps")
         drive_setup(backend, "Standard_HB120rs_v3", plugin)
         drive_scenario(backend, scenario(nnodes=1, sid="t1"), plugin)
         drive_scenario(backend, scenario(nnodes=2, sid="t2"), plugin)
@@ -168,7 +168,7 @@ class TestAzureBatchSpecifics:
 
     def test_delete_semantics(self):
         backend = make_batch_backend()
-        plugin = get_plugin("lammps")
+        plugin = apps.create("lammps")
         drive_setup(backend, "Standard_HB120rs_v3", plugin)
         backend.release_capacity("Standard_HB120rs_v3", delete=True)
         assert not backend.service.list_pools()

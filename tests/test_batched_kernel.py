@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.cloud.eviction import EvictionModel
 from repro.cloud.skus import get_sku
@@ -54,7 +54,7 @@ def sweep(engine, appname="lammps", appinputs=None, skus=None,
     collector = DataCollector(
         backend=AzureBatchBackend(service=deployment.batch,
                                   capacity=capacity),
-        script=get_plugin(appname),
+        script=apps.create(appname),
         dataset=Dataset(),
         taskdb=TaskDB(),
         store=store,
@@ -141,7 +141,7 @@ def test_spot_rate_zero_byte_identical_to_ondemand():
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch,
                                       capacity=capacity),
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(), taskdb=TaskDB(),
             deployment_name="batched-kernel-test",
             capacity=capacity, eviction=eviction, engine="batched",
@@ -195,7 +195,7 @@ def test_makespan_is_the_clock_span():
         deployment = Deployer().deploy(config)
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch),
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(), taskdb=TaskDB(), engine=engine,
         )
         start = collector.backend.clock.now
@@ -214,7 +214,7 @@ def test_spot_billing_identity():
     collector = DataCollector(
         backend=AzureBatchBackend(service=deployment.batch,
                                   capacity="spot"),
-        script=get_plugin("lammps"),
+        script=apps.create("lammps"),
         dataset=Dataset(), taskdb=TaskDB(),
         deployment_name="batched-kernel-test",
         capacity="spot", recovery="checkpoint_restart",
@@ -329,7 +329,7 @@ def test_batch_eligibility_reasons():
     reserved = Scenario(scenario_id="c", sku_name="Standard_HC44rs",
                         nnodes=2, ppn=4, appname="lammps",
                         appinputs={"NNODES": "4"})
-    lammps = get_plugin("lammps")
+    lammps = apps.create("lammps")
     assert batch_eligibility(backend, 1, [ok], lammps) is None
     assert "customsolver" in batch_eligibility(backend, 1, [ok, alien],
                                                lammps)
@@ -349,7 +349,7 @@ def test_batch_eligibility_reasons():
     assert "bundled 'lammps' plugin" in batch_eligibility(
         backend, 1, [ok], custom)
     assert batch_eligibility(backend, 1, [ok],
-                             get_plugin("openfoam")) is not None
+                             apps.create("openfoam")) is not None
 
 
 def test_requested_batched_falls_back_with_reason():
@@ -377,7 +377,7 @@ def test_auto_engine_falls_back_on_parallel_pools():
     deployment = Deployer().deploy(config)
     collector = DataCollector(
         backend=AzureBatchBackend(service=deployment.batch),
-        script=get_plugin("lammps"), dataset=Dataset(), taskdb=TaskDB(),
+        script=apps.create("lammps"), dataset=Dataset(), taskdb=TaskDB(),
         max_parallel_pools=2,
     )
     report = collector.collect(generate_scenarios(config))

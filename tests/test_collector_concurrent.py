@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend, pool_id_for
 from repro.backends.base import AsyncOp
 from repro.core.collector import DataCollector
@@ -19,7 +19,7 @@ def build(config, **kwargs):
     deployment = Deployer().deploy(config)
     collector = DataCollector(
         backend=AzureBatchBackend(service=deployment.batch),
-        script=get_plugin(config.appname),
+        script=apps.create(config.appname),
         dataset=Dataset(),
         taskdb=TaskDB(),
         deployment_name="det-test",
@@ -222,7 +222,7 @@ class TestSetupFailurePoisonsSku:
         deployment = Deployer().deploy(config)
         backend = FailingSetupBackend(service=deployment.batch)
         collector = DataCollector(
-            backend=backend, script=get_plugin(config.appname),
+            backend=backend, script=apps.create(config.appname),
             dataset=Dataset(), taskdb=TaskDB(),
         )
         report = collector.collect(generate_scenarios(config))

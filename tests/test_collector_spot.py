@@ -3,7 +3,7 @@ eviction accounting, and the determinism goldens the ISSUE demands."""
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend, pool_id_for
 from repro.backends.slurm import SlurmBackend, partition_for
 from repro.cloud.eviction import EvictionModel
@@ -48,7 +48,7 @@ def build(config, backend_kind="azurebatch", capacity="spot", **kwargs):
         backend = SlurmBackend(cluster=cluster, capacity=capacity)
     collector = DataCollector(
         backend=backend,
-        script=get_plugin(config.appname),
+        script=apps.create(config.appname),
         dataset=Dataset(),
         taskdb=TaskDB(),
         deployment_name="spot-test",
@@ -276,7 +276,7 @@ class TestSpotGuards:
         deployment = Deployer().deploy(make_config())
         collector = DataCollector(
             backend=OnDemandOnlyBackend(service=deployment.batch),
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(), taskdb=TaskDB(), capacity="spot",
         )
         with pytest.raises(BackendError, match="preemption"):

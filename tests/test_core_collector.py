@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend, pool_id_for
 from repro.core.collector import DataCollector, SamplingDecision
 from repro.core.dataset import Dataset
@@ -17,7 +17,7 @@ def build(config, **kwargs):
     backend = AzureBatchBackend(service=deployment.batch)
     collector = DataCollector(
         backend=backend,
-        script=get_plugin(config.appname),
+        script=apps.create(config.appname),
         dataset=Dataset(),
         taskdb=TaskDB(),
         deployment_name=deployment.name,
@@ -194,7 +194,7 @@ class TestPersistence:
         deployment = Deployer().deploy(config)
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch),
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(path=str(tmp_path / "d.jsonl")),
             taskdb=TaskDB(path=str(tmp_path / "t.json")),
         )

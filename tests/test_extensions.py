@@ -179,7 +179,7 @@ class TestBudgetedSampler:
         assert sampler.remaining_usd == pytest.approx(5.0 * 0.95 - 1.02)
 
     def test_end_to_end_budget_respected(self):
-        from repro.appkit.plugins import get_plugin
+        from repro.api.registry import apps
         from repro.backends.azurebatch import AzureBatchBackend
         from repro.core.collector import DataCollector
         from repro.core.deployer import Deployer
@@ -200,7 +200,7 @@ class TestBudgetedSampler:
         sampler = BudgetedSampler(inner=inner, budget_usd=budget)
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch),
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(),
             taskdb=TaskDB(),
             sampler=sampler,

@@ -1,11 +1,13 @@
 """GUI tests: page rendering plus one live HTTP round-trip.
 
-Pages render from an :class:`repro.api.AdvisorSession`; ``make_server``
-also still accepts a bare ``StateStore`` (backward compatibility), which
-one test exercises.
+Pages render from an :class:`repro.api.AdvisorSession`, the only thing
+``make_server`` accepts; the plots and bottlenecks pages read its
+columnar snapshot and must say what ``plot`` and the points say.
 """
 
+import dataclasses
 import json
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -13,9 +15,10 @@ import urllib.request
 import pytest
 
 from repro.api import AdvisorSession
-from repro.core.statefiles import StateStore
+from repro.core.plots import PLOT_TYPES
 from repro.gui import pages
 from repro.gui.server import make_server
+from repro.sampling.bottleneck import BottleneckAnalyzer
 from tests.conftest import make_config
 
 
@@ -67,6 +70,65 @@ class TestPages:
         assert "Pareto front" in html
 
 
+@pytest.fixture
+def session_with_mixed_data(session):
+    """Two SKUs over three node counts, plus appended points: a second
+    measurement of one configuration with other metrics, a second
+    spelling of a SKU, and a point without metrics."""
+    info = session.deploy(make_config(
+        skus=["Standard_HB120rs_v3", "Standard_HC44rs"], nnodes=[1, 2, 4]))
+    session.collect(deployment=info.name)
+    first = session.dataset(info.name).points()[0]
+    session.data_store(info.name).append_points([
+        dataclasses.replace(first, exec_time_s=first.exec_time_s * 1.5,
+                            infra_metrics={"cpu_util": 0.1,
+                                           "comm_fraction": 0.9}),
+        dataclasses.replace(first, sku="standard_hb120rs_v3", nnodes=8,
+                            exec_time_s=first.exec_time_s / 5),
+        dataclasses.replace(first, nnodes=16, infra_metrics={}),
+    ])
+    return session, info.name
+
+
+class TestPagesMatchTheirSources:
+    def test_plots_page_charts_are_the_plot_command_svgs(
+            self, session_with_mixed_data, tmp_path):
+        session, name = session_with_mixed_data
+        page = pages.render_plots(session, name)
+        charts = re.findall(r"<div>(<svg.*?</svg>\s*)</div>", page,
+                            flags=re.S)
+        written = session.plot(deployment=name,
+                               output_dir=str(tmp_path / "plots"))
+        paths = dict(zip(written.kinds, written.paths))
+        expected = []
+        for kind in PLOT_TYPES:
+            with open(paths[kind], encoding="utf-8") as fh:
+                expected.append(fh.read())
+        assert charts == expected
+
+    def test_bottlenecks_page_reports_the_points(
+            self, session_with_mixed_data, monkeypatch):
+        session, name = session_with_mixed_data
+        expected = BottleneckAnalyzer()
+        for point in session.dataset(name):
+            expected.observe_dict(point.sku, point.nnodes,
+                                  point.infra_metrics)
+        want = expected.reports()
+
+        served = []
+        reports = BottleneckAnalyzer.reports
+        monkeypatch.setattr(BottleneckAnalyzer, "reports",
+                            lambda self: served.append(reports(self))
+                            or served[-1])
+        page = pages.render_bottlenecks(session, name)
+        assert served == [want]
+        # Two SKUs at 1/2/4 nodes each, plus the 8-node point of the
+        # second spelling; the metric-less 16-node point has no row.
+        assert len(want) == 7
+        rows = re.findall(r"<tr><td>([^<]*)</td><td>(\d+)</td>", page)
+        assert rows == [(r.sku, str(r.nnodes)) for r in want]
+
+
 class TestHttpServer:
     def test_live_roundtrip(self, session_with_data):
         session, name = session_with_data
@@ -114,16 +176,6 @@ class TestHttpServer:
             assert "hb120rs_v3" in body
         finally:
             thread.join(timeout=5)
-            server.server_close()
-
-    def test_make_server_accepts_legacy_state_store(self, session_with_data):
-        session, name = session_with_data
-        store = StateStore(root=session.store.root)
-        server = make_server(store, host="127.0.0.1", port=0)
-        try:
-            assert isinstance(server.RequestHandlerClass.session,
-                              AdvisorSession)
-        finally:
             server.server_close()
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.backends.slurm import SlurmBackend
 from repro.core.advisor import Advisor
@@ -30,7 +30,7 @@ def collect(config, backend_kind="azurebatch", **collector_kwargs):
         backend = SlurmBackend(cluster=cluster)
     collector = DataCollector(
         backend=backend,
-        script=get_plugin(config.appname),
+        script=apps.create(config.appname),
         dataset=Dataset(),
         taskdb=TaskDB(),
         **collector_kwargs,
@@ -93,7 +93,7 @@ class TestQuotaFailures:
         deployment = Deployer().deploy(config)
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch),
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(),
             taskdb=TaskDB(),
         )
@@ -130,7 +130,7 @@ class TestNoiseIntegration:
                     service=deployment.batch,
                     noise=NoiseModel(sigma=0.05, seed=seed),
                 ),
-                script=get_plugin("lammps"),
+                script=apps.create("lammps"),
                 dataset=Dataset(),
                 taskdb=TaskDB(),
             )

@@ -15,7 +15,7 @@ from repro.cluster.host import make_hosts
 from repro.core.scenarios import Scenario
 from repro.errors import QuotaExceeded, ReproError
 from repro.perf.model import RunShape
-from repro.perf.registry import get_model
+from repro.api.registry import perf_models
 
 
 class TestRunShape:
@@ -36,7 +36,7 @@ class TestExplicitNetwork:
     def test_slower_network_slows_multinode_runs(self):
         from repro.cluster.network import NetworkModel
 
-        model = get_model("openfoam")
+        model = perf_models.create("openfoam")
         sku = get_sku("Standard_HB120rs_v3")
         fast = model.simulate(sku, 8, 120, {"mesh": "40 16 16"})
         slow_net = NetworkModel(latency_s=50e-6, bandwidth_Bps=1e9,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.core.advisor import Advisor
 from repro.core.collector import DataCollector
@@ -23,7 +23,7 @@ def sweep(config):
     deployment = Deployer().deploy(config)
     collector = DataCollector(
         backend=AzureBatchBackend(service=deployment.batch),
-        script=get_plugin(config.appname),
+        script=apps.create(config.appname),
         dataset=Dataset(),
         taskdb=TaskDB(),
     )
@@ -83,7 +83,7 @@ class TestLowQuotaFamilies:
         deployment = Deployer().deploy(config)
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch),
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(),
             taskdb=TaskDB(),
         )
@@ -103,7 +103,7 @@ class TestLowQuotaFamilies:
         sub.quota.set_limit("southcentralus", "standardHBrsv4Family", 1000)
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch),
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(),
             taskdb=TaskDB(),
         )

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.batch.service import BatchService
 from repro.cloud.provider import CloudProvider
@@ -93,7 +93,7 @@ class TestBackendOutage:
         backend = crashing_backend(crash_after=2)
         collector = DataCollector(
             backend=backend,
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(),
             taskdb=TaskDB(),
         )
@@ -109,7 +109,7 @@ class TestBackendOutage:
         dataset, taskdb = Dataset(), TaskDB()
         backend = crashing_backend(crash_after=2)
         collector = DataCollector(backend=backend,
-                                  script=get_plugin("lammps"),
+                                  script=apps.create("lammps"),
                                   dataset=dataset, taskdb=taskdb)
         with pytest.raises(BackendError):
             collector.collect(scenarios)
@@ -118,7 +118,7 @@ class TestBackendOutage:
         # ids and collide with the first run's.
         backend.crash_after = 100
         resumed = DataCollector(backend=backend,
-                                script=get_plugin("lammps"),
+                                script=apps.create("lammps"),
                                 dataset=dataset, taskdb=taskdb)
         report = resumed.collect(scenarios)
         assert report.executed == 2  # only the remaining scenarios

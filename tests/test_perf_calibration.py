@@ -16,7 +16,7 @@ import pytest
 
 from repro.cloud.pricing import PriceCatalog
 from repro.cloud.skus import get_sku
-from repro.perf.registry import get_model
+from repro.api.registry import perf_models
 
 LAMMPS_INPUT = {"BOXFACTOR": "30"}  # 864M atoms, the paper's "860M"
 OPENFOAM_INPUT = {"mesh": "40 16 16"}  # ~8M cells
@@ -24,7 +24,7 @@ OPENFOAM_INPUT = {"mesh": "40 16 16"}  # ~8M cells
 
 def lammps_time(sku_name: str, nodes: int) -> float:
     sku = get_sku(sku_name)
-    model = get_model("lammps")
+    model = perf_models.create("lammps")
     result = model.simulate(sku, nodes, sku.cores, LAMMPS_INPUT)
     assert result.succeeded
     return result.exec_time_s
@@ -32,7 +32,7 @@ def lammps_time(sku_name: str, nodes: int) -> float:
 
 def openfoam_time(sku_name: str, nodes: int) -> float:
     sku = get_sku(sku_name)
-    model = get_model("openfoam")
+    model = perf_models.create("openfoam")
     result = model.simulate(sku, nodes, sku.cores, OPENFOAM_INPUT)
     assert result.succeeded
     return result.exec_time_s
@@ -135,7 +135,7 @@ class TestOpenFoamListing3:
 
     def test_cells_match_paper(self):
         """'40 16 16' => ~8 million cells."""
-        model = get_model("openfoam")
+        model = perf_models.create("openfoam")
         params = model.validate_inputs(OPENFOAM_INPUT)
         assert params["cells"] == pytest.approx(8e6, rel=0.05)
 
@@ -144,6 +144,6 @@ class TestAtomsMath:
     def test_boxfactor_30_gives_864m_atoms(self):
         """Paper: 'multiply the box dimensions by 30 to obtain 800 million
         atoms' (plot subtitle says 860M; exact math is 864M)."""
-        model = get_model("lammps")
+        model = perf_models.create("lammps")
         params = model.validate_inputs(LAMMPS_INPUT)
         assert params["atoms"] == pytest.approx(864_000_000)

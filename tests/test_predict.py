@@ -132,12 +132,12 @@ class TestPerformancePredictor:
     def test_interpolation_accuracy(self, training_dataset):
         """Held-in-range predictions land within ~15% of the simulator."""
         predictor = PerformancePredictor().fit(training_dataset, cv_folds=5)
-        from repro.perf.registry import get_model
+        from repro.api.registry import perf_models
         from repro.cloud.skus import get_sku
 
         target = scenario(nnodes=6, bf="30")  # unmeasured node count
         predicted = predictor.predict_time(target)
-        actual = get_model("lammps").simulate(
+        actual = perf_models.create("lammps").simulate(
             get_sku(target.sku_name), 6, 120, target.appinputs
         ).exec_time_s
         assert predicted == pytest.approx(actual, rel=0.15)
@@ -145,12 +145,12 @@ class TestPerformancePredictor:
     def test_cross_input_generalisation(self, training_dataset):
         """Predict an unseen BOXFACTOR: the physics features carry it."""
         predictor = PerformancePredictor().fit(training_dataset)
-        from repro.perf.registry import get_model
+        from repro.api.registry import perf_models
         from repro.cloud.skus import get_sku
 
         target = scenario(nnodes=8, bf="25")  # input never measured
         predicted = predictor.predict_time(target)
-        actual = get_model("lammps").simulate(
+        actual = perf_models.create("lammps").simulate(
             get_sku(target.sku_name), 8, 120, target.appinputs
         ).exec_time_s
         assert predicted == pytest.approx(actual, rel=0.25)

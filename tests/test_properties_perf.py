@@ -7,7 +7,7 @@ from repro.cloud.skus import get_sku
 from repro.cluster.network import NetworkModel
 from repro.perf.cache import ARCH_CACHE_PROFILES
 from repro.perf.comm import imbalance_factor
-from repro.perf.registry import get_model
+from repro.api.registry import perf_models
 from repro.sampling.perffactor import fit_scaling_law
 
 V3 = get_sku("Standard_HB120rs_v3")
@@ -19,7 +19,7 @@ V3 = get_sku("Standard_HB120rs_v3")
 )
 @settings(max_examples=60, deadline=None)
 def test_lammps_time_positive_and_finite(nodes, bf):
-    result = get_model("lammps").simulate(V3, nodes, 120,
+    result = perf_models.create("lammps").simulate(V3, nodes, 120,
                                           {"BOXFACTOR": str(bf)})
     if result.succeeded:
         assert result.exec_time_s > 0
@@ -35,7 +35,7 @@ def test_lammps_time_positive_and_finite(nodes, bf):
 def test_lammps_work_conservation(bf, n1, n2):
     """Node-seconds never improve by more than the cache bound allows."""
     assume(n1 < n2)
-    model = get_model("lammps")
+    model = perf_models.create("lammps")
     r1 = model.simulate(V3, n1, 120, {"BOXFACTOR": str(bf)})
     r2 = model.simulate(V3, n2, 120, {"BOXFACTOR": str(bf)})
     assume(r1.succeeded and r2.succeeded)

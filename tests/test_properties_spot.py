@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.cloud.eviction import EvictionModel
 from repro.core.collector import DataCollector
@@ -45,7 +45,7 @@ def run_spot(rate, seed, recovery, interval, overhead, nnodes=2,
     collector = DataCollector(
         backend=AzureBatchBackend(service=deployment.batch,
                                   capacity=capacity),
-        script=get_plugin(config.appname),
+        script=apps.create(config.appname),
         dataset=Dataset(),
         taskdb=TaskDB(),
         capacity=capacity,

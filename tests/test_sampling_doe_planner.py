@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.core.advisor import Advisor
 from repro.core.collector import DataCollector
@@ -99,7 +99,7 @@ class TestSmartSamplerEndToEnd:
             sampler = SmartSampler.for_scenarios(scenarios, prices)
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch),
-            script=get_plugin("lammps"),
+            script=apps.create("lammps"),
             dataset=Dataset(),
             taskdb=TaskDB(),
             sampler=sampler,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud.skus import get_sku
-from repro.perf.registry import get_model
+from repro.api.registry import perf_models
 from repro.sampling.perffactor import ScalingLaw, fit_per_group, fit_scaling_law
 from repro.errors import SamplingError
 
@@ -47,7 +47,7 @@ class TestFit:
     def test_fits_simulated_lammps_well(self):
         """The paper's own workload should regress nearly perfectly."""
         sku = get_sku("Standard_HB120rs_v3")
-        model = get_model("lammps")
+        model = perf_models.create("lammps")
         points = [
             (n, model.simulate(sku, n, 120, {"BOXFACTOR": "30"}).exec_time_s)
             for n in (2, 3, 4, 8, 16)

@@ -108,8 +108,8 @@ class TestCrossInputTransfer:
         )
         collector = DataCollector(
             backend=AzureBatchBackend(service=deployment.batch),
-            script=__import__("repro.appkit.plugins",
-                              fromlist=["get_plugin"]).get_plugin("lammps"),
+            script=__import__("repro.api.registry",
+                              fromlist=["apps"]).apps.create("lammps"),
             dataset=Dataset(),
             taskdb=TaskDB(),
             sampler=sampler,
@@ -125,8 +125,8 @@ class TestCrossInputTransfer:
         truth_dep = Deployer().deploy(truth_config)
         truth_collector = DataCollector(
             backend=AzureBatchBackend(service=truth_dep.batch),
-            script=__import__("repro.appkit.plugins",
-                              fromlist=["get_plugin"]).get_plugin("lammps"),
+            script=__import__("repro.api.registry",
+                              fromlist=["apps"]).apps.create("lammps"),
             dataset=truth_data,
             taskdb=TaskDB(),
         )

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import AdvisorSession
-from repro.appkit.plugins import get_plugin
+from repro.api.registry import apps
 from repro.backends.azurebatch import AzureBatchBackend
 from repro.core.collector import DataCollector
 from repro.core.dataset import DataPoint, Dataset, point_row
@@ -203,7 +203,7 @@ class TestEarlierReleaseDatabase:
         try:
             collector = DataCollector(
                 backend=AzureBatchBackend(service=deployment.batch),
-                script=get_plugin(wide.appname),
+                script=apps.create(wide.appname),
                 dataset=Dataset(),
                 taskdb=TaskDB.from_records(store.load_tasks()),
                 store=store,
