@@ -39,6 +39,12 @@ times that regroup, not the risk kernels.  Its floor is on the
 objects engine's spot request over it, and its advice must equal the
 objects engine's.
 
+``append_new_then_spot`` is the ingest shape of that row: the appended
+points have execution times the corpus does not have, so the timed
+what-if sends every one of their ~200 ``(exec time, rate)`` pairs
+through the cold batched P95 kernel.  Its floor is also on the objects
+engine's spot request, and its advice must equal the objects engine's.
+
 ``cold_spot`` times a spot what-if at an eviction rate no earlier
 request of the process used, after a measured request has warmed it:
 every configuration needs its Monte-Carlo P95 computed.  The columnar
@@ -101,6 +107,13 @@ APPEND_THEN_ADVISE_FLOOR = 5.0
 #: about half the 461x measured at 50k on a 2-vCPU host.  Recomputing
 #: every row's columns after the append read 167-183x.
 APPEND_THEN_SPOT_FLOOR = 200.0
+#: The same with appended points of new execution times, whose risk
+#: columns need the cold kernel for every appended pair, at acceptance
+#: scale: between the 132-196x (median 152x) measured at 50k on a
+#: 2-vCPU host and the 71-130x (median 97x) read there with the
+#: previous short-lane walk, which stepped every lane one attempt at a
+#: time.
+APPEND_NEW_THEN_SPOT_FLOOR = 120.0
 #: Points appended before each timed append-then-advise request.
 APPEND_BATCH = 200
 #: Corpus for the CI smoke run (floors scale down with it).
@@ -133,11 +146,13 @@ def _env_float(name: str, default: float) -> float:
 # -- corpus ---------------------------------------------------------------------
 
 
-def synthetic_points(n: int, deployment: str, start: int = 0):
+def synthetic_points(n: int, deployment: str, start: int = 0,
+                     new_times: bool = False):
     """A mixed corpus: 3 SKUs x 6 node counts, ~9% measured spot rows
     (with preemptions) so the spot advice path exercises both the
     measured-spot passthrough and the modeled-risk branch.  ``start``
-    continues the sequence (for appended batches)."""
+    continues the sequence (for appended batches); ``new_times`` moves
+    every execution time half a second off the corpus's whole seconds."""
     from repro.core.dataset import DataPoint
 
     points = []
@@ -148,7 +163,7 @@ def synthetic_points(n: int, deployment: str, start: int = 0):
             sku=SKUS[i % len(SKUS)],
             nnodes=NNODES[i % len(NNODES)],
             ppn=100,
-            exec_time_s=100.0 + (i % 997),
+            exec_time_s=100.0 + (i % 997) + (0.5 if new_times else 0.0),
             cost_usd=0.01 * (1 + i % 89),
             appinputs={"BOXFACTOR": str(4 + i % 7)},
             tags={"experiment": "bench-advice"},
@@ -246,8 +261,9 @@ def timed_request(mode: str, state_dir: str, deployment: str,
     (best of 2), and checks the last one against the objects engine;
     ``append-then-spot`` does the same for a spot request after a warm
     one, with an untimed measured request after each append that
-    extends the snapshot.  Both grow the stored corpus, so they run
-    last."""
+    extends the snapshot; ``append-new-then-spot`` too, with appended
+    execution times the corpus does not have.  All three grow the
+    stored corpus, so they run last."""
     return float(_run_worker(mode, state_dir, deployment,
                              capacity)["seconds"])
 
@@ -309,18 +325,22 @@ def _worker(mode: str, state_dir: str, deployment: str,
         payload.pop("engine"), payload.pop("engine_fallback")
         record["advice"] = hashlib.sha256(json.dumps(
             payload, sort_keys=True).encode()).hexdigest()
-    elif mode.startswith("append-then-"):
+    elif mode.startswith("append-"):
         # builds the snapshot (and, for spot, its risk columns)
         once("columnar")
         store = session.data_store(deployment)
-        # Spot appends repeat the corpus's first rows, whose (exec time,
-        # rate) pairs the warm what-if computed at any corpus size, so
-        # the timed what-if regroups them without running the kernels.
-        start = 0 if cap else store.count_points()
+        # ``append-then-spot`` repeats the corpus's first rows, whose
+        # (exec time, rate) pairs the warm what-if computed at any corpus
+        # size, so the timed what-if regroups them without running the
+        # kernels.  ``append-new-then-spot`` appends new execution times,
+        # so every appended pair runs the cold kernel.
+        new_times = mode == "append-new-then-spot"
+        start = 0 if cap and not new_times else store.count_points()
         seconds = float("inf")
         for batch in range(2):
             store.append_points(synthetic_points(
-                APPEND_BATCH, deployment, start + batch * APPEND_BATCH))
+                APPEND_BATCH, deployment, start + batch * APPEND_BATCH,
+                new_times=new_times))
             if cap:
                 # A measured request extends the snapshot first, as in
                 # an ingest cycle, so the timed what-if pays for its
@@ -351,6 +371,7 @@ def run_benchmark(n_points: int, check: bool = True,
     spot_floor = max(2.0, SPOT_SPEEDUP_FLOOR * scale)
     append_floor = max(2.0, APPEND_THEN_ADVISE_FLOOR * scale)
     append_spot_floor = max(2.0, APPEND_THEN_SPOT_FLOOR * scale)
+    append_new_spot_floor = max(2.0, APPEND_NEW_THEN_SPOT_FLOOR * scale)
     cold_floors = {"cold_spot": max(2.0, COLD_SPOT_FLOOR * scale),
                    "cold_spot_small": COLD_SPOT_SMALL_FLOOR}
     workdir = tempfile.mkdtemp(prefix="bench-advice-path-")
@@ -386,6 +407,8 @@ def run_benchmark(n_points: int, check: bool = True,
             "append-then-advise", state_dir, deployment)
         timings["append_then_spot"] = timed_request(
             "append-then-spot", state_dir, deployment, "spot")
+        timings["append_new_then_spot"] = timed_request(
+            "append-new-then-spot", state_dir, deployment, "spot")
 
         speedups = {
             "uncached_request": timings["objects"] / timings["columnar"],
@@ -397,6 +420,8 @@ def run_benchmark(n_points: int, check: bool = True,
                                    / timings["append_then_advise"]),
             "append_then_spot": (timings["objects_spot"]
                                  / timings["append_then_spot"]),
+            "append_new_then_spot": (timings["objects_spot"]
+                                     / timings["append_new_then_spot"]),
         }
         for label in cold_floors:
             speedups[label] = (timings[f"objects_{label}"]
@@ -410,6 +435,7 @@ def run_benchmark(n_points: int, check: bool = True,
                        "spot_floor": spot_floor,
                        "append_then_advise_floor": append_floor,
                        "append_then_spot_floor": append_spot_floor,
+                       "append_new_then_spot_floor": append_new_spot_floor,
                        "append_batch": APPEND_BATCH,
                        "cold_spot_rate": COLD_SPOT_RATE,
                        "cold_spot_floor": cold_floors["cold_spot"],
@@ -419,7 +445,8 @@ def run_benchmark(n_points: int, check: bool = True,
                            cold_floors["cold_spot_small"]},
             "equivalence": "rows byte-identical "
                            "(measured, ondemand, spot; measured and spot "
-                           "after appends; both cold spot what-ifs)",
+                           "after appends, spot after appending new "
+                           "times; both cold spot what-ifs)",
             "seconds": timings,
             "speedup": speedups,
         }
@@ -445,6 +472,9 @@ def run_benchmark(n_points: int, check: bool = True,
         print(f"append-then-spot speedup: "
               f"{speedups['append_then_spot']:.1f}x "
               f"(floor {append_spot_floor:.1f}x)")
+        print(f"append-new-then-spot speedup: "
+              f"{speedups['append_new_then_spot']:.1f}x "
+              f"(floor {append_new_spot_floor:.1f}x)")
         for label, cold_floor in cold_floors.items():
             print(f"{label} what-if speedup: {speedups[label]:.1f}x "
                   f"(floor {cold_floor:.1f}x)")
@@ -469,6 +499,12 @@ def run_benchmark(n_points: int, check: bool = True,
                 f"append-then-spot speedup "
                 f"{speedups['append_then_spot']:.1f}x below the "
                 f"{append_spot_floor:.1f}x floor"
+            )
+            assert speedups["append_new_then_spot"] >= \
+                append_new_spot_floor, (
+                f"append-new-then-spot speedup "
+                f"{speedups['append_new_then_spot']:.1f}x below the "
+                f"{append_new_spot_floor:.1f}x floor"
             )
             for label, cold_floor in cold_floors.items():
                 assert speedups[label] >= cold_floor, (

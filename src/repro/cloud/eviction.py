@@ -90,11 +90,22 @@ class EvictionModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # ``nan < 0`` is False: a NaN or infinite rate would turn every
+        # risk-adjusted cost and makespan into NaN or inf downstream.
         for sku, rate in self.rates.items():
+            if not math.isfinite(rate):
+                raise CloudError(
+                    f"non-finite eviction rate for {sku!r}: {rate}"
+                )
             if rate < 0:
                 raise CloudError(
                     f"negative eviction rate for {sku!r}: {rate}"
                 )
+        if not math.isfinite(self.default_rate_per_hour):
+            raise CloudError(
+                f"non-finite default eviction rate: "
+                f"{self.default_rate_per_hour}"
+            )
         if self.default_rate_per_hour < 0:
             raise CloudError(
                 f"negative default eviction rate: {self.default_rate_per_hour}"

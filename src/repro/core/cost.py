@@ -27,8 +27,11 @@ implementations that agree bit for bit:
   the objects advice engine calls it through its own memo;
 * :func:`p95_spot_runtimes` answers many ``(exec time, rate)`` pairs in
   one call for the columnar engine (:func:`spot_pair_risks`).  Each pair
-  keeps its own generator and draw blocks and its float operations run
-  in the oracle's order; only the walk over the draws is batched.
+  keeps its own generator and draw stream, and its float operations run
+  in the oracle's order; only the walk over the draws is batched.  A
+  pair expecting few attempts per sample is walked from every draw at
+  once and its samples chained afterwards; any other pair skips the
+  attempts that change nothing.
 """
 
 from __future__ import annotations
@@ -334,29 +337,38 @@ def p95_rank(samples: int) -> int:
 # after sample i - 1's last attempt, so one pair is inherently
 # sequential.  Pairs are independent, and the batched kernel walks many
 # of them at once.  Each pair becomes a *lane* with its own
-# ``rng_for`` generator and 512-draw blocks; the draws are block-size
-# invariant, but keeping the oracle's blocks keeps the two kernels
-# visibly alike.  Every float operation runs in the oracle's order, so
-# each lane's samples, and its P95, are the oracle's bit for bit.
+# ``rng_for`` generator.  Its draws do not depend on how many one
+# generator call makes, so a lane that draws all its uptimes in one
+# call gets the oracle's 512-draw blocks value for value.  Every float
+# operation runs in the oracle's order, so each lane's samples, and its
+# P95, are the oracle's bit for bit.
 #
 # A lane's walk is chosen from its expected attempts per sample:
 # * short lanes (a few attempts per sample: every low-rate what-if)
-#   advance in lockstep, one NumPy step per attempt across all
-#   unfinished lanes of a chunk.  Before any sample could reach the
-#   attempt cap, the lockstep stops and hands the lanes still running to
-#   the other walk, which starts them over;
+#   draw their uptimes up front, and a speculative sample is walked
+#   from every draw of a chunk of lanes at once, one NumPy step per
+#   attempt within a sample; each lane then chains its real samples
+#   from its first draw.  Its cost follows the number of draws, not the
+#   longest lane's attempts.  A lane whose chain runs out of drawn
+#   uptimes, or would reach the attempt cap, goes to the other walk,
+#   which starts it over;
 # * long lanes (high rates, where the oracle can run into its attempt
 #   cap) walk alone, and skip each run of attempts that changes no
 #   state with one vector compare over the draw block.  A long lane
 #   stops once P95 is known to be ``inf``: when ``samples -
 #   p95_rank(samples)`` of its samples are censored.
 
-#: Exponential draws per generator call (the oracle's block size).
+#: Exponential draws per generator call of the skipping walk (the
+#: oracle's block size).
 _DRAW_BLOCK = 512
-#: Short lanes walked together: bounds the draw and sample buffers
-#: (~6 MB at 256 samples).
-_LANE_CHUNK = 1024
-#: Lanes expecting at most this many attempts per sample run in lockstep.
+#: Short lanes walked together.  Their uptime, span and next-start
+#: buffers take 24 bytes a draw: at most 3.7 MB at 256 samples (1,203
+#: draws a lane at 4 expected attempts), ~1 MB at perfbench's rates.
+#: Small chunks keep a walk step's arrays in cache (1,024-lane chunks
+#: took a third longer on ``bench_advice_path``'s ``cold_spot`` pairs).
+_LANE_CHUNK = 128
+#: Lanes expecting at most this many attempts per sample are walked
+#: from every draw; the others skip.
 _LOCKSTEP_ATTEMPTS = 4.0
 
 
@@ -400,9 +412,10 @@ def p95_spot_runtimes(
         return out
     rank = p95_rank(samples)
     work = times[live]
-    short = _expected_attempts(
-        work, lam[live], recovery, checkpoint_interval_s,
-        checkpoint_overhead_s) <= _LOCKSTEP_ATTEMPTS
+    expected = _expected_attempts(work, lam[live], recovery,
+                                  checkpoint_interval_s,
+                                  checkpoint_overhead_s)
+    short = expected <= _LOCKSTEP_ATTEMPTS
     work_list = work.tolist()
     rate_list = rates[live].tolist()
     with np.errstate(over="ignore"):  # a subnormal rate: inf uptimes
@@ -415,14 +428,15 @@ def p95_spot_runtimes(
 
     walk = (recovery, checkpoint_interval_s, checkpoint_overhead_s, samples,
             max_attempts, rank)
-    lockstep = np.flatnonzero(short)
+    every_start = np.flatnonzero(short)
     skipping = [np.flatnonzero(~short)]
-    for begin in range(0, lockstep.size, _LANE_CHUNK):
-        chunk = lockstep[begin:begin + _LANE_CHUNK]
+    for begin in range(0, every_start.size, _LANE_CHUNK):
+        chunk = every_start[begin:begin + _LANE_CHUNK]
         lanes = chunk.tolist()
-        out[live[chunk]], unfinished = _lockstep_p95(
-            work[chunk], [mean_list[i] for i in lanes],
-            [generator(i) for i in lanes], *walk)
+        out[live[chunk]], unfinished = _every_start_p95(
+            work[chunk], _draw_budget(expected[chunk], samples),
+            [mean_list[i] for i in lanes], [generator(i) for i in lanes],
+            *walk)
         skipping.append(chunk[unfinished])
     for lane in np.concatenate(skipping).tolist():
         out[live[lane]] = _skipping_p95(
@@ -446,51 +460,123 @@ def _expected_attempts(
         return 1.0 + chunks * np.expm1(lam * uptime)
 
 
-def _lockstep_p95(work: np.ndarray, means: List[float],
-                  generators: List[np.random.Generator], recovery: str,
-                  interval: float, overhead: float, samples: int,
-                  max_attempts: int,
-                  rank: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(P95 per lane, lanes left unfinished) for short lanes walked
-    together, one attempt per step.
+def _draw_budget(expected: np.ndarray, samples: int) -> np.ndarray:
+    """Uptimes drawn up front for each short lane: the draws its samples
+    are expected to take (at most 8 attempts each counted), with 15%
+    and 24 draws to spare.  A lane whose samples need more is handed
+    over to :func:`_skipping_p95`."""
+    draws = np.ceil(samples * np.minimum(expected, 8.0) * 1.15 + 24.0)
+    return draws.astype(np.intp)
 
-    Every unfinished lane consumes one draw per step, so all lanes reach
-    the end of their draw block on the same step.  A lane's state is the
-    oracle's ``(elapsed, done, overhead)``; a finished lane is dropped
-    from the arrays.  Before any sample could reach the attempt cap, the
-    walk stops and reports the lanes still running (NaN in the result):
-    short lanes almost never get there, and a restart of theirs on
-    :func:`_skipping_p95` handles the cap exactly.
+
+def _lowest_remaining(work: np.ndarray, recovery: str, interval: float,
+                      overhead: float) -> np.ndarray:
+    """A floor under the oracle's ``remaining`` in every state a sample
+    of each lane can reach, so under any finishing draw.
+
+    Restart keeps the whole work.  A checkpointed sample banks ``done =
+    floor(y / interval) * interval`` of a ``y`` that stays within
+    rounding of the work, and ``(work - done) + overhead`` falls as
+    ``done`` grows: the floor is that of the largest multiple the work
+    could bank, counted generously (it may fall to or below zero, and
+    then no start is left out).  A start left out keeps a NaN span, so
+    a floor set too high would cost hand-overs, never a wrong answer."""
+    if recovery == "restart":
+        return work
+    with np.errstate(over="ignore", invalid="ignore"):
+        most = np.floor(work / interval * (1.0 + 1e-6))
+        most *= interval
+        lowest = work - most
+        lowest += overhead
+    return np.where(most > 0, np.minimum(work, lowest), work)
+
+
+def _every_start_p95(work: np.ndarray, counts: np.ndarray,
+                     means: List[float],
+                     generators: List[np.random.Generator], recovery: str,
+                     interval: float, overhead: float, samples: int,
+                     max_attempts: int,
+                     rank: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(P95 per lane, lanes left unfinished) for short lanes, walked
+    from every draw at once.
+
+    A sample starts from the fresh state, so the sample that starts at
+    a lane's draw ``p`` depends on the draws from ``p`` on and nothing
+    else.  Each lane's ``counts`` uptimes (from one generator call) are
+    drawn up front into one flat buffer, and a *speculative* sample is
+    walked from every position that can start one: one NumPy step per
+    attempt within a sample, over the starts still running.  A finished start records its span and the start
+    after its last attempt; a lane's samples are the chain of those
+    pointers from its first draw.
+
+    A speculative sample stays unresolved (a NaN span) where it would
+    read past its lane's draws or make the capped attempt, so it never
+    reads another lane's draws and the cap stays with
+    :func:`_skipping_p95`.  A lane whose chain meets an unresolved
+    start is reported (NaN in the result), and a restart of it there
+    handles it exactly.
     """
     n = len(work)
-    # Sample-major, so one step's writes land close together.
-    spans = np.empty(samples * n)
-    draws = np.empty((_DRAW_BLOCK, n))
-    for column, (gen, mean) in enumerate(zip(generators, means)):
-        draws[:, column] = gen.exponential(mean, size=_DRAW_BLOCK)
+    if max_attempts < 2:  # a sample's first attempt may be capped
+        return np.full(n, math.nan), np.arange(n)
+    # Each lane's draws, then one NaN pad: the lane's sentinel, a NaN
+    # span that points to itself, and the end of any walk that reads it.
+    pads = np.cumsum(counts + 1) - 1
+    firsts = pads - counts
+    slots = np.column_stack((counts, np.ones(n, np.intp))).ravel()
+
+    def per_slot(values: np.ndarray) -> np.ndarray:
+        """Each lane's value at its draws, NaN at its pad."""
+        return np.repeat(
+            np.column_stack((values, np.full(n, math.nan))).ravel(), slots)
+
+    uptimes = np.empty(int(pads[-1]) + 1)
+    for gen, mean, first, pad in zip(generators, means, firsts.tolist(),
+                                     pads.tolist()):
+        uptimes[first:pad] = gen.exponential(mean, size=pad - first)
+    uptimes[pads] = math.nan
+    # Per start: its span and the start of the lane's next sample.
+    # Attempt 0 from the fresh state: a finish's span is the work.
+    spans = per_slot(work)
+    nxt = np.arange(1, uptimes.size + 1)
+    nxt[pads] = pads
+    failed = uptimes < spans
+    # A lane's later samples start right after a finishing draw, which
+    # is at least the lowest ``remaining`` any of its states has: the
+    # other starts are never reached, and are not walked.
+    lowest = per_slot(_lowest_remaining(work, recovery, interval,
+                                        overhead))
+    walked = failed.copy()
+    # (after a NaN pad, a lane's first draw is always walked)
+    walked[1:] &= ~(uptimes[:-1] < lowest[1:])
+    start = np.flatnonzero(walked)
+    work = spans[start]
+    spans[failed] = math.nan
     checkpoint = recovery == "checkpoint_restart"
-    lane = np.arange(n)
-    slot = lane.copy()  # index in ``spans`` of each lane's sample
-    left = np.full(n, samples)
-    elapsed = np.zeros(n)
-    done = np.zeros(n)
-    reserve = np.zeros(n)  # restore cost of the next attempt
-    step = 0
-    # A sample has had at most step + 1 attempts: below the cap here.
-    while lane.size and step + 1 < max_attempts:
-        position = step % _DRAW_BLOCK
-        if position == 0 and step:
-            for column in lane.tolist():
-                draws[:, column] = generators[column].exponential(
-                    means[column], size=_DRAW_BLOCK)
-        uptime = draws[position] if lane.size == n \
-            else draws[position].take(lane)
+    elapsed = uptimes[start]  # 0.0 + uptime
+    done = np.zeros(start.size)  # restart never banks
+    if checkpoint:
+        done = np.floor(elapsed / interval)
+        done *= interval
+    reserve = np.where(done > 0, overhead, 0.0)  # the next restore
+    for attempt in range(1, max_attempts - 1):
+        if not start.size:
+            break
+        uptime = uptimes[start + attempt]
         remaining = work - done
         remaining += reserve
         finished = uptime >= remaining
-        elapsed += np.where(finished, remaining, uptime)
-        # Overwritten on every attempt; the last write is the finish.
-        spans[slot] = elapsed
+        if finished.any():
+            ended = start[finished]
+            spans[ended] = elapsed[finished] + remaining[finished]
+            nxt[ended] = ended + (attempt + 1)
+        # A NaN uptime, the lane's pad, ends the walk unresolved.
+        keep = np.flatnonzero(uptime < remaining)
+        if keep.size < start.size:
+            start, work, elapsed, uptime, done, reserve = (
+                start[keep], work[keep], elapsed[keep], uptime[keep],
+                done[keep], reserve[keep])
+        elapsed += uptime
         if checkpoint:
             progress = uptime - reserve
             np.maximum(progress, 0.0, out=progress)
@@ -498,22 +584,18 @@ def _lockstep_p95(work: np.ndarray, means: List[float],
             progress /= interval
             np.floor(progress, out=progress)
             progress *= interval
-            done = np.where(finished, 0.0, progress)
+            done = progress
             reserve = np.where(done > 0, overhead, 0.0)
-        elapsed = np.where(finished, 0.0, elapsed)
-        slot += n * finished
-        left -= finished
-        over = left <= 0
-        if over.any():
-            keep = ~over
-            lane, work, slot, left = (lane[keep], work[keep], slot[keep],
-                                      left[keep])
-            elapsed, done, reserve = elapsed[keep], done[keep], reserve[keep]
-        step += 1
-    spans = spans.reshape(samples, n)
-    spans[:, lane] = math.nan
-    spans.partition(rank, axis=0)
-    return spans[rank], lane
+    # Starts still running here stay unresolved.  Follow each lane's
+    # samples: a NaN among them sends the lane to the other walk.
+    chain = np.empty((samples, n), dtype=np.intp)
+    chain[0] = firsts
+    for sample in range(1, samples):
+        chain[sample] = nxt[chain[sample - 1]]
+    taken = spans.take(chain.T)  # one row per lane
+    unfinished = np.flatnonzero(np.isnan(taken).any(axis=1))
+    taken.partition(rank, axis=1)
+    return taken[:, rank], unfinished
 
 
 def _skipping_p95(work: float, mean: float, gen: np.random.Generator,

@@ -24,6 +24,7 @@ from repro.core import cost
 from repro.core.cost import (p95_rank, p95_spot_runtime, p95_spot_runtimes,
                              simulate_spot_makespans)
 from repro.errors import AdvisorError
+from repro.rng import rng_for
 
 #: Oracle draws allowed per example (the scalar walk costs ~1.5 µs each).
 DRAW_BUDGET = 8_000
@@ -182,6 +183,124 @@ class TestBitIdentity:
         got = p95_spot_runtimes([w for w, _ in pairs],
                                 [r for _, r in pairs], "restart")
         assert got.tolist() == [math.inf] * 3
+
+
+# -- the every-start walk's hand-over paths ---------------------------------------
+
+
+def oracle_draws(work, rate, recovery, interval, overhead, samples, seed=0):
+    """Uptimes the oracle's samples consume.  It is handed one-draw
+    blocks, one per generator call, so the calls count the draws; the
+    draws do not depend on the block size, so its makespans stay the
+    same (asserted)."""
+    calls = []
+
+    def one_draw_blocks(*key, base_seed):
+        gen = rng_for(*key, base_seed=base_seed)
+
+        class OneDraw:
+            def exponential(self, mean, size):
+                calls.append(size)
+                return gen.exponential(mean, size=1)
+
+        return OneDraw()
+
+    with mock.patch.object(cost, "rng_for", one_draw_blocks):
+        spans = simulate_spot_makespans(work, rate, recovery, interval,
+                                        overhead, samples=samples, seed=seed)
+    assert bits(spans) == bits(simulate_spot_makespans(
+        work, rate, recovery, interval, overhead, samples=samples,
+        seed=seed))
+    return len(calls)
+
+
+def handed_over(pairs, recovery, interval, overhead, samples, budgets=None,
+                max_attempts=4096):
+    """Bit-compare the every-start walk (every lane forced onto it, one
+    chunk) with the oracle, lane ``i`` drawing ``budgets[i]`` uptimes if
+    given; returns the works of the lanes handed to the skipping walk."""
+    draw_budget = cost._draw_budget
+    if budgets is not None:
+        def draw_budget(expected, samples):
+            assert len(expected) == len(budgets)
+            return np.asarray(budgets, dtype=np.intp)
+    with mock.patch.object(cost, "_draw_budget", draw_budget), \
+            mock.patch.object(cost, "_skipping_p95",
+                              wraps=cost._skipping_p95) as skipping:
+        assert_bit_identical(pairs, recovery, interval, overhead, samples,
+                             max_attempts=max_attempts, walk="lockstep")
+    return [call.args[0] for call in skipping.call_args_list]
+
+
+class TestEveryStartHandOver:
+    """The every-start walk hands a lane over to the skipping walk when
+    the lane's chain of samples runs out of drawn uptimes or would reach
+    the attempt cap; the answer is the oracle's either way."""
+
+    @pytest.mark.parametrize("samples", [20, 256])
+    @pytest.mark.parametrize("recovery", ["restart", "checkpoint_restart"])
+    def test_lane_that_runs_out_of_draws_is_handed_over(self, recovery,
+                                                        samples):
+        pairs = [(900.0, 1.0), (700.0, 3.0), (450.0, 5.0)]
+        need = [oracle_draws(work, rate, recovery, 600.0, 60.0, samples)
+                for work, rate in pairs]
+        # Exactly the draws the samples take: every chain fits.
+        assert handed_over(pairs, recovery, 600.0, 60.0, samples,
+                           need) == []
+        # One draw short: the middle lane's last sample runs out.
+        assert handed_over(pairs, recovery, 600.0, 60.0, samples,
+                           [need[0], need[1] - 1, need[2]]) == [700.0]
+
+    @pytest.mark.parametrize("max_attempts", [1, 2])
+    @pytest.mark.parametrize("recovery, work, rate", [
+        ("restart", 1200.0, 2.0),
+        ("checkpoint_restart", 900.0, 4.0),
+    ])
+    def test_single_sample_that_fails_its_first_attempt(
+            self, recovery, work, rate, max_attempts):
+        """With one attempt allowed, the first is the capped one; with
+        two, the first fails and the second is capped.  The walk makes
+        neither capped attempt: the lane is handed over, and the oracle's
+        inf (one attempt) or finish on the second attempt comes back."""
+        first, second = (
+            simulate_spot_makespans(work, rate, recovery, 600.0, 60.0,
+                                    samples=1, max_attempts=cap)[0]
+            for cap in (1, 2))
+        assert math.isinf(first) and math.isfinite(second)
+        assert handed_over([(work, rate)], recovery, 600.0, 60.0, 1,
+                           max_attempts=max_attempts) == [work]
+
+    @pytest.mark.parametrize("samples", [1, 3, 20])
+    def test_lanes_end_where_their_draws_do(self, samples):
+        """One chunk mixing lanes at ~1 and ~4 expected attempts, one
+        of them twice, each drawing exactly what its samples take or
+        one or two draws fewer.  A speculative sample that reaches the
+        end of its lane's draws stops there and never goes on with the
+        next lane's: the chains fit exactly or are handed over."""
+        recovery = "checkpoint_restart"
+        pairs = [(1000.0, 0.2), (900.0, 4.0), (1100.0, 0.1), (450.0, 9.0),
+                 (1000.0, 0.2), (900.0, 4.0)]
+        need = [oracle_draws(work, rate, recovery, 600.0, 60.0, samples)
+                for work, rate in pairs]
+        assert handed_over(pairs, recovery, 600.0, 60.0, samples,
+                           need) == []
+        for fewer in (1, 2):
+            budgets = [max(0, draws - fewer) for draws in need]
+            assert handed_over(pairs, recovery, 600.0, 60.0, samples,
+                               budgets) == [work for work, _ in pairs]
+
+    @pytest.mark.parametrize("draws", [1, 511, 512, 513, 1024, 1500])
+    def test_one_call_draws_the_oracles_blocks(self, draws):
+        """The walk draws a lane's uptimes in one generator call, the
+        oracle in 512-draw blocks: the same values, bit for bit."""
+        key = ("spot-makespan", 900.0, 4.0, "checkpoint_restart", 600.0,
+               60.0)
+        mean = 1.0 / (4.0 / 3600.0)
+        blocks = rng_for(*key, base_seed=7)
+        stream = np.concatenate([blocks.exponential(mean, size=512)
+                                 for _ in range(-(-draws // 512))])
+        once = rng_for(*key, base_seed=7).exponential(mean, size=draws)
+        assert bits(once) == bits(stream[:draws])
 
 
 class TestInputs:

@@ -57,6 +57,17 @@ class TestEvictionModel:
         with pytest.raises(CloudError):
             EvictionModel.flat(-0.1)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_rejected(self, rate):
+        """``nan < 0`` is False, so a sign check alone let NaN through:
+        a spot what-if then priced every row NaN and advised nothing."""
+        with pytest.raises(CloudError, match=HB):
+            EvictionModel(rates={"Standard_HC44rs": 0.08, HB: rate})
+        with pytest.raises(CloudError, match="default eviction rate"):
+            EvictionModel.flat(rate)
+        with pytest.raises(CloudError, match="default eviction rate"):
+            EvictionModel(default_rate_per_hour=rate)
+
     def test_zero_rate_never_evicts(self):
         model = EvictionModel.flat(0.0)
         assert model.time_to_eviction(HB, "t00001", 0) is None
