@@ -23,6 +23,13 @@ same way.  The snapshot *build* is also timed (``first_request``), and
 must at least break even with a single object-path request at
 acceptance scale.
 
+``filtered_advice`` times a request shaped like the service's typed
+advice: one ``BOXFACTOR``, one SKU and two of its node counts (~1/21 of
+the corpus).  The columnar engine masks the snapshot by code tables
+and answers from the matching rows; the objects engine pushes the
+filter down to the store and rehydrates those rows.  Its floor is on
+objects over columnar, and it is in the equivalence gate.
+
 ``append_then_advise`` times the columnar request that follows an
 append of 200 new points in a warm process: the cached snapshot is
 extended with just the new rows, so it must beat the full build of
@@ -114,6 +121,16 @@ APPEND_THEN_SPOT_FLOOR = 200.0
 #: previous short-lane walk, which stepped every lane one attempt at a
 #: time.
 APPEND_NEW_THEN_SPOT_FLOOR = 120.0
+#: Filtered request speedup floor at acceptance scale: objects over
+#: columnar on :data:`FILTERED_REQUEST`.  Between the 56-107x (median
+#: 70x over ten runs) measured at 50k on a 2-vCPU host and the 26-61x
+#: (median 37x) read there with ``np.isin`` masks in place of the code
+#: tables.
+FILTERED_FLOOR = 50.0
+#: The filtered request: in the corpus the SKU fixes the node count
+#: modulo 3, so these two node counts both hold rows of this SKU.
+FILTERED_REQUEST = {"filters": {"BOXFACTOR": "4"}, "nnodes": (1, 8),
+                    "sku": "Standard_HB120rs_v3"}
 #: Points appended before each timed append-then-advise request.
 APPEND_BATCH = 200
 #: Corpus for the CI smoke run (floors scale down with it).
@@ -208,21 +225,21 @@ def populate_state(state_dir: str, n_points: int) -> str:
 # -- equivalence gate -----------------------------------------------------------
 
 
-def _advise(session, deployment: str, engine: str, capacity=None):
+def _advise(session, deployment: str, engine: str, capacity=None,
+            filtered: bool = False):
     from repro.api.requests import AdviseRequest
 
     return session.advise(AdviseRequest(
-        deployment=deployment, engine=engine, capacity=capacity or ""))
+        deployment=deployment, engine=engine, capacity=capacity or "",
+        **(FILTERED_REQUEST if filtered else {})))
 
 
-def assert_same_advice(objects, columnar, capacity) -> None:
+def assert_same_advice(objects, columnar, what) -> None:
     left, right = objects.to_dict(), columnar.to_dict()
     assert left.pop("engine") == "objects"
     assert right.pop("engine") == "columnar"
     left.pop("engine_fallback"), right.pop("engine_fallback")
-    assert left == right, (
-        f"engines disagree for capacity={capacity!r}"
-    )
+    assert left == right, f"engines disagree on the {what!r} request"
     assert json.dumps(left, sort_keys=True) == json.dumps(
         right, sort_keys=True)
 
@@ -232,16 +249,18 @@ def check_equivalence(state_dir: str, deployment: str) -> None:
     from repro.api.session import AdvisorSession
     from repro.core.statefiles import StateStore
 
-    for capacity in (None, "ondemand", "spot"):
+    for capacity, filtered in ((None, False), ("ondemand", False),
+                               ("spot", False), (None, True)):
         # Fresh sessions per engine: neither may lean on state the
         # other one warmed.
         objects = _advise(
             AdvisorSession(store=StateStore(root=state_dir)),
-            deployment, "objects", capacity)
+            deployment, "objects", capacity, filtered)
         columnar = _advise(
             AdvisorSession(store=StateStore(root=state_dir)),
-            deployment, "columnar", capacity)
-        assert_same_advice(objects, columnar, capacity)
+            deployment, "columnar", capacity, filtered)
+        assert_same_advice(objects, columnar,
+                           "filtered" if filtered else capacity)
 
 
 # -- measurement (one subprocess per mode) --------------------------------------
@@ -253,7 +272,9 @@ def timed_request(mode: str, state_dir: str, deployment: str,
 
     Modes: ``objects`` / ``columnar`` time a steady-state uncached
     request (one warm-up, then best of 2 — for columnar the warm-up
-    builds the snapshot, for objects it only warms the page cache);
+    builds the snapshot, for objects it only warms the page cache),
+    and ``objects-filtered`` / ``columnar-filtered`` the same for
+    :data:`FILTERED_REQUEST`;
     ``columnar-first`` times the first columnar request of the process,
     snapshot build included, after an objects-path warm-up;
     ``append-then-advise`` builds the snapshot, then twice appends
@@ -303,9 +324,9 @@ def _worker(mode: str, state_dir: str, deployment: str,
     cap = capacity or None
     record = {"mode": mode, "capacity": capacity}
 
-    def once(engine: str) -> float:
+    def once(engine: str, filtered: bool = False) -> float:
         start = time.perf_counter()
-        _advise(session, deployment, engine, cap)
+        _advise(session, deployment, engine, cap, filtered)
         return time.perf_counter() - start
 
     if mode == "columnar-first":
@@ -352,8 +373,10 @@ def _worker(mode: str, state_dir: str, deployment: str,
         assert_same_advice(_advise(session, deployment, "objects", cap),
                            served, cap)
     else:
-        once(mode)  # warm-up (for columnar: builds the snapshot)
-        seconds = min(once(mode) for _ in range(2))
+        engine, _, filtered = mode.partition("-")
+        # warm-up (for columnar: builds the snapshot)
+        once(engine, bool(filtered))
+        seconds = min(once(engine, bool(filtered)) for _ in range(2))
     record["seconds"] = seconds
     print(json.dumps(record))
 
@@ -369,6 +392,7 @@ def run_benchmark(n_points: int, check: bool = True,
     first_floor = _env_float("BENCH_ADVICE_FIRST_FLOOR",
                              FIRST_REQUEST_FLOOR)
     spot_floor = max(2.0, SPOT_SPEEDUP_FLOOR * scale)
+    filtered_floor = max(2.0, FILTERED_FLOOR * scale)
     append_floor = max(2.0, APPEND_THEN_ADVISE_FLOOR * scale)
     append_spot_floor = max(2.0, APPEND_THEN_SPOT_FLOOR * scale)
     append_new_spot_floor = max(2.0, APPEND_NEW_THEN_SPOT_FLOOR * scale)
@@ -387,6 +411,8 @@ def run_benchmark(n_points: int, check: bool = True,
             ("columnar", "columnar", ""),
             ("objects_spot", "objects", "spot"),
             ("columnar_spot", "columnar", "spot"),
+            ("objects_filtered", "objects-filtered", ""),
+            ("columnar_filtered", "columnar-filtered", ""),
         ):
             timings[label] = timed_request(mode, state_dir, deployment,
                                            capacity)
@@ -416,6 +442,8 @@ def run_benchmark(n_points: int, check: bool = True,
                               / timings["columnar_first"]),
             "uncached_spot_request": (timings["objects_spot"]
                                       / timings["columnar_spot"]),
+            "filtered_advice": (timings["objects_filtered"]
+                                / timings["columnar_filtered"]),
             "append_then_advise": (timings["columnar_first"]
                                    / timings["append_then_advise"]),
             "append_then_spot": (timings["objects_spot"]
@@ -433,6 +461,7 @@ def run_benchmark(n_points: int, check: bool = True,
                        "acceptance_points": ACCEPTANCE_POINTS,
                        "floor": floor, "first_request_floor": first_floor,
                        "spot_floor": spot_floor,
+                       "filtered_floor": filtered_floor,
                        "append_then_advise_floor": append_floor,
                        "append_then_spot_floor": append_spot_floor,
                        "append_new_then_spot_floor": append_new_spot_floor,
@@ -444,7 +473,8 @@ def run_benchmark(n_points: int, check: bool = True,
                        "cold_spot_small_floor":
                            cold_floors["cold_spot_small"]},
             "equivalence": "rows byte-identical "
-                           "(measured, ondemand, spot; measured and spot "
+                           "(measured, ondemand, spot, filtered; "
+                           "measured and spot "
                            "after appends, spot after appending new "
                            "times; both cold spot what-ifs)",
             "seconds": timings,
@@ -466,6 +496,9 @@ def run_benchmark(n_points: int, check: bool = True,
         print(f"uncached spot speedup:   "
               f"{speedups['uncached_spot_request']:.1f}x "
               f"(floor {spot_floor:.1f}x)")
+        print(f"filtered advice speedup: "
+              f"{speedups['filtered_advice']:.1f}x "
+              f"(floor {filtered_floor:.1f}x)")
         print(f"append-then-advise vs first request: "
               f"{speedups['append_then_advise']:.1f}x "
               f"(floor {append_floor:.1f}x)")
@@ -489,6 +522,11 @@ def run_benchmark(n_points: int, check: bool = True,
                 f"uncached spot speedup "
                 f"{speedups['uncached_spot_request']:.1f}x below the "
                 f"{spot_floor:.1f}x floor"
+            )
+            assert speedups["filtered_advice"] >= filtered_floor, (
+                f"filtered advice speedup "
+                f"{speedups['filtered_advice']:.1f}x below the "
+                f"{filtered_floor:.1f}x floor"
             )
             assert speedups["append_then_advise"] >= append_floor, (
                 f"append-then-advise "

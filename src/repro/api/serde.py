@@ -24,14 +24,21 @@ T = TypeVar("T", bound="DictMixin")
 
 
 def _encode(value: Any) -> Any:
+    """``value`` as JSON-ready data: tuples become lists, mapping keys
+    strings, dataclasses dicts of their fields (a :class:`DictMixin`
+    through its ``to_dict``).  Leaves are returned first, and a
+    dataclass is walked field by field, so nothing is copied twice."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     if isinstance(value, (tuple, list)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, DictMixin):
+        return value.to_dict()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        if isinstance(value, DictMixin):
-            return value.to_dict()
-        return _encode(dataclasses.asdict(value))
+        return {f.name: _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     return value
 
 

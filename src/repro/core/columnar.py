@@ -51,7 +51,7 @@ from repro.core.cost import (  # noqa: F401
     expected_spot_runtime_cached, p95_spot_runtime_cached)
 from repro.core.pareto import pareto_indices, pareto_indices_nd
 from repro.errors import AdvisorError
-from repro.store.snapshot import ColumnarSnapshot
+from repro.store.snapshot import ColumnarSnapshot, code_mask
 from repro.telemetry import global_registry
 
 _RISK_COLUMNS = global_registry().counter(
@@ -161,10 +161,8 @@ def advice_columns(snap: ColumnarSnapshot) -> AdviceColumns:
         appinputs_groups=snap.appinputs_groups,
         capacity_codes=snap.capacity_codes,
         capacities=snap.capacities,
-        p95=(p95_by_group[codes] if snap.n
-             else np.empty(0, dtype=np.float64)),
-        has_p95=(has_by_group[codes] if snap.n
-                 else np.empty(0, dtype=bool)),
+        p95=p95_by_group.take(codes),
+        has_p95=has_by_group.take(codes),
     )
 
 
@@ -187,9 +185,14 @@ def _price_per_sku(snap: ColumnarSnapshot, catalog: PriceCatalog,
 
 def _task_cost(nnodes: np.ndarray, hourly: np.ndarray,
                seconds: np.ndarray) -> np.ndarray:
+    """Per-row task cost, computed in place in ``hourly`` (a per-row
+    price array the caller owns)."""
     # Same associativity as PriceCatalog.task_cost:
     # ((nodes * price) * seconds) / 3600.0 — bit-exact per element.
-    return nnodes * hourly * seconds / 3600.0
+    cost = np.multiply(nnodes, hourly, out=hourly)
+    cost *= seconds
+    cost /= 3600.0
+    return cost
 
 
 def _rates_per_row(snap: ColumnarSnapshot, eviction: EvictionModel,
@@ -287,13 +290,13 @@ def capacity_columns(
     earlier request evaluated.  A spot view reuses the risk columns an
     earlier request left on the snapshot (:func:`_spot_risks`).
     """
-    base = advice_columns(snap)
     if capacity == "ondemand":
+        base = advice_columns(snap)
         hourly = _price_per_sku(snap, catalog, region, spot=False)
         return AdviceColumns(
             n=base.n,
             exec_time_s=base.exec_time_s,
-            cost_usd=_task_cost(snap.nnodes, hourly[snap.sku_codes],
+            cost_usd=_task_cost(snap.nnodes, hourly.take(snap.sku_codes),
                                 snap.exec_time_s),
             nnodes=base.nnodes,
             ppn=base.ppn,
@@ -321,43 +324,43 @@ def capacity_columns(
                 checkpoint_overhead_s, p95_samples)
         else:
             p95 = expected = np.empty(0, dtype=np.float64)
-        measured_spot = np.asarray(
-            [c == "spot" for c in snap.capacities], dtype=bool
-        )[snap.capacity_codes] if snap.n else np.empty(0, dtype=bool)
-        hourly = _price_per_sku(snap, catalog, region, spot=True)
-        spot_cost = _task_cost(snap.nnodes, hourly[snap.sku_codes],
-                               expected)
-        # Measured-spot rows keep their realized makespan (exec time
-        # when unset) and cost; converted rows get the expected values.
-        kept_span = np.where(snap.makespan_s == 0.0, snap.exec_time_s,
-                             snap.makespan_s)
         try:
             spot_code = snap.capacities.index("spot")
             capacities = snap.capacities
         except ValueError:
             capacities = snap.capacities + ("spot",)
             spot_code = len(capacities) - 1
+        # Measured-spot rows keep their realized makespan (exec time
+        # when unset) and cost; converted rows get the expected values.
+        # Every row ends up on the spot code.
+        measured_spot = snap.capacity_codes == spot_code
+        hourly = _price_per_sku(snap, catalog, region, spot=True)
+        cost = _task_cost(snap.nnodes, hourly.take(snap.sku_codes),
+                          expected)
+        np.copyto(cost, snap.cost_usd, where=measured_spot)
+        makespan = expected.copy()
+        np.copyto(makespan, snap.makespan_s, where=measured_spot)
+        np.copyto(makespan, snap.exec_time_s,
+                  where=measured_spot & (snap.makespan_s == 0.0))
         return AdviceColumns(
-            n=base.n,
-            exec_time_s=base.exec_time_s,
-            cost_usd=np.where(measured_spot, snap.cost_usd, spot_cost),
-            nnodes=base.nnodes,
-            ppn=base.ppn,
-            predicted=base.predicted,
-            preemptions=base.preemptions,
-            makespan_s=np.where(measured_spot, kept_span, expected),
-            sku_codes=base.sku_codes,
-            skus=base.skus,
-            appname_codes=base.appname_codes,
-            appnames=base.appnames,
-            appinputs_codes=base.appinputs_codes,
-            appinputs_groups=base.appinputs_groups,
-            capacity_codes=np.where(
-                measured_spot, snap.capacity_codes,
-                np.int32(spot_code)).astype(np.int32),
+            n=snap.n,
+            exec_time_s=snap.exec_time_s,
+            cost_usd=cost,
+            nnodes=snap.nnodes,
+            ppn=snap.ppn,
+            predicted=snap.predicted,
+            preemptions=snap.preemptions,
+            makespan_s=makespan,
+            sku_codes=snap.sku_codes,
+            skus=snap.skus,
+            appname_codes=snap.appname_codes,
+            appnames=snap.appnames,
+            appinputs_codes=snap.appinputs_codes,
+            appinputs_groups=snap.appinputs_groups,
+            capacity_codes=np.full(snap.n, spot_code, dtype=np.int32),
             capacities=capacities,
             p95=p95,
-            has_p95=np.ones(base.n, dtype=bool),
+            has_p95=np.ones(snap.n, dtype=bool),
         )
     raise AdvisorError(
         f"capacity must be 'ondemand' or 'spot', got {capacity!r}"
@@ -380,26 +383,41 @@ def advise_columns(
             f"objective must be 'measured' or 'effective', "
             f"got {objective!r}"
         )
-    keep = _filter_mask(cols, appname, appinputs)
-    idx = np.flatnonzero(keep)
-    if idx.size == 0:
+    if appname is None and not appinputs:
+        # Nothing filters: the objectives read the columns themselves.
+        idx = None
+        size = cols.n
+    else:
+        idx = np.flatnonzero(_filter_mask(cols, appname, appinputs))
+        size = idx.size
+    if size == 0:
         raise AdvisorError(
             "no completed data points match the advice filter"
         )
-    exec_t = cols.exec_time_s[idx]
-    cost = cols.cost_usd[idx]
-    makespan = cols.makespan_s[idx]
+
+    def rows_of(column: np.ndarray) -> np.ndarray:
+        return column if idx is None else column[idx]
+
+    # One (objectives, rows) array, handed over as its (rows,
+    # objectives) transpose: the Pareto kernels work on exactly that
+    # contiguous layout, so they copy nothing more.
     if objective == "effective":
-        eff = np.where(makespan == 0.0, exec_t, makespan)
-        if bool(cols.has_p95[idx].all()):
-            front = pareto_indices_nd(
-                np.stack([eff, cost, cols.p95[idx]], axis=1)
-            )
-        else:
-            front = pareto_indices(np.stack([eff, cost], axis=1))
+        # The effective time is the makespan, or the exec time where
+        # the makespan is unset.
+        with_p95 = bool(rows_of(cols.has_p95).all())
+        objectives = np.stack(
+            [rows_of(cols.makespan_s), rows_of(cols.cost_usd)]
+            + ([rows_of(cols.p95)] if with_p95 else []))
+        np.copyto(objectives[0], rows_of(cols.exec_time_s),
+                  where=objectives[0] == 0.0)
+        front = (pareto_indices_nd(objectives.T) if with_p95
+                 else pareto_indices(objectives.T))
     else:
-        front = pareto_indices(np.stack([exec_t, cost], axis=1))
-    rows = [_advice_row(cols, int(idx[i]), objective) for i in front]
+        front = pareto_indices(
+            np.stack([rows_of(cols.exec_time_s), rows_of(cols.cost_usd)]).T)
+    if idx is not None:
+        front = idx[front].tolist()
+    rows = [_advice_row(cols, i, objective) for i in front]
     time_key = ((lambda r: r.effective_time_s)
                 if objective == "effective"
                 else (lambda r: r.exec_time_s))
@@ -423,10 +441,9 @@ def _filter_mask(cols: AdviceColumns, appname: Optional[str],
             return np.zeros(cols.n, dtype=bool)
         mask &= cols.appname_codes == code
     if appinputs:
-        want = {str(k): str(v) for k, v in appinputs.items()}
-        ok = [i for i, g in enumerate(cols.appinputs_groups)
-              if all(g.get(k) == v for k, v in want.items())]
-        mask &= np.isin(cols.appinputs_codes, ok)
+        want = tuple((str(k), str(v)) for k, v in appinputs.items())
+        mask &= code_mask(cols.appinputs_codes, cols.appinputs_groups,
+                          lambda g: all(g.get(k) == v for k, v in want))
     return mask
 
 

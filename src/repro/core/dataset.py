@@ -247,8 +247,8 @@ class Dataset:
             nnodes=tuple(nnodes) if nnodes is not None else (),
             min_nodes=min_nodes,
             max_nodes=max_nodes,
-            appinputs={str(k): str(v) for k, v in (appinputs or {}).items()},
-            tags={str(k): str(v) for k, v in (tags or {}).items()},
+            appinputs=appinputs or {},
+            tags=tags or {},
             include_predicted=include_predicted,
             capacity=capacity,
         )

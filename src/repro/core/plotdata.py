@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.errors import DatasetError
-from repro.store.snapshot import ColumnarSnapshot
+from repro.store.snapshot import ColumnarSnapshot, code_mask
 
 PlotInput = Union[Dataset, ColumnarSnapshot]
 
@@ -88,12 +88,11 @@ def _group_rows_by_sku(snap: ColumnarSnapshot) -> Dict[str, np.ndarray]:
     Distinct full SKU spellings can share one short name, so grouping
     goes through the code table and merges them.
     """
-    codes_by_short: Dict[str, List[int]] = {}
-    for code, sku in enumerate(snap.skus):
-        codes_by_short.setdefault(_short(sku), []).append(code)
+    shorts = [_short(sku) for sku in snap.skus]
     out: Dict[str, np.ndarray] = {}
-    for short, codes in sorted(codes_by_short.items()):
-        rows = np.flatnonzero(np.isin(snap.sku_codes, codes))
+    for short in sorted(set(shorts)):
+        rows = np.flatnonzero(
+            code_mask(snap.sku_codes, shorts, lambda s: s == short))
         if rows.size:
             out[short] = rows
     return out

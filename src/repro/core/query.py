@@ -42,7 +42,7 @@ class Query:
     * ``min_nodes`` / ``max_nodes`` — inclusive bounds;
     * ``ppn`` — exact match;
     * ``appinputs`` / ``tags`` — every given key must map to the given
-      value (compared as strings);
+      value (keys and values are held as strings);
     * ``include_predicted=False`` — drop sampler-predicted points.
 
     ``limit``/``offset`` window the *filtered* sequence in dataset
@@ -65,6 +65,13 @@ class Query:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nnodes",
                            tuple(int(n) for n in self.nnodes))
+        # Stored mapping keys and values are strings (DataPoint holds
+        # them so), and every evaluator compares strings: the SQL
+        # pushdown, ``matches`` and the snapshot masks.
+        for name in ("appinputs", "tags"):
+            object.__setattr__(self, name, {
+                str(k): str(v)
+                for k, v in dict(getattr(self, name) or {}).items()})
         if self.limit is not None and self.limit < 0:
             raise ConfigError(f"limit must be >= 0, got {self.limit}")
         if self.offset < 0:
@@ -96,10 +103,10 @@ class Query:
         if self.max_nodes is not None and point.nnodes > self.max_nodes:
             return False
         for key, value in self.appinputs.items():
-            if point.appinputs.get(key) != str(value):
+            if point.appinputs.get(key) != value:
                 return False
         for key, value in self.tags.items():
-            if point.tags.get(key) != str(value):
+            if point.tags.get(key) != value:
                 return False
         if not self.include_predicted and point.predicted:
             return False
@@ -159,10 +166,6 @@ class Query:
         kwargs = dict(data)
         if "nnodes" in kwargs and kwargs["nnodes"] is not None:
             kwargs["nnodes"] = tuple(kwargs["nnodes"])
-        for name in ("appinputs", "tags"):
-            if kwargs.get(name) is not None:
-                kwargs[name] = {str(k): str(v)
-                                for k, v in dict(kwargs[name]).items()}
         return cls(**{k: v for k, v in kwargs.items() if v is not None
                       or k in ("appname", "sku", "ppn", "min_nodes",
                                "max_nodes", "capacity", "limit")})

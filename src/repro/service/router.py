@@ -82,9 +82,12 @@ class Response:
     headers: Dict[str, str] = field(default_factory=dict)
 
     def body_bytes(self) -> bytes:
+        """The body on the wire: a str payload verbatim, anything else
+        as compact JSON (one line; indenting would force the json
+        module's pure-Python encoder)."""
         if isinstance(self.payload, str):
             return self.payload.encode("utf-8")
-        return json.dumps(self.payload, indent=1).encode("utf-8")
+        return json.dumps(self.payload, separators=(",", ":")).encode("utf-8")
 
 
 @dataclass

@@ -29,7 +29,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -43,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ColumnarSnapshot",
     "SnapshotCache",
+    "code_mask",
     "snapshot_cache",
     "snapshot_for_store",
     "snapshot_held",
@@ -109,6 +111,26 @@ def _encode_column(raw: Sequence[Any], decode,
     enc.values = (base.values if base is not None else []) + [
         decode(v) for v in itertools.islice(index, known, None)]
     return codes, enc
+
+
+def code_mask(codes: np.ndarray, values: Sequence[Any],
+              keep: Callable[[Any], bool]) -> np.ndarray:
+    """Row mask of a dictionary-coded column: True where ``keep`` holds
+    for the row's value.
+
+    ``keep`` runs once per distinct value, filling a boolean table over
+    ``values`` that ``ndarray.take`` gathers by code: one pass over the
+    rows however many values pass (``np.isin`` over the codes sorts or
+    tables them again on every call).
+    """
+    table = np.fromiter(map(keep, values), dtype=bool, count=len(values))
+    return table.take(codes)
+
+
+def _holds(wanted: Dict[str, str]) -> Callable[[Dict[str, str]], bool]:
+    """Does a mapping group hold every key of ``wanted`` at its value?"""
+    items = tuple(wanted.items())
+    return lambda group: all(group.get(k) == v for k, v in items)
 
 
 def _parse_str_map(text: str) -> Dict[str, str]:
@@ -390,11 +412,15 @@ class ColumnarSnapshot:
                                  query.appname)
         candidates = query.sku_candidates
         if candidates is not None:
-            ok = [i for i, s in enumerate(self.skus_lower)
-                  if s in candidates]
-            mask &= np.isin(self.sku_codes, ok)
+            mask &= code_mask(self.sku_codes, self.skus_lower,
+                              candidates.__contains__)
         if query.nnodes:
-            mask &= np.isin(self.nnodes, list(query.nnodes))
+            # Node counts are not coded: one compare per distinct count
+            # (a request names a few) reads the rows once each.
+            wanted = np.zeros(self.n, dtype=bool)
+            for count in dict.fromkeys(query.nnodes):
+                wanted |= self.nnodes == count
+            mask &= wanted
         if query.ppn is not None:
             mask &= self.ppn == query.ppn
         if query.min_nodes is not None:
@@ -402,15 +428,11 @@ class ColumnarSnapshot:
         if query.max_nodes is not None:
             mask &= self.nnodes <= query.max_nodes
         if query.appinputs:
-            ok = [i for i, g in enumerate(self.appinputs_groups)
-                  if all(g.get(k) == str(v)
-                         for k, v in query.appinputs.items())]
-            mask &= np.isin(self.appinputs_codes, ok)
+            mask &= code_mask(self.appinputs_codes, self.appinputs_groups,
+                              _holds(query.appinputs))
         if query.tags:
-            ok = [i for i, g in enumerate(self.tags_groups)
-                  if all(g.get(k) == str(v)
-                         for k, v in query.tags.items())]
-            mask &= np.isin(self.tags_codes, ok)
+            mask &= code_mask(self.tags_codes, self.tags_groups,
+                              _holds(query.tags))
         if not query.include_predicted:
             mask &= ~self.predicted
         if query.capacity is not None:

@@ -553,7 +553,7 @@ class SqliteStore:
                     clauses.append(
                         f"json_extract(payload, '$.{field}.{key}') = ?"
                     )
-                    params.append(str(value))
+                    params.append(value)
                 else:
                     # Exotic key: leave this clause to the Python-side
                     # re-check (matches() evaluates everything anyway).

@@ -1,15 +1,19 @@
 """repro.api request/result types: validation and JSON round-tripping."""
 
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     AdviceResult,
     AdviseRequest,
     CollectRequest,
     CollectResult,
+    DataPointsResult,
     PlotRequest,
     PlotResult,
     PredictRequest,
@@ -18,7 +22,9 @@ from repro.api import (
     RecipeResult,
     SessionInfo,
 )
+from repro.api.serde import DictMixin
 from repro.core.advisor import AdviceRow
+from repro.core.dataset import DataPoint
 from repro.errors import ConfigError
 
 
@@ -208,3 +214,94 @@ class TestAdviceResultHelpers:
         assert result.best is None
         assert result.fastest is None
         assert result.cheapest is None
+
+
+# -- encoder exactness ----------------------------------------------------------------
+
+
+def reference_encode(value):
+    """The result encoder as it was before the field walk, verbatim
+    except that a nested result also goes through this reference: a
+    plain dataclass is deep-copied by ``dataclasses.asdict`` and the
+    copy walked again."""
+    if isinstance(value, (tuple, list)):
+        return [reference_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): reference_encode(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        if isinstance(value, DictMixin):
+            return reference_to_dict(value)
+        return reference_encode(dataclasses.asdict(value))
+    return value
+
+
+def reference_to_dict(obj):
+    return {f.name: reference_encode(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)}
+
+
+_names = st.text(max_size=12)
+_str_maps = st.dictionaries(_names, _names, max_size=3)
+#: Finite or infinite (a censored P95, a brutal eviction rate), never
+#: NaN: a NaN field would not compare equal after the round trip.
+_spans = st.one_of(st.floats(min_value=0.0, allow_nan=False),
+                   st.just(math.inf))
+_counts = st.integers(min_value=0, max_value=2**40)
+
+advice_rows = st.builds(
+    AdviceRow,
+    exec_time_s=st.floats(min_value=0.0, max_value=1e9),
+    cost_usd=_spans, nnodes=st.integers(1, 4096), sku=_names,
+    ppn=st.integers(0, 512), appinputs=_str_maps, predicted=st.booleans(),
+    capacity=st.sampled_from(["", "ondemand", "spot"]),
+    preemptions=st.integers(0, 100), makespan_s=_spans,
+    p95_makespan_s=_spans)
+
+data_points = st.builds(
+    DataPoint,
+    appname=_names, sku=_names, nnodes=st.integers(1, 4096),
+    ppn=st.integers(0, 512),
+    exec_time_s=st.floats(min_value=0.0, max_value=1e9),
+    cost_usd=_spans, appinputs=_str_maps, app_vars=_str_maps,
+    infra_metrics=st.dictionaries(_names, st.floats(allow_nan=False),
+                                  max_size=3),
+    tags=_str_maps, deployment=_names,
+    timestamp=st.floats(min_value=0.0, max_value=2e9),
+    predicted=st.booleans(), capacity=st.sampled_from(["ondemand", "spot"]),
+    preemptions=st.integers(0, 100),
+    wasted_node_s=st.floats(min_value=0.0, max_value=1e9),
+    makespan_s=_spans)
+
+results = st.one_of(
+    st.builds(AdviceResult, deployment=_names, appname=_names,
+              sort_by=st.sampled_from(["time", "cost"]),
+              rows=st.lists(advice_rows, max_size=6).map(tuple),
+              dataset_points=_counts,
+              capacity=st.sampled_from(["", "ondemand", "spot"]),
+              engine=st.sampled_from(["", "objects", "columnar"]),
+              engine_fallback=_names),
+    st.builds(DataPointsResult, deployment=_names, total=_counts,
+              limit=st.one_of(st.none(), st.integers(0, 500)),
+              offset=st.integers(0, 500),
+              points=st.lists(data_points, max_size=6).map(tuple),
+              store_backend=st.sampled_from(["", "sqlite"])),
+    st.builds(RecipeResult, deployment=_names,
+              row=st.one_of(st.none(), advice_rows),
+              slurm_script=st.text(max_size=40),
+              cluster_recipe=st.text(max_size=40)),
+)
+
+
+class TestEncoderExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(obj=results)
+    def test_to_dict_matches_the_reference_and_round_trips(self, obj):
+        """The field walk gives the reference encoder's JSON byte for
+        byte, and the decoded payload rebuilds the object."""
+        text = json.dumps(obj.to_dict())
+        assert text == json.dumps(reference_to_dict(obj))
+        assert type(obj).from_dict(json.loads(text)) == obj
+
+    def test_samples_match_the_reference(self):
+        for obj in SAMPLES:
+            assert obj.to_dict() == reference_to_dict(obj), obj

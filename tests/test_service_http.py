@@ -17,10 +17,13 @@ from repro.api.results import (
     CompareResult,
     PlotResult,
     PredictResult,
+    RecipeResult,
     SessionInfo,
 )
+from repro.core.advisor import AdviceRow
 from repro.service.app import build_state
 from repro.service.router import Router, ServiceState
+from repro.service.router import Response
 from tests.conftest import make_config
 
 
@@ -433,3 +436,40 @@ class TestSpotWire:
         )
         assert response.status == 400
         assert "number" in response.payload["error"]
+
+
+class TestResponseBodies:
+    """JSON bodies are compact: one line that parses back to the
+    payload the router built (str payloads go out verbatim)."""
+
+    SPOT_ROW = AdviceRow(exec_time_s=34.0, cost_usd=0.21, nnodes=16,
+                         sku="Standard_HB120rs_v3", capacity="spot",
+                         makespan_s=math.inf, p95_makespan_s=math.inf)
+
+    @pytest.mark.parametrize("payload", [
+        {"error": "line one\nline two", "values": [1.5, math.inf, None,
+                                                   True, -0.0, 2**53]},
+        [{"nested": {"list": [1, [2, []]], "empty": {}}}, "text\r\n"],
+        RecipeResult(deployment="d", row=SPOT_ROW,
+                     slurm_script="#!/bin/bash\nsrun lmp\n",
+                     cluster_recipe="vm_type: x\n").to_dict(),
+    ], ids=["mapping", "list", "recipe"])
+    def test_body_is_one_line_of_the_payload(self, payload):
+        body = Response(payload=payload).body_bytes()
+        assert b"\n" not in body
+        assert json.loads(body) == payload
+
+    def test_routed_bodies_parse_back_to_their_payloads(self, router):
+        info = deploy(router, prefix="bodyrg")
+        collect_done(router, info.name)
+        for target in (f"/v1/advice?deployment={info.name}",
+                       f"/v1/datapoints?deployment={info.name}&limit=3",
+                       f"/v1/deployments/{info.name}"):
+            response = router.handle("GET", target)
+            assert response.status == 200, target
+            body = response.body_bytes()
+            assert b"\n" not in body
+            assert json.loads(body) == response.payload
+        assert AdviceResult.from_dict(json.loads(
+            router.handle("GET", f"/v1/advice?deployment={info.name}"
+                          ).body_bytes())).rows

@@ -19,10 +19,12 @@ through both.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import sys
 import tempfile
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -36,7 +38,10 @@ from repro.api.session import AdvisorSession
 from repro.cloud.eviction import EvictionModel
 from repro.cloud.pricing import PriceCatalog
 from repro.core.columnar import capacity_columns
+from repro.core.columnar import _filter_mask, advice_columns
 from repro.core.dataset import DataPoint
+from repro.core.dataset import Dataset
+from repro.core.plotdata import _group_rows_by_sku, _short
 from repro.core.query import Query
 from repro.core.statefiles import StateStore
 from repro.errors import ReproError
@@ -497,6 +502,45 @@ class TestDatapointsFromSnapshot:
         assert (json.dumps(cold.payload, sort_keys=True)
                 == json.dumps(warm.payload, sort_keys=True))
 
+    def test_int_keys_and_values_filter_as_strings(self, tmp_path):
+        """A query given int mapping keys or values is its string twin:
+        the store pushdown (a cold page and its count), the snapshot
+        mask (a warm page) and ``Query.matches`` pick the same points,
+        and the query equals the twin and survives its wire form."""
+        session = AdvisorSession(store=StateStore(root=str(tmp_path)))
+        name = session.deploy(make_config(skus=list(SKUS))).name
+        stored = [
+            DataPoint(appname="lammps", sku=SKUS[i % 2], nnodes=1, ppn=4,
+                      exec_time_s=100.0 + i, cost_usd=1.0 + i,
+                      appinputs={"4": str(5 + i % 2),
+                                 "BOXFACTOR": str(i % 3)},
+                      tags={"7": str(i % 2)})
+            for i in range(9)]
+        session.data_store(name).append_points(stored)
+        for query, twin in (
+                (Query(appinputs={4: 5}), Query(appinputs={"4": "5"})),
+                (Query(tags={7: 1}), Query(tags={"7": "1"})),
+                (Query(appinputs={"BOXFACTOR": 2}, tags={7: 0}, limit=2),
+                 Query(appinputs={"BOXFACTOR": "2"}, tags={"7": "0"},
+                       limit=2))):
+            snapshot_cache().clear()  # what a fresh process holds
+            before = read_counts()
+            cold = AdvisorSession(store=StateStore(root=str(tmp_path))
+                                  ).datapoints(name, query)
+            session.snapshot(name)
+            warm = session.datapoints(name, query)
+            assert delta(read_counts(), before) == {"store": 1,
+                                                    "snapshot": 1}
+            assert page_of(cold) == page_of(warm)
+            assert [p.to_dict() for p in warm.points] == [
+                p.to_dict() for p in query.apply(stored)]
+            assert warm.total == len(query.without_window().apply(stored))
+            assert warm.points and page_of(warm) == page_of(
+                session.datapoints(name, twin))
+            assert query == twin
+            assert Query.from_dict(json.loads(json.dumps(
+                query.to_dict()))) == query
+
     @staticmethod
     def _error(session, name):
         with pytest.raises(ReproError) as caught:
@@ -553,3 +597,159 @@ class TestDecisionCounters:
         AdvisorSession(store=StateStore(root=str(tmp_path))).datapoints(
             name, Query(limit=5))
         assert delta(read_counts(), before) == {"store": 1}
+
+
+# -- membership masks by code table --------------------------------------------------
+
+#: One SKU under three spellings and one under two: a SKU filter meets
+#: several codes, and a short name several full names.
+SPELLINGS = ("Standard_HB120rs_v3", "standard_HB120RS_v3", "HB120rs_v3",
+             "Standard_HC44rs", "hc44rs")
+#: Mapping groups with shared keys in either order.
+INPUT_GROUPS = ({}, {"BOXFACTOR": "4"}, {"BOXFACTOR": "4", "mesh": "a"},
+                {"mesh": "a", "BOXFACTOR": "16"}, {"mesh": "b"})
+TAG_GROUPS = ({}, {"run": "a"}, {"run": "a", "site": "x"},
+              {"site": "y", "run": "b"})
+
+
+@st.composite
+def coded_points(draw):
+    return DataPoint(
+        appname=draw(st.sampled_from(["lammps", "gromacs"])),
+        sku=draw(st.sampled_from(SPELLINGS)),
+        nnodes=draw(st.sampled_from([1, 2, 4, 16])),
+        ppn=draw(st.sampled_from([4, 100])),
+        exec_time_s=draw(st.floats(min_value=1.0, max_value=3600.0)),
+        cost_usd=draw(st.floats(min_value=0.0, max_value=50.0)),
+        appinputs=draw(st.sampled_from(INPUT_GROUPS)),
+        tags=draw(st.sampled_from(TAG_GROUPS)),
+        capacity=draw(st.sampled_from(["ondemand", "spot"])),
+        predicted=draw(st.booleans()),
+    )
+
+
+coded_corpora = st.lists(coded_points(), max_size=20)
+#: Values of each query clause: SKU spellings in other cases, node
+#: counts on no row (3, 64) and repeated, multi-key mappings whose
+#: first key alone matches more groups, keys or values no group has,
+#: and int keys and values (held as their strings).
+CLAUSE_VALUES = {
+    "appname": ["lammps", "nothere"],
+    "sku": ["hb120rs_v3", "HB120RS_V3", "Standard_HC44rs",
+            "standard_hb120rs_v3", "nope"],
+    "nnodes": [(1,), (2, 1), (3,), (4, 16, 4), (64, 2), (1, 2, 3, 4, 16)],
+    "ppn": [4],
+    "min_nodes": [2],
+    "max_nodes": [4],
+    "appinputs": [{"BOXFACTOR": "4"}, {"BOXFACTOR": 16},
+                  {"mesh": "a", "BOXFACTOR": "4"}, {"mesh": "a"},
+                  {"mesh": "c"}, {"nokey": "4"}, {4: "x"}],
+    "tags": [{"run": "a"}, {"site": "x", "run": "a"},
+             {"run": "a", "site": "y"}, {"run": "z"}, {7: "x"}],
+    "capacity": ["spot"],
+    "include_predicted": [False],
+}
+_CLAUSES = {name: st.sampled_from(values)
+            for name, values in CLAUSE_VALUES.items()}
+_CLAUSES["nnodes"] = st.lists(st.sampled_from([1, 2, 3, 4, 16, 64]),
+                              min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def mask_queries(draw):
+    """A query with up to three clauses (more would rarely leave a row
+    of a small corpus) and a window."""
+    names = draw(st.lists(st.sampled_from(sorted(_CLAUSES)), max_size=3,
+                          unique=True))
+    return Query(**{name: draw(_CLAUSES[name]) for name in names},
+                 limit=draw(st.sampled_from([None, 0, 2])),
+                 offset=draw(st.sampled_from([0, 1, 5])))
+
+
+class TestMasksByCodeTable:
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=coded_corpora, query=mask_queries())
+    def test_query_mask_is_matches(self, corpus, query):
+        snap = ColumnarSnapshot.from_points(corpus)
+        assert snap.query_mask(query).tolist() == [
+            query.matches(p) for p in corpus]
+        assert [p.to_dict() for p in snap.view(query).points()] == [
+            p.to_dict() for p in query.apply(corpus)]
+
+    def test_every_clause_value_on_every_group(self):
+        """Each clause value alone, over a corpus holding every
+        combination of spelling, node count and mapping group."""
+        corpus = [
+            DataPoint(appname=app, sku=sku, nnodes=nodes,
+                      ppn=4 if nodes < 4 else 100,
+                      exec_time_s=1.0 + row, cost_usd=1.0,
+                      appinputs=inputs, tags=tags,
+                      capacity="spot" if row % 3 == 0 else "ondemand",
+                      predicted=row % 5 == 0)
+            for row, (app, sku, nodes, inputs, tags) in enumerate(
+                itertools.product(("lammps", "gromacs"), SPELLINGS,
+                                  (1, 2, 4, 16), INPUT_GROUPS, TAG_GROUPS))]
+        snap = ColumnarSnapshot.from_points(corpus)
+        for name, values in CLAUSE_VALUES.items():
+            for value in values:
+                query = Query(**{name: value})
+                assert snap.query_mask(query).tolist() == [
+                    query.matches(p) for p in corpus], query
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=coded_corpora,
+           appname=st.sampled_from([None, "lammps", "nothere"]),
+           appinputs=st.sampled_from([None, {}]
+                                     + CLAUSE_VALUES["appinputs"]))
+    def test_filter_mask_is_dataset_filter(self, corpus, appname,
+                                           appinputs):
+        cols = advice_columns(ColumnarSnapshot.from_points(corpus))
+        mask = _filter_mask(cols, appname, appinputs)
+        kept = Dataset(corpus).filter(appname=appname, appinputs=appinputs)
+        assert [corpus[i] for i in np.flatnonzero(mask)] == kept.points()
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=coded_corpora)
+    def test_sku_groups_are_the_point_loop(self, corpus):
+        expected = {}
+        for row, point in enumerate(corpus):
+            expected.setdefault(_short(point.sku), []).append(row)
+        groups = _group_rows_by_sku(ColumnarSnapshot.from_points(corpus))
+        assert list(groups) == sorted(expected)
+        assert {short: rows.tolist() for short, rows in groups.items()} \
+            == expected
+
+
+# -- memory of a warm spot what-if ---------------------------------------------------
+
+
+class TestWarmSpotMemory:
+    ROWS = 20_000
+    #: Peak traced bytes of one warm unfiltered spot what-if over ROWS
+    #: rows.  It read 1.30 MB with the spot view built in place and the
+    #: objectives stacked once, and 2.61 MB when the view gathered every
+    #: row's P95 and filled its columns through ``np.where`` temporaries.
+    PEAK_BOUND = 1_900_000
+
+    def test_warm_spot_peak_stays_small(self, tmp_path):
+        session = AdvisorSession(store=StateStore(root=str(tmp_path)))
+        name = session.deploy(make_config(skus=list(SKUS))).name
+        session.data_store(name).append_points([
+            DataPoint(appname="lammps", sku=SKUS[i % 2], nnodes=1 + i % 4,
+                      ppn=4, exec_time_s=600.0 + 7.0 * (i % 97),
+                      cost_usd=0.01 * (1 + i % 89),
+                      appinputs={"BOXFACTOR": str(4 + i % 7)},
+                      capacity="spot" if i % 11 == 0 else "ondemand",
+                      makespan_s=900.0 if i % 22 == 0 else 0.0)
+            for i in range(self.ROWS)])
+        request = AdviseRequest(deployment=name, capacity="spot",
+                                eviction_rate=0.5)
+        first = session.advise(request)  # snapshot and risk columns
+        tracemalloc.start()
+        try:
+            warm = session.advise(request)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert warm == first and warm.dataset_points == self.ROWS
+        assert peak < self.PEAK_BOUND, peak
