@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import shutil
 import signal
 import subprocess
@@ -307,23 +308,40 @@ def mixed_ops(deployment: str, count: int):
     return ops
 
 
+def on_new_connection(url: str, op):
+    """Run ``op`` on a session of its own, so it opens a new connection.
+
+    A session keeps its connection open, and with per-worker
+    ``SO_REUSEPORT`` sockets the kernel picks a worker per connection:
+    requests that must each reach whichever worker the kernel picks
+    (the probes below) each get a new session, closed afterwards.
+    """
+    remote = RemoteSession(url, timeout=120, retries=10, backoff_s=0.05)
+    try:
+        return op(remote)
+    finally:
+        remote.close()
+
+
 def convoy_latencies(url: str, deployment: str, samples: int):
     """Median cheap cache-hit read latency while two background threads
     hammer cold (distinct-key) advice recomputes — the head-of-line
     convoy a single worker process cannot avoid.  The cold loops pin
     ``engine=objects``: the columnar engine answers cache-miss advice
     in milliseconds (see ``bench_advice_path``), so the legacy path is
-    what still produces the expensive recompute this scenario needs."""
+    what still produces the expensive recompute this scenario needs.
+    Every request, cold or warm, goes on a new connection, so each one
+    lands on whichever worker the kernel picks; a warm read is then a
+    ``200`` from the response cache (a new session holds no ETag)."""
     stop = threading.Event()
 
     def cold_loop(seed: int):
-        remote = RemoteSession(url, timeout=120, retries=10,
-                               backoff_s=0.05)
         i = 0
         while not stop.is_set():
             try:
-                advice_get(deployment, engine="objects",
-                           maxnodes=str(1000 * seed + i))(remote)
+                on_new_connection(url, advice_get(
+                    deployment, engine="objects",
+                    maxnodes=str(1000 * seed + i)))
             except RemoteError:  # pragma: no cover - shutdown race
                 pass
             i += 1
@@ -333,13 +351,12 @@ def convoy_latencies(url: str, deployment: str, samples: int):
     for thread in colds:
         thread.start()
     time.sleep(0.5)  # let the convoy form
-    remote = RemoteSession(url, timeout=120, retries=10, backoff_s=0.05)
     warm = advice_get(deployment)
-    warm(remote)
+    on_new_connection(url, warm)
     latencies = []
     for _ in range(samples):
         start = time.perf_counter()
-        warm(remote)
+        on_new_connection(url, warm)
         latencies.append(time.perf_counter() - start)
     stop.set()
     for thread in colds:
@@ -351,14 +368,14 @@ def convoy_latencies(url: str, deployment: str, samples: int):
 
 def worker_spread(url: str, samples: int):
     """Tally which worker answers ``samples`` independent ``/healthz``
-    probes.  The client opens a fresh TCP connection per request, so
+    probes.  Each probe opens a new TCP connection (a new session), so
     with per-worker ``SO_REUSEPORT`` sockets the kernel's connection
     hash decides the responder — the tally shows whether load really
     lands on more than one process."""
-    remote = RemoteSession(url, timeout=60, retries=10, backoff_s=0.05)
     counts = {}
     for _ in range(samples):
-        fleet = remote.health().get("fleet") or {}
+        fleet = on_new_connection(url, RemoteSession.health).get("fleet") \
+            or {}
         worker = str(fleet.get("worker_id", "unknown"))
         counts[worker] = counts.get(worker, 0) + 1
     return counts
@@ -426,6 +443,8 @@ def run_benchmark(requests: int, threads: int, n_points: int,
                                     convoy_samples=max(50, requests // 10))
 
         results = {
+            "host": {"cpu_count": cores,
+                     "python": platform.python_version()},
             "config": {"requests": requests, "threads": threads,
                        "corpus_points": n_points, "cpu_cores": cores,
                        "cached_floor": cached_floor,

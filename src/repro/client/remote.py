@@ -4,7 +4,9 @@
 surface over HTTP: the same frozen request dataclasses go out as JSON,
 the same result dataclasses come back — decoded through their own
 ``from_dict``, so a remote call and an in-process call return equal
-objects.  Built on :mod:`urllib` only; no third-party dependencies.
+objects.  Built on :mod:`http.client` only; no third-party dependencies.
+The session keeps its HTTP/1.1 connections open between calls, so a
+call pays no TCP connect, server thread start or teardown.
 
 ::
 
@@ -25,14 +27,14 @@ plots) is synchronous.
 from __future__ import annotations
 
 import errno
+import http.client
 import json
 import random
+import select
 import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -94,6 +96,18 @@ class RemoteSession:
     (bounded LRU); the next identical GET carries ``If-None-Match`` and
     transparently reuses the cached body when the server answers
     ``304 Not Modified``.
+
+    Connections to ``base_url`` stay open between calls.  A call takes
+    an idle one (or opens one), so calls from different threads never
+    share a connection; it hands the connection back only once the
+    whole answer was read, and closes it on any error or when the
+    answer says ``Connection: close``.  An idle connection the server
+    has closed (a restart, a killed fleet worker) is dropped before
+    use.  A ``GET`` that finds a reused connection closed before any
+    byte of the answer arrived is resent once on a fresh connection;
+    every other method raises :class:`RemoteError` instead, so a
+    ``POST`` is never resent silently.  The session connects to
+    ``base_url`` directly: no ``*_proxy`` variables, no redirects.
     """
 
     #: Bound on the per-URL conditional-GET cache.
@@ -109,6 +123,22 @@ class RemoteSession:
         self.trace_dir = trace_dir
         self._etag_lock = threading.Lock()
         self._etag_cache: "OrderedDict[str, Tuple[str, str]]" = OrderedDict()
+        parts = urllib.parse.urlsplit(self.base_url)
+        connection_classes = {"http": http.client.HTTPConnection,
+                              "https": http.client.HTTPSConnection}
+        if parts.scheme not in connection_classes or not parts.hostname:
+            raise ConfigError(
+                f"service URL {base_url!r} is not an http:// or https:// URL"
+            )
+        try:
+            self._port = parts.port
+        except ValueError as exc:  # not a number, or out of range
+            raise ConfigError(f"service URL {base_url!r}: {exc}") from exc
+        self._connection_class = connection_classes[parts.scheme]
+        self._host = parts.hostname
+        self._path_prefix = parts.path
+        self._idle_lock = threading.Lock()
+        self._idle: List[http.client.HTTPConnection] = []
 
     # -- deployments ------------------------------------------------------------
 
@@ -276,6 +306,18 @@ class RemoteSession:
     def metrics_text(self) -> str:
         return self._call("GET", "/metrics", raw=True)
 
+    def close(self) -> None:
+        """Close the idle kept-open connections.
+
+        The session stays usable: its next call opens a new connection.
+        A call in flight on another thread keeps its connection and
+        hands it back when it is done.
+        """
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
     # -- plumbing ---------------------------------------------------------------
 
     @contextmanager
@@ -302,9 +344,9 @@ class RemoteSession:
     def _call(self, method: str, path: str, body: Optional[dict] = None,
               query: Union[Dict[str, str], List, None] = None,
               raw: bool = False):
-        url = self.base_url + path
         if query:
-            url += "?" + urllib.parse.urlencode(query)
+            path += "?" + urllib.parse.urlencode(query)
+        url = self.base_url + path
         data = None
         headers = {"Accept": "application/json"}
         traceparent = telemetry.current_traceparent()
@@ -319,43 +361,15 @@ class RemoteSession:
                 cached = self._etag_cache.get(url)
             if cached is not None:
                 headers["If-None-Match"] = cached[0]
-        request = urllib.request.Request(
-            url, data=data, method=method, headers=headers
-        )
-        etag: Optional[str] = None
-        attempt = 0
-        while True:
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as response:
-                    text = response.read().decode("utf-8")
-                    etag = response.headers.get("ETag")
-                break
-            except urllib.error.HTTPError as exc:
-                if exc.code == 304 and cached is not None:
-                    etag, text = cached
-                    break
-                raise RemoteError(
-                    _error_message(exc), status=exc.code
-                ) from exc
-            except (socket.timeout, TimeoutError) as exc:
-                raise RemoteTimeout(
-                    f"{method} {url} timed out after {self.timeout}s"
-                ) from exc
-            except urllib.error.URLError as exc:
-                if isinstance(exc.reason, (socket.timeout, TimeoutError)):
-                    raise RemoteTimeout(
-                        f"{method} {url} timed out after {self.timeout}s"
-                    ) from exc
-                if _connection_refused(exc) and attempt < self.retries:
-                    attempt += 1
-                    time.sleep(self.backoff_s * (2 ** (attempt - 1))
-                               * (0.5 + random.random()))
-                    continue
-                raise RemoteError(
-                    f"{method} {url} failed: {exc.reason}"
-                ) from exc
+        response, payload = self._exchange(
+            method, self._path_prefix + path, data, headers, url)
+        if response.status == 304 and cached is not None:
+            etag, text = cached
+        elif 200 <= response.status < 300:
+            etag, text = response.getheader("ETag"), payload.decode("utf-8")
+        else:
+            raise RemoteError(_error_message(response, payload),
+                              status=response.status)
         if method == "GET" and etag:
             with self._etag_lock:
                 self._etag_cache[url] = (etag, text)
@@ -365,6 +379,75 @@ class RemoteSession:
         if raw:
             return text
         return json.loads(text) if text else None
+
+    def _exchange(self, method: str, target: str, data: Optional[bytes],
+                  headers: Dict[str, str], url: str
+                  ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """Send one request and read its whole answer (class docstring)."""
+        refused = 0
+        may_resend = method == "GET"
+        connection = self._idle_connection()
+        while True:
+            reused = connection is not None
+            if connection is None:
+                try:
+                    connection = self._new_connection()
+                except OSError as exc:
+                    if _connection_refused(exc) and refused < self.retries:
+                        refused += 1
+                        time.sleep(self.backoff_s * (2 ** (refused - 1))
+                                   * (0.5 + random.random()))
+                        continue
+                    raise self._failure(method, url, exc) from exc
+            answered = False
+            try:
+                connection.request(method, target, body=data, headers=headers)
+                response = connection.getresponse()
+                answered = True
+                payload = response.read()
+            except BaseException as exc:
+                connection.close()
+                if (isinstance(exc, ConnectionError) and reused
+                        and may_resend and not answered):
+                    # The server closed the kept-open connection before
+                    # answering: resend once, on a fresh connection.
+                    connection, may_resend = None, False
+                    continue
+                if isinstance(exc, (OSError, http.client.HTTPException)):
+                    raise self._failure(method, url, exc) from exc
+                raise
+            if response.will_close:
+                connection.close()
+            else:
+                with self._idle_lock:
+                    self._idle.append(connection)
+            return response, payload
+
+    def _idle_connection(self) -> Optional[http.client.HTTPConnection]:
+        """The most recently used idle connection still open, if any."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    return None
+                connection = self._idle.pop()
+            if not _closed_by_peer(connection.sock):
+                return connection
+            connection.close()
+
+    def _new_connection(self) -> http.client.HTTPConnection:
+        """A connected connection to ``base_url`` (a refused connect
+        raises here, before any request is sent)."""
+        connection = self._connection_class(self._host, self._port,
+                                            timeout=self.timeout)
+        connection.connect()
+        return connection
+
+    def _failure(self, method: str, url: str, exc: BaseException
+                 ) -> RemoteError:
+        if isinstance(exc, (socket.timeout, TimeoutError)):
+            return RemoteTimeout(
+                f"{method} {url} timed out after {self.timeout}s")
+        return RemoteError(f"{method} {url} failed: {exc}")
 
 
 @dataclass
@@ -426,19 +509,34 @@ class JobHandle:
         return cls.from_dict(record.result or {})
 
 
-def _connection_refused(exc: urllib.error.URLError) -> bool:
+def _connection_refused(exc: OSError) -> bool:
     """True when the TCP connection was refused (request never sent)."""
-    reason = exc.reason
-    if isinstance(reason, ConnectionRefusedError):
-        return True
-    return isinstance(reason, OSError) \
-        and reason.errno == errno.ECONNREFUSED
+    return isinstance(exc, ConnectionRefusedError) \
+        or exc.errno == errno.ECONNREFUSED
 
 
-def _error_message(exc: urllib.error.HTTPError) -> str:
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """True when an idle kept-open connection cannot carry a request.
+
+    Between answers the server sends nothing, so a readable idle socket
+    means EOF (the server closed it) or bytes nobody asked for.  A
+    zero-timeout ``poll`` checks without blocking and for any descriptor
+    number (``select.select`` fails from 1024 on); where ``poll`` is
+    missing (Windows), ``select`` has no such limit.
+    """
+    if not hasattr(select, "poll"):
+        return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _error_message(response: http.client.HTTPResponse,
+                   payload: bytes) -> str:
     """Prefer the server's JSON error body over the bare status line."""
     try:
-        detail = json.loads(exc.read().decode("utf-8"))
-        return f"{detail.get('error', exc.reason)} (HTTP {exc.code})"
+        detail = json.loads(payload.decode("utf-8"))
+        return f"{detail.get('error', response.reason)} " \
+               f"(HTTP {response.status})"
     except Exception:  # noqa: BLE001 - any body shape
-        return f"HTTP {exc.code}: {exc.reason}"
+        return f"HTTP {response.status}: {response.reason}"

@@ -4,7 +4,10 @@ Socket handling only — every request is delegated to the shared
 :class:`repro.service.router.Router`.  ``ThreadingHTTPServer`` gives one
 thread per connection, so advice/listing calls stay responsive while the
 fleet job manager's workers grind through collect sweeps in the
-background.
+background.  Connections stay open between requests (HTTP/1.1), with
+Nagle's algorithm off: an answer's headers and body are two sends, and
+with Nagle on the second waited ~40 ms for the client's delayed ACK on
+a kept-open connection.
 
 Programmatic use (tests, examples)::
 
@@ -19,8 +22,9 @@ from __future__ import annotations
 
 import os
 import socket as socket_module
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Optional, Set
 
 from repro.api.session import AdvisorSession
 from repro.core.statefiles import StateStore, resolve_state_dir
@@ -42,6 +46,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     router: Router
 
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY.  The stdlib pairs it with a buffered ``wfile`` to
+    #: avoid small packets, but the status line and headers already
+    #: leave in one write (``end_headers``) and the body in a second;
+    #: buffering the two into one send measured no faster.
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.state.metrics.observe_connection()
 
     def _serve(self) -> None:
         body: Optional[str] = None
@@ -101,10 +114,43 @@ class AdvisorServiceServer(ThreadingHTTPServer):
 
     The state is attached by :func:`make_server` *after* the socket
     binds (no requests can arrive before ``serve_forever``).
+
+    A kept-open connection holds its handler thread until the client
+    closes it.  :meth:`server_close` also ends the reads of every
+    connection still open, as a process exit would: each handler
+    finishes the answer it is writing and closes, so a stopped
+    in-process server answers nothing more on old connections and its
+    clients open new ones.
     """
 
     daemon_threads = True
     state: ServiceState
+
+    def __init__(self, *args, **kwargs) -> None:
+        # Before the bind: a failed bind already calls server_close.
+        self._open_lock = threading.Lock()
+        self._open: Set[socket_module.socket] = set()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            still_open = list(self._open)
+        for connection in still_open:
+            try:
+                connection.shutdown(socket_module.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
 
 
 def _cache_enabled() -> bool:

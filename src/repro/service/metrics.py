@@ -7,6 +7,8 @@ request is observed as ``(method, route, status, seconds)`` where
 renders, in order:
 
 * this instance's HTTP families — ``advisor_http_requests_total``,
+  ``advisor_http_connections_total`` (accepted TCP connections: far
+  fewer than requests when clients reuse their connections),
   the ``advisor_http_request_seconds`` latency histogram (whose
   ``_sum`` series keeps the historical
   ``advisor_http_request_seconds_sum`` name), and the
@@ -44,6 +46,14 @@ class Metrics:
             "advisor_http_request_seconds_max",
             "Slowest observed request, by method/route/status.",
         )
+        self._connections = self.registry.counter(
+            "advisor_http_connections_total",
+            "TCP connections accepted (requests per connection shows "
+            "whether clients reuse them).",
+        ).labels()
+
+    def observe_connection(self) -> None:
+        self._connections.inc()
 
     def observe(self, method: str, route: str, status: int,
                 seconds: float) -> None:

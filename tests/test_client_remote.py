@@ -370,21 +370,19 @@ class TestConditionalGets:
 
 
 class TestRefusedRetries:
-    def test_connection_refused_is_retried(self, remote, monkeypatch):
-        import urllib.error
-        import urllib.request as urlreq
+    """Faults are injected where the session opens its connections."""
 
-        real = urlreq.urlopen
+    def test_connection_refused_is_retried(self, remote, monkeypatch):
+        real = remote._new_connection
         calls = {"n": 0}
 
-        def flaky(request, timeout=None):
+        def flaky():
             calls["n"] += 1
             if calls["n"] <= 2:
-                raise urllib.error.URLError(
-                    ConnectionRefusedError(111, "Connection refused"))
-            return real(request, timeout=timeout)
+                raise ConnectionRefusedError(111, "Connection refused")
+            return real()
 
-        monkeypatch.setattr(urlreq, "urlopen", flaky)
+        monkeypatch.setattr(remote, "_new_connection", flaky)
         remote.backoff_s = 0.001
         health = remote.health()
         assert health["status"] == "ok"
@@ -392,14 +390,10 @@ class TestRefusedRetries:
 
     def test_retries_exhausted_raises_remote_error(self, remote,
                                                    monkeypatch):
-        import urllib.error
-        import urllib.request as urlreq
+        def always_refused():
+            raise ConnectionRefusedError(111, "Connection refused")
 
-        def always_refused(request, timeout=None):
-            raise urllib.error.URLError(
-                ConnectionRefusedError(111, "Connection refused"))
-
-        monkeypatch.setattr(urlreq, "urlopen", always_refused)
+        monkeypatch.setattr(remote, "_new_connection", always_refused)
         remote.backoff_s = 0.001
         remote.retries = 2
         with pytest.raises(RemoteError):
@@ -407,17 +401,29 @@ class TestRefusedRetries:
 
     def test_non_refused_errors_are_not_retried(self, remote,
                                                 monkeypatch):
-        import urllib.error
-        import urllib.request as urlreq
+        """A reset, at connect or on a fresh connection's first
+        exchange, is one attempt: only a refused connect is retried,
+        and only a reused connection is ever resent on."""
 
-        calls = {"n": 0}
+        class ResetOnSend:
+            def request(self, *args, **kwargs):
+                raise ConnectionResetError(104, "Connection reset by peer")
 
-        def reset(request, timeout=None):
-            calls["n"] += 1
-            raise urllib.error.URLError(
-                ConnectionResetError(104, "Connection reset by peer"))
+            def close(self):
+                pass
 
-        monkeypatch.setattr(urlreq, "urlopen", reset)
-        with pytest.raises(RemoteError):
-            remote.health()
-        assert calls["n"] == 1
+        for fault in ("connect", "exchange"):
+            calls = {"n": 0}
+
+            def reset():
+                calls["n"] += 1
+                if fault == "connect":
+                    raise ConnectionResetError(104,
+                                               "Connection reset by peer")
+                return ResetOnSend()
+
+            monkeypatch.setattr(remote, "_new_connection", reset)
+            with pytest.raises(RemoteError) as err:
+                remote.health()
+            assert err.value.status == 0
+            assert calls["n"] == 1, fault
