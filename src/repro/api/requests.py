@@ -27,7 +27,8 @@ MODELED_RECOVERY_POLICIES = tuple(
 )
 
 #: Advice read engines (the read-path mirror of collect's
-#: ``ENGINE_CHOICES``); see :data:`repro.core.columnar.ADVICE_ENGINES`.
+#: ``ENGINE_CHOICES``): ``auto`` and ``columnar`` run the snapshot
+#: columns; ``objects`` forces the DataPoint path, the correctness oracle.
 ADVICE_ENGINE_CHOICES = ("auto", "objects", "columnar")
 
 

@@ -728,13 +728,10 @@ class AdvisorSession:
         front gains the tail-risk objective), ``"ondemand"`` strips spot
         dynamics from spot-collected data.
         """
-        from repro.core.columnar import resolve_advice_engine
-
         req = _coerce_request(AdviseRequest, request, kwargs)
         name = _require_deployment(req.deployment)
-        engine, fallback = resolve_advice_engine(req.engine)
-        if engine == "columnar":
-            return self._advise_columnar(req, name, fallback)
+        if req.engine != "objects":
+            return self._advise_columnar(req, name)
         # The request's filters travel to the storage engine as a Query;
         # on a cold cache only the matching points are deserialized.
         dataset = self.query_dataset(name, Query(
@@ -773,7 +770,7 @@ class AdvisorSession:
             dataset_points=len(dataset),
             capacity=req.capacity,
             engine="objects",
-            engine_fallback=fallback,
+            engine_fallback="",
         )
 
     @staticmethod
@@ -784,8 +781,7 @@ class AdvisorSession:
             return EvictionModel.flat(req.eviction_rate, region=region)
         return EvictionModel(region=region)
 
-    def _advise_columnar(self, req: AdviseRequest, name: str,
-                         fallback: str) -> AdviceResult:
+    def _advise_columnar(self, req: AdviseRequest, name: str) -> AdviceResult:
         """The advice pipeline over snapshot columns (byte-identical to
         the object path; see :mod:`repro.core.columnar`)."""
         from repro.core.columnar import (advice_columns, advise_columns,
@@ -826,7 +822,7 @@ class AdvisorSession:
             dataset_points=view.n,
             capacity=req.capacity,
             engine="columnar",
-            engine_fallback=fallback,
+            engine_fallback="",
         )
 
     # -- plot -------------------------------------------------------------------

@@ -4,7 +4,3 @@ Commands: ``deploy create|list|shutdown``, ``collect``, ``plot``,
 ``advice``, ``gui`` — the same surface as the real tool's CLI execution
 mode, driving the simulated cloud.
 """
-
-from repro.cli.main import build_parser, main
-
-__all__ = ["build_parser", "main"]

@@ -8,7 +8,8 @@ prints the typed results (as text, or as JSON with ``--json``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import argparse
+from typing import Optional
 
 from repro.api import (
     AdviseRequest,
@@ -17,6 +18,7 @@ from repro.api import (
     PlotRequest,
     PredictRequest,
 )
+from repro.api.serde import parse_key_values
 from repro.core.statefiles import resolve_state_dir
 from repro.errors import ReproError
 from repro.units import fmt_duration, fmt_usd
@@ -30,9 +32,8 @@ def _session(state_dir: Optional[str]) -> AdvisorSession:
 # -- deploy ------------------------------------------------------------------------
 
 
-def deploy_create(state_dir: Optional[str], config_path: str) -> int:
-    session = _session(state_dir)
-    info = session.deploy(config_path)
+def deploy_create(args: argparse.Namespace) -> int:
+    info = _session(args.state_dir).deploy(args.config)
     print(f"created deployment {info.name} in {info.region}")
     print(f"  resource group:  {info.name}")
     print(f"  vnet:            {info.vnet}")
@@ -47,17 +48,17 @@ def deploy_create(state_dir: Optional[str], config_path: str) -> int:
     return 0
 
 
-def deploy_list(state_dir: Optional[str], limit: Optional[int] = None,
-                offset: int = 0, as_json: bool = False) -> int:
+def deploy_list(args: argparse.Namespace) -> int:
     import json
 
-    session = _session(state_dir)
+    session = _session(args.state_dir)
     total = session.count_deployments()
-    infos = session.list_deployments(limit=limit, offset=offset)
-    if as_json:
+    infos = session.list_deployments(limit=args.limit, offset=args.offset)
+    if args.as_json:
         print(json.dumps(
             {"deployments": [info.to_dict() for info in infos],
-             "total": total, "limit": limit, "offset": offset}, indent=1
+             "total": total, "limit": args.limit, "offset": args.offset},
+            indent=1,
         ))
         return 0
     if not infos:
@@ -74,63 +75,48 @@ def deploy_list(state_dir: Optional[str], limit: Optional[int] = None,
     return 0
 
 
-def deploy_shutdown(state_dir: Optional[str], name: str,
-                    purge_data: bool = False) -> int:
-    _session(state_dir).shutdown(name, purge_data=purge_data)
+def deploy_shutdown(args: argparse.Namespace) -> int:
+    _session(args.state_dir).shutdown(args.name, purge_data=args.purge_data)
     # Simulated resources live in-process; removing the record is the
     # persistent part.  Report the same wording as the real tool.
-    print(f"deployment {name} shut down; all resources deleted")
-    if purge_data:
-        print(f"collected data of {name} purged")
+    print(f"deployment {args.name} shut down; all resources deleted")
+    if args.purge_data:
+        print(f"collected data of {args.name} purged")
     return 0
 
 
 # -- collect -------------------------------------------------------------------------
 
 
-def collect(
-    state_dir: Optional[str],
-    name: str,
-    backend: str = "azurebatch",
-    smart_sampling: bool = False,
-    delete_pools: bool = False,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
-    budget: Optional[float] = None,
-    retry_failed: int = 0,
-    parallel_pools: int = 1,
-    capacity: str = "ondemand",
-    recovery: str = "restart",
-    eviction_rate: Optional[float] = None,
-    eviction_seed: int = 0,
-    checkpoint_interval: float = 600.0,
-    checkpoint_overhead: float = 60.0,
-    engine: str = "auto",
-    show_report: bool = False,
-    as_json: bool = False,
-) -> int:
-    if as_json and show_report:
+def collect_request(args: argparse.Namespace) -> CollectRequest:
+    """The sweep request of ``collect`` and ``submit``, from the flags
+    both register (``main._add_collect_arguments``)."""
+    return CollectRequest(
+        deployment=args.name,
+        backend=args.backend,
+        smart_sampling=args.smart_sampling,
+        sampling_policy=args.sampling_policy,
+        delete_pools=args.delete_pools,
+        noise=args.noise,
+        seed=args.seed,
+        budget_usd=args.budget,
+        retry_failed=args.retry_failed,
+        max_parallel_pools=args.parallel_pools,
+        capacity=args.capacity,
+        recovery=args.recovery,
+        eviction_rate=args.eviction_rate,
+        eviction_seed=args.eviction_seed,
+        checkpoint_interval_s=args.checkpoint_interval,
+        checkpoint_overhead_s=args.checkpoint_overhead,
+    )
+
+
+def collect(args: argparse.Namespace) -> int:
+    if args.as_json and args.report:
         raise ReproError("--json cannot be combined with --report")
-    session = _session(state_dir)
-    result = session.collect(CollectRequest(
-        deployment=name,
-        backend=backend,
-        smart_sampling=smart_sampling,
-        delete_pools=delete_pools,
-        noise=noise,
-        seed=seed,
-        budget_usd=budget,
-        retry_failed=retry_failed,
-        max_parallel_pools=parallel_pools,
-        capacity=capacity,
-        recovery=recovery,
-        eviction_rate=eviction_rate,
-        eviction_seed=eviction_seed,
-        checkpoint_interval_s=checkpoint_interval,
-        checkpoint_overhead_s=checkpoint_overhead,
-        engine=engine,
-    ))
-    if as_json:
+    session = _session(args.state_dir)
+    result = session.collect(collect_request(args))
+    if args.as_json:
         print(result.to_json(indent=1))
         return 0 if result.ok else 1
     print(f"collection finished on {result.backend}:")
@@ -159,37 +145,28 @@ def collect(
           f"({result.dataset_points} points)")
     for failure in result.failures:
         print(f"  FAILED: {failure}")
-    if show_report:
+    if args.report:
         from repro.core.report import render_report
 
         print()
-        print(render_report(result, session.dataset(name),
-                            taskdb=session.taskdb(name),
-                            title=f"Sweep report for {name}"), end="")
+        print(render_report(result, session.dataset(args.name),
+                            taskdb=session.taskdb(args.name),
+                            title=f"Sweep report for {args.name}"), end="")
     return 0 if result.ok else 1
 
 
 # -- plot ---------------------------------------------------------------------------
 
 
-def plot(
-    state_dir: Optional[str],
-    name: str,
-    output: Optional[str] = None,
-    filters: Optional[Dict[str, str]] = None,
-    sku: Optional[str] = None,
-    subtitle: Optional[str] = None,
-    as_json: bool = False,
-) -> int:
-    session = _session(state_dir)
-    result = session.plot(PlotRequest(
-        deployment=name,
-        output_dir=output,
-        filters=filters or {},
-        sku=sku,
-        subtitle=subtitle,
+def plot(args: argparse.Namespace) -> int:
+    result = _session(args.state_dir).plot(PlotRequest(
+        deployment=args.name,
+        output_dir=args.output,
+        filters=parse_key_values(args.filter),
+        sku=args.sku,
+        subtitle=args.subtitle,
     ))
-    if as_json:
+    if args.as_json:
         print(result.to_json(indent=1))
         return 0
     for path in result.paths:
@@ -200,66 +177,52 @@ def plot(
 # -- advice --------------------------------------------------------------------------
 
 
-def advice(
-    state_dir: Optional[str],
-    name: str,
-    sort_by: str = "time",
-    filters: Optional[Dict[str, str]] = None,
-    max_rows: Optional[int] = None,
-    recipes: bool = False,
-    spot: bool = False,
-    capacity: Optional[str] = None,
-    recovery: str = "checkpoint_restart",
-    eviction_rate: Optional[float] = None,
-    checkpoint_interval: float = 600.0,
-    checkpoint_overhead: float = 60.0,
-    engine: str = "auto",
-    as_json: bool = False,
-) -> int:
-    if as_json and (recipes or spot):
+def advice(args: argparse.Namespace) -> int:
+    if args.as_json and (args.recipes or args.spot):
         raise ReproError(
             "--json cannot be combined with --recipes or --spot"
         )
-    session = _session(state_dir)
-    result = session.advise(AdviseRequest(
-        deployment=name,
-        filters=filters or {},
-        sort_by=sort_by,
-        max_rows=max_rows,
-        capacity=capacity or "",
-        recovery=recovery,
-        eviction_rate=eviction_rate,
-        checkpoint_interval_s=checkpoint_interval,
-        checkpoint_overhead_s=checkpoint_overhead,
-        engine=engine,
-    ))
-    if as_json:
+    session = _session(args.state_dir)
+    req = AdviseRequest(
+        deployment=args.name,
+        filters=parse_key_values(args.filter),
+        sort_by=args.sort,
+        max_rows=args.max_rows,
+        capacity=args.capacity or "",
+        recovery=args.recovery,
+        eviction_rate=args.eviction_rate,
+        checkpoint_interval_s=args.checkpoint_interval,
+        checkpoint_overhead_s=args.checkpoint_overhead,
+    )
+    result = session.advise(req)
+    if args.as_json:
         print(result.to_json(indent=1))
         return 0
     print(result.render_table(), end="")
-    if spot:
+    if args.spot:
         from repro.cloud.eviction import EvictionModel
         from repro.core.cost import spot_savings_summary
         from repro.core.query import Query
 
-        # Same region and price catalog as the advice table above, so the
-        # summary and a `--capacity spot` table never disagree about the
-        # same configuration.  The filter is pushed down to the store.
-        region = str(session.record(name).get("region") or "") or None
-        eviction = (EvictionModel.flat(eviction_rate, region=region)
-                    if eviction_rate is not None else None)
+        # Same region, price catalog and snapshot as the advice table
+        # above, so the summary and a `--capacity spot` table never
+        # disagree about the same configuration.
+        region = str(session.record(args.name).get("region") or "") or None
+        eviction = (EvictionModel.flat(req.eviction_rate, region=region)
+                    if req.eviction_rate is not None else None)
         print("\n--- What-if: spot capacity (risk-adjusted) ---")
         print(spot_savings_summary(
-            session.query_dataset(name, Query(appinputs=filters or {})),
-            session.deployment(name).provider.prices,
+            session.snapshot(args.name).view(
+                Query(appinputs=dict(req.filters))),
+            session.deployment(args.name).provider.prices,
             region=region,
             eviction=eviction,
-            recovery=recovery,
-            checkpoint_interval_s=checkpoint_interval,
-            checkpoint_overhead_s=checkpoint_overhead,
+            recovery=req.recovery,
+            checkpoint_interval_s=req.checkpoint_interval_s,
+            checkpoint_overhead_s=req.checkpoint_overhead_s,
         ), end="")
-    if recipes and result.rows:
-        recipe = session.recipe_for(result.rows[0], deployment=name,
+    if args.recipes and result.rows:
+        recipe = session.recipe_for(result.rows[0], deployment=args.name,
                                     appname=result.appname)
         print("\n--- Slurm recipe for the top advice row ---")
         print(recipe.slurm_script)
@@ -271,23 +234,15 @@ def advice(
 # -- predict (extension) ----------------------------------------------------------
 
 
-def predict(
-    state_dir: Optional[str],
-    name: str,
-    inputs: Dict[str, str],
-    nnodes: Optional[list] = None,
-    backend: str = "ridge",
-    as_json: bool = False,
-) -> int:
+def predict(args: argparse.Namespace) -> int:
     """Predicted advice for new inputs, trained on the deployment's data."""
-    session = _session(state_dir)
-    result = session.predict(PredictRequest(
-        deployment=name,
-        inputs=inputs or {},
-        nnodes=tuple(nnodes or ()),
-        model=backend,
+    result = _session(args.state_dir).predict(PredictRequest(
+        deployment=args.name,
+        inputs=parse_key_values(args.input),
+        nnodes=tuple(args.nnodes or ()),
+        model=args.backend,
     ))
-    if as_json:
+    if args.as_json:
         print(result.to_json(indent=1))
         return 0
     inputs_label = ", ".join(
@@ -303,20 +258,7 @@ def predict(
 # -- data (extension: paginated point listings) ----------------------------------
 
 
-def data(
-    state_dir: Optional[str],
-    name: str,
-    appname: Optional[str] = None,
-    sku: Optional[str] = None,
-    nnodes: Optional[list] = None,
-    capacity: Optional[str] = None,
-    filters: Optional[Dict[str, str]] = None,
-    tags: Optional[Dict[str, str]] = None,
-    measured_only: bool = False,
-    limit: Optional[int] = 50,
-    offset: int = 0,
-    as_json: bool = False,
-) -> int:
+def data(args: argparse.Namespace) -> int:
     """Paginated listing of a deployment's stored points.
 
     The filter runs inside the store (SQL pushdown), so paging a huge
@@ -324,19 +266,18 @@ def data(
     """
     from repro.core.query import Query
 
-    session = _session(state_dir)
-    result = session.datapoints(name, Query(
-        appname=appname,
-        sku=sku,
-        nnodes=tuple(nnodes or ()),
-        capacity=capacity,
-        appinputs=filters or {},
-        tags=tags or {},
-        include_predicted=not measured_only,
-        limit=limit,
-        offset=offset,
+    result = _session(args.state_dir).datapoints(args.name, Query(
+        appname=args.appname,
+        sku=args.sku,
+        nnodes=tuple(args.nnodes or ()),
+        capacity=args.capacity,
+        appinputs=parse_key_values(args.filter),
+        tags=parse_key_values(args.tag),
+        include_predicted=not args.measured_only,
+        limit=args.limit,
+        offset=args.offset,
     ))
-    if as_json:
+    if args.as_json:
         print(result.to_json(indent=1))
         return 0
     if not result.total:
@@ -358,9 +299,10 @@ def data(
 # -- export (extension) ----------------------------------------------------------
 
 
-def export(state_dir: Optional[str], name: str, output: str) -> int:
+def export(args: argparse.Namespace) -> int:
     """Write a deployment's data in the legacy JSON-file layout."""
-    for path in _session(state_dir).store.export_data(name, output):
+    store = _session(args.state_dir).store
+    for path in store.export_data(args.name, args.output):
         print(f"wrote {path}")
     return 0
 
@@ -368,22 +310,20 @@ def export(state_dir: Optional[str], name: str, output: str) -> int:
 # -- compare (extension) ---------------------------------------------------------
 
 
-def compare(state_dir: Optional[str], name_a: str, name_b: str,
-            as_json: bool = False) -> int:
+def compare(args: argparse.Namespace) -> int:
     """Matched-scenario comparison of two deployments' datasets."""
     from repro.core.compare import render_comparison
 
-    session = _session(state_dir)
-    comparison = session.compare(name_a, name_b)
+    comparison = _session(args.state_dir).compare(args.a, args.b)
     regressions = comparison.regressions()
-    if as_json:
+    if args.as_json:
         from repro.api.results import CompareResult
 
         print(CompareResult.from_comparison(
-            comparison, deployment_a=name_a, deployment_b=name_b,
+            comparison, deployment_a=args.a, deployment_b=args.b,
         ).to_json(indent=1))
         return 1 if regressions else 0
-    print(render_comparison(comparison, label_a=name_a, label_b=name_b),
+    print(render_comparison(comparison, label_a=args.a, label_b=args.b),
           end="")
     if regressions:
         print(f"\n{len(regressions)} scenario(s) regressed by more than 5%")
@@ -391,118 +331,51 @@ def compare(state_dir: Optional[str], name_a: str, name_b: str,
     return 0
 
 
-# -- engines ---------------------------------------------------------------------
-
-
-def engines(state_dir: Optional[str] = None, as_json: bool = False) -> int:
-    """List the collect and advice read engines and what each covers."""
-    from repro.core.columnar import describe_advice_engines
-    from repro.simd import describe_engines
-
-    matrix = describe_engines()
-    advice_matrix = describe_advice_engines()
-    snapshots = _snapshot_statuses(state_dir)
-    if as_json:
-        import json
-
-        print(json.dumps(
-            {"engines": matrix, "advice_engines": advice_matrix,
-             "snapshots": snapshots},
-            indent=1,
-        ))
-        return 0
-    for entry in matrix:
-        print(f"{entry['engine']}: {entry['description']}")
-        print(f"  preemption:  {'yes' if entry['preemption'] else 'no'}")
-        print(f"  concurrency: {'yes' if entry['concurrency'] else 'no'}")
-        print(f"  batching:    {'yes' if entry['batching'] else 'no'}")
-        print(f"  coverage:    {entry['coverage']}")
-    print()
-    print("advice read engines:")
-    for entry in advice_matrix:
-        print(f"{entry['engine']}: {entry['description']}")
-        print(f"  data access: {entry['data_access']}")
-        print(f"  risk math:   {entry['risk_math']}")
-        print(f"  coverage:    {entry['coverage']}")
-    if snapshots:
-        print()
-        print("columnar snapshots:")
-        for status in snapshots:
-            state = ("fresh" if status["fresh"]
-                     else "stale" if status["cached"] else "cold")
-            rows = (f", {status['rows']} rows"
-                    if status["rows"] is not None else "")
-            print(f"  {status['deployment']}: {state} "
-                  f"({status['backend']}{rows})")
-    return 0
-
-
-def _snapshot_statuses(state_dir: Optional[str]) -> list:
-    """Per-deployment snapshot eligibility/staleness for ``engines``."""
-    from repro.store.snapshot import snapshot_status
-
-    session = _session(state_dir)
-    if session.store is None:
-        return []
-    out = []
-    for info in session.list_deployments():
-        # Never-collected deployments are skipped: probing them would
-        # create empty stores as a side effect.
-        if not session.store.data_files(info.name):
-            continue
-        status = snapshot_status(session.data_store(info.name))
-        status["deployment"] = info.name
-        out.append(status)
-    return out
-
-
 # -- gui ------------------------------------------------------------------------------
 
 
-def gui(state_dir: Optional[str], host: str = "127.0.0.1", port: int = 8040,
-        once: bool = False) -> int:
+def gui(args: argparse.Namespace) -> int:
     from repro.gui.server import serve
 
-    return serve(_session(state_dir), host=host, port=port, once=once)
+    return serve(_session(args.state_dir), host=args.host, port=args.port,
+                 once=args.once)
 
 
 # -- service (extension: advisor-as-a-service) --------------------------------
 
 
-def serve(state_dir: Optional[str], host: str = "127.0.0.1",
-          port: int = 8050, workers: int = 4, once: bool = False) -> int:
+def serve(args: argparse.Namespace) -> int:
     from repro.service.app import serve as serve_service
 
-    return serve_service(resolve_state_dir(state_dir), host=host, port=port,
-                         workers=workers, once=once)
+    return serve_service(resolve_state_dir(args.state_dir), host=args.host,
+                         port=args.port, workers=args.workers, once=args.once)
 
 
-def fleet_serve(state_dir: Optional[str], host: str = "127.0.0.1",
-                port: int = 8050, workers: int = 2,
-                job_workers: int = 4) -> int:
+def fleet_serve(args: argparse.Namespace) -> int:
     from repro.fleet.supervisor import serve_fleet
 
-    return serve_fleet(resolve_state_dir(state_dir), host=host, port=port,
-                       workers=workers, job_workers=job_workers)
+    return serve_fleet(resolve_state_dir(args.state_dir), host=args.host,
+                       port=args.port, workers=args.workers,
+                       job_workers=args.job_workers)
 
 
-def trace(state_dir: Optional[str], name: str, show_all: bool = False,
-          as_json: bool = False) -> int:
+def trace(args: argparse.Namespace) -> int:
     """Print a deployment's recorded span tree(s) with timings."""
     import json
 
     from repro import telemetry
     from repro.core.statefiles import StateStore
 
-    store = StateStore(root=resolve_state_dir(state_dir))
-    events = telemetry.read_events(store.traces_path(name))
+    store = StateStore(root=resolve_state_dir(args.state_dir))
+    events = telemetry.read_events(store.traces_path(args.name))
     if not events:
-        print(f"(no traces recorded for {name})")
+        print(f"(no traces recorded for {args.name})")
         return 1
-    if as_json:
-        print(json.dumps({"deployment": name, "events": events}, indent=1))
+    if args.as_json:
+        print(json.dumps({"deployment": args.name, "events": events},
+                         indent=1))
         return 0
-    if show_all:
+    if args.show_all:
         blocks = [
             telemetry.render_tree(trace_events)
             for trace_events in telemetry.group_traces(events).values()
@@ -531,85 +404,42 @@ def _print_job(record, as_json: bool) -> None:
         print(f"  error: {record.error}")
 
 
-def submit(
-    url: str,
-    name: str,
-    backend: str = "azurebatch",
-    smart_sampling: bool = False,
-    sampling_policy: Optional[str] = None,
-    delete_pools: bool = False,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
-    budget: Optional[float] = None,
-    retry_failed: int = 0,
-    parallel_pools: int = 1,
-    capacity: str = "ondemand",
-    recovery: str = "restart",
-    eviction_rate: Optional[float] = None,
-    eviction_seed: int = 0,
-    checkpoint_interval: float = 600.0,
-    checkpoint_overhead: float = 60.0,
-    engine: str = "auto",
-    wait: bool = False,
-    timeout: float = 600.0,
-    as_json: bool = False,
-    state_dir: Optional[str] = None,
-    trace: bool = False,
-) -> int:
+def submit(args: argparse.Namespace) -> int:
     """Submit an async collect job to a running service.
 
-    With ``trace``, the client opens its own span in the deployment's
-    trace ring under ``state_dir`` and propagates the trace id to the
+    With ``--trace``, the client opens its own span in the deployment's
+    trace ring under ``--state-dir`` and propagates the trace id to the
     service, so ``repro trace <deployment>`` afterwards shows one linked
     tree from this submit down to the worker's sweep stages.
     """
     from repro.client import RemoteSession
 
     remote = RemoteSession(
-        url, trace_dir=resolve_state_dir(state_dir) if trace else None
+        args.url,
+        trace_dir=resolve_state_dir(args.state_dir) if args.trace else None,
     )
-    job = remote.collect(CollectRequest(
-        deployment=name,
-        backend=backend,
-        smart_sampling=smart_sampling,
-        sampling_policy=sampling_policy,
-        delete_pools=delete_pools,
-        noise=noise,
-        seed=seed,
-        budget_usd=budget,
-        retry_failed=retry_failed,
-        max_parallel_pools=parallel_pools,
-        capacity=capacity,
-        recovery=recovery,
-        eviction_rate=eviction_rate,
-        eviction_seed=eviction_seed,
-        checkpoint_interval_s=checkpoint_interval,
-        checkpoint_overhead_s=checkpoint_overhead,
-        engine=engine,
-    ))
-    if wait:
-        job.wait(timeout=timeout, raise_on_failure=False)
-    _print_job(job.record, as_json)
+    job = remote.collect(collect_request(args))
+    if args.wait:
+        job.wait(timeout=args.timeout, raise_on_failure=False)
+    _print_job(job.record, args.as_json)
     # Any terminal state other than done is a failure for scripting.
     if job.record.finished and job.record.state != "done":
         return 1
     return 0
 
 
-def status(url: str, job_id: Optional[str] = None,
-           limit: Optional[int] = None, offset: int = 0,
-           as_json: bool = False) -> int:
+def status(args: argparse.Namespace) -> int:
     """Show one job, or a (paginated) job listing, of a running service."""
     import json
 
     from repro.client import RemoteSession
 
-    remote = RemoteSession(url)
-    if job_id:
-        _print_job(remote.job(job_id), as_json)
+    remote = RemoteSession(args.url)
+    if args.job_id:
+        _print_job(remote.job(args.job_id), args.as_json)
         return 0
-    records = remote.jobs(limit=limit, offset=offset)
-    if as_json:
+    records = remote.jobs(limit=args.limit, offset=args.offset)
+    if args.as_json:
         print(json.dumps({"jobs": [r.to_dict() for r in records]}, indent=1))
         return 0
     if not records:
@@ -622,19 +452,18 @@ def status(url: str, job_id: Optional[str] = None,
     return 0
 
 
-def result(url: str, job_id: str, timeout: float = 600.0,
-           as_json: bool = False) -> int:
+def result(args: argparse.Namespace) -> int:
     """Wait for a job and print its typed result."""
     from repro.client import JobHandle, RemoteSession
 
-    remote = RemoteSession(url)
-    job = JobHandle(remote, remote.job(job_id))
-    record = job.wait(timeout=timeout, raise_on_failure=False)
+    remote = RemoteSession(args.url)
+    job = JobHandle(remote, remote.job(args.job_id))
+    record = job.wait(timeout=args.timeout, raise_on_failure=False)
     if record.state != "done":
-        _print_job(record, as_json)
+        _print_job(record, args.as_json)
         return 1
     payload = job.result()
-    if as_json:
+    if args.as_json:
         print(payload.to_json(indent=1))
         return 0
     if record.kind == "collect":

@@ -17,14 +17,21 @@ Extensions beyond Table II: ``predict``, ``compare``, ``export`` (the
 paper's JSON-file layout of a deployment's data), and the service
 commands — ``serve`` (JSON HTTP API with async collect jobs) plus the
 remote-client trio ``submit`` / ``status`` / ``result``.
+
+Each subcommand binds its handler in :mod:`repro.cli.commands`
+(``set_defaults(handler=...)``); :func:`main` calls it with the parsed
+namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
+# The CLI's KEY=VALUE parser, importable under its public name here.
+from repro.api.serde import parse_key_values as parse_filters  # noqa: F401
+from repro.cli import commands
 from repro.errors import ReproError
 
 
@@ -47,10 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
     deploy_sub = deploy.add_subparsers(dest="deploy_command", required=True)
 
     deploy_create = deploy_sub.add_parser("create", help="create a deployment")
+    deploy_create.set_defaults(handler=commands.deploy_create)
     deploy_create.add_argument("-c", "--config", required=True,
                                help="main YAML configuration file")
 
     deploy_list = deploy_sub.add_parser("list", help="list deployments")
+    deploy_list.set_defaults(handler=commands.deploy_list)
     deploy_list.add_argument("--limit", type=int,
                              help="page size (default: all)")
     deploy_list.add_argument("--offset", type=int, default=0,
@@ -61,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     deploy_shutdown = deploy_sub.add_parser(
         "shutdown", help="delete a deployment and all its resources"
     )
+    deploy_shutdown.set_defaults(handler=commands.deploy_shutdown)
     deploy_shutdown.add_argument("-n", "--name", required=True)
     deploy_shutdown.add_argument(
         "--purge-data", action="store_true",
@@ -70,37 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # collect ------------------------------------------------------------------
     collect = sub.add_parser("collect", help="run all scenarios on a deployment")
-    collect.add_argument("-n", "--name", required=True, help="deployment name")
-    collect.add_argument(
-        "--backend", default="azurebatch",
-        help="execution back-end from the registry (built-in: azurebatch, "
-             "slurm; default: azurebatch, as in the paper)",
-    )
-    collect.add_argument(
-        "--smart-sampling", action="store_true",
-        help="enable the Sec. III-F sampling optimizations",
-    )
-    collect.add_argument(
-        "--delete-pools", action="store_true",
-        help="delete pools on VM-type switch instead of resizing to zero",
-    )
-    collect.add_argument("--noise", type=float,
-                         help="run-to-run noise sigma (default 0: deterministic)")
-    collect.add_argument("--seed", type=int, help="noise seed")
-    collect.add_argument("--budget", type=float,
-                         help="hard USD budget for measured task spend")
-    collect.add_argument("--retry-failed", type=int, default=0,
-                         help="immediate retries for failed scenarios")
-    collect.add_argument(
-        "--parallel-pools", type=int, default=1, metavar="N",
-        help="run up to N VM-type pools concurrently in simulated time "
-             "(default 1: the paper's sequential Algorithm 1)",
-    )
-    _add_spot_arguments(collect, default_recovery="restart")
-    collect.add_argument("--eviction-seed", type=int, default=0,
-                         help="seed for the spot interruption draws "
-                              "(same seed, same evictions)")
-    _add_engine_argument(collect)
+    collect.set_defaults(handler=commands.collect)
+    _add_collect_arguments(collect)
     collect.add_argument("--report", action="store_true",
                          help="print the full sweep report afterwards")
     collect.add_argument("--json", action="store_true", dest="as_json",
@@ -108,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # plot ----------------------------------------------------------------------
     plot = sub.add_parser("plot", help="generate plots using a data filter")
+    plot.set_defaults(handler=commands.plot)
     plot.add_argument("-n", "--name", required=True, help="deployment name")
     plot.add_argument("-o", "--output", help="output directory for SVGs")
     plot.add_argument("--filter", action="append", default=[],
@@ -120,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # advice ---------------------------------------------------------------------
     advice = sub.add_parser("advice", help="generate Pareto-front advice")
+    advice.set_defaults(handler=commands.advice)
     advice.add_argument("-n", "--name", required=True, help="deployment name")
     advice.add_argument("--sort", choices=["time", "cost"], default="time")
     advice.add_argument("--filter", action="append", default=[],
@@ -149,13 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     advice.add_argument("--checkpoint-overhead", type=float, default=60.0,
                         metavar="S", help="restore overhead per resume "
                                           "(default 60)")
-    advice.add_argument(
-        "--engine", choices=["auto", "objects", "columnar"], default="auto",
-        help="advice read engine: 'columnar' serves from the NumPy "
-             "snapshot cache with vectorized risk math (byte-identical "
-             "results); 'objects' forces the legacy per-point pipeline; "
-             "see `repro engines`",
-    )
     advice.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the advice result as JSON")
 
@@ -164,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "predict",
         help="predict advice for new inputs from collected data (extension)",
     )
+    predict.set_defaults(handler=commands.predict)
     predict.add_argument("-n", "--name", required=True,
                          help="deployment whose dataset trains the model")
     predict.add_argument("--input", action="append", default=[],
@@ -183,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list a deployment's stored data points with filters and "
              "pagination (extension)",
     )
+    data.set_defaults(handler=commands.data)
     data.add_argument("-n", "--name", required=True, help="deployment name")
     data.add_argument("--appname", help="restrict to one application")
     data.add_argument("--sku", help="restrict to one VM type")
@@ -211,25 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
              "(dataset-<name>.jsonl + tasks-<name>.json), which a state "
              "directory imports on first open (extension)",
     )
+    export.set_defaults(handler=commands.export)
     export.add_argument("-n", "--name", required=True, help="deployment name")
     export.add_argument("-o", "--output", required=True, metavar="DIR",
                         help="directory to write the two files to (not "
                              "the state directory itself)")
 
     # compare (extension: before/after sweeps via tags) ------------------------
-    engines = sub.add_parser(
-        "engines",
-        help="list execution and advice read engines and their "
-             "feature coverage",
-    )
-    engines.add_argument("--json", action="store_true", dest="as_json",
-                         help="emit the engine matrix as JSON")
-
     compare = sub.add_parser(
         "compare",
         help="compare two deployments' datasets scenario by scenario "
              "(extension)",
     )
+    compare.set_defaults(handler=commands.compare)
     compare.add_argument("-a", required=True, metavar="NAME",
                          help="baseline deployment")
     compare.add_argument("-b", required=True, metavar="NAME",
@@ -237,10 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--json", action="store_true", dest="as_json",
                          help="emit the comparison as JSON")
 
-    # gui -------------------------------------------------------------------------
+    # trace ---------------------------------------------------------------------
     trace = sub.add_parser(
         "trace", help="print a deployment's telemetry span tree"
     )
+    trace.set_defaults(handler=commands.trace)
     trace.add_argument("-n", "--name", required=True, help="deployment name")
     trace.add_argument("--all", action="store_true", dest="show_all",
                        help="print every recorded trace, not just the "
@@ -248,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the raw span events as JSON")
 
+    # gui -------------------------------------------------------------------------
     gui = sub.add_parser("gui", help="start the browser GUI")
+    gui.set_defaults(handler=commands.gui)
     gui.add_argument("--port", type=int, default=8040)
     gui.add_argument("--host", default="127.0.0.1")
     gui.add_argument("--once", action="store_true",
@@ -260,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="start the JSON HTTP API service with async collect jobs "
              "(extension)",
     )
+    serve.set_defaults(handler=commands.serve)
     serve.add_argument("--port", type=int, default=8050)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--workers", type=int, default=4,
@@ -280,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
              "job queue; crashed workers are restarted and their jobs "
              "re-claimed",
     )
+    fleet_serve.set_defaults(handler=commands.fleet_serve)
     fleet_serve.add_argument("--port", type=int, default=8050)
     fleet_serve.add_argument("--host", default="127.0.0.1")
     fleet_serve.add_argument("--workers", type=int, default=2,
@@ -292,22 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit an async collect job to a running service"
     )
+    submit.set_defaults(handler=commands.submit)
     submit.add_argument("--url", required=True,
                         help="service base URL, e.g. http://127.0.0.1:8050")
-    submit.add_argument("-n", "--name", required=True, help="deployment name")
-    submit.add_argument("--backend", default="azurebatch")
-    submit.add_argument("--smart-sampling", action="store_true")
-    submit.add_argument("--sampling-policy",
-                        help="named preset (implies smart sampling)")
-    submit.add_argument("--delete-pools", action="store_true")
-    submit.add_argument("--noise", type=float)
-    submit.add_argument("--seed", type=int)
-    submit.add_argument("--budget", type=float)
-    submit.add_argument("--retry-failed", type=int, default=0)
-    submit.add_argument("--parallel-pools", type=int, default=1, metavar="N")
-    _add_spot_arguments(submit, default_recovery="restart")
-    submit.add_argument("--eviction-seed", type=int, default=0)
-    _add_engine_argument(submit)
+    _add_collect_arguments(submit)
     submit.add_argument("--trace", action="store_true",
                         help="open a client-side span for the submit in the "
                              "deployment's trace ring under --state-dir "
@@ -323,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     status = sub.add_parser(
         "status", help="show one job (or all jobs) of a running service"
     )
+    status.set_defaults(handler=commands.status)
     status.add_argument("--url", required=True)
     status.add_argument("job_id", nargs="?",
                         help="job id; omit to list all jobs")
@@ -335,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     result = sub.add_parser(
         "result", help="wait for a job and print its result"
     )
+    result.set_defaults(handler=commands.result)
     result.add_argument("--url", required=True)
     result.add_argument("job_id")
     result.add_argument("--timeout", type=float, default=600.0)
@@ -343,20 +310,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    """The execution-engine flag shared by ``collect`` and ``submit``."""
+def _add_collect_arguments(parser: argparse.ArgumentParser) -> None:
+    """The sweep flags shared by ``collect`` and ``submit``, one per
+    :class:`~repro.api.CollectRequest` field; ``commands.collect_request``
+    reads them back."""
+    parser.add_argument("-n", "--name", required=True, help="deployment name")
     parser.add_argument(
-        "--engine", choices=["auto", "object", "batched"], default="auto",
-        help="execution engine: 'auto' (default) and 'batched' run the "
-             "vectorized sweep kernel (byte-identical results, falls back "
-             "to the per-object scheduler when ineligible), 'object' "
-             "forces the per-object scheduler; see `repro engines`",
+        "--backend", default="azurebatch",
+        help="execution back-end from the registry (built-in: azurebatch, "
+             "slurm; default: azurebatch, as in the paper)",
     )
-
-
-def _add_spot_arguments(parser: argparse.ArgumentParser,
-                        default_recovery: str) -> None:
-    """The spot-capacity flag group shared by ``collect`` and ``submit``."""
+    parser.add_argument(
+        "--smart-sampling", action="store_true",
+        help="enable the Sec. III-F sampling optimizations",
+    )
+    parser.add_argument("--sampling-policy",
+                        help="named preset (implies smart sampling)")
+    parser.add_argument(
+        "--delete-pools", action="store_true",
+        help="delete pools on VM-type switch instead of resizing to zero",
+    )
+    parser.add_argument("--noise", type=float,
+                        help="run-to-run noise sigma (default 0: deterministic)")
+    parser.add_argument("--seed", type=int, help="noise seed")
+    parser.add_argument("--budget", type=float,
+                        help="hard USD budget for measured task spend")
+    parser.add_argument("--retry-failed", type=int, default=0,
+                        help="immediate retries for failed scenarios")
+    parser.add_argument(
+        "--parallel-pools", type=int, default=1, metavar="N",
+        help="run up to N VM-type pools concurrently in simulated time "
+             "(default 1: the paper's sequential Algorithm 1)",
+    )
     parser.add_argument(
         "--capacity", choices=["ondemand", "spot"], default="ondemand",
         help="capacity tier: 'spot' is ~70%% cheaper but interruptible — "
@@ -364,9 +349,9 @@ def _add_spot_arguments(parser: argparse.ArgumentParser,
     )
     parser.add_argument(
         "--recovery", choices=["restart", "checkpoint_restart", "fail"],
-        default=default_recovery,
+        default="restart",
         help="what happens to a task when its spot node is reclaimed "
-             f"(default: {default_recovery})",
+             "(default: restart)",
     )
     parser.add_argument("--eviction-rate", type=float, metavar="PER_HOUR",
                         help="flat eviction-rate override in interruptions "
@@ -378,161 +363,18 @@ def _add_spot_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--checkpoint-overhead", type=float, default=60.0,
                         metavar="S",
                         help="restore overhead per resume (default 60)")
+    parser.add_argument("--eviction-seed", type=int, default=0,
+                        help="seed for the spot interruption draws "
+                             "(same seed, same evictions)")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    # Imports are local so `--help` stays fast.
-    from repro.cli import commands
-
-    if args.command == "deploy":
-        if args.deploy_command == "create":
-            return commands.deploy_create(args.state_dir, args.config)
-        if args.deploy_command == "list":
-            return commands.deploy_list(args.state_dir,
-                                        limit=args.limit,
-                                        offset=args.offset,
-                                        as_json=args.as_json)
-        return commands.deploy_shutdown(args.state_dir, args.name,
-                                        purge_data=args.purge_data)
-    if args.command == "collect":
-        return commands.collect(
-            args.state_dir, args.name,
-            backend=args.backend,
-            smart_sampling=args.smart_sampling,
-            delete_pools=args.delete_pools,
-            noise=args.noise,
-            seed=args.seed,
-            budget=args.budget,
-            retry_failed=args.retry_failed,
-            parallel_pools=args.parallel_pools,
-            capacity=args.capacity,
-            recovery=args.recovery,
-            eviction_rate=args.eviction_rate,
-            eviction_seed=args.eviction_seed,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_overhead=args.checkpoint_overhead,
-            engine=args.engine,
-            show_report=args.report,
-            as_json=args.as_json,
-        )
-    if args.command == "plot":
-        return commands.plot(
-            args.state_dir, args.name,
-            output=args.output,
-            filters=parse_filters(args.filter),
-            sku=args.sku,
-            subtitle=args.subtitle,
-            as_json=args.as_json,
-        )
-    if args.command == "advice":
-        return commands.advice(
-            args.state_dir, args.name,
-            sort_by=args.sort,
-            filters=parse_filters(args.filter),
-            max_rows=args.max_rows,
-            recipes=args.recipes,
-            spot=args.spot,
-            capacity=args.capacity,
-            recovery=args.recovery,
-            eviction_rate=args.eviction_rate,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_overhead=args.checkpoint_overhead,
-            engine=args.engine,
-            as_json=args.as_json,
-        )
-    if args.command == "predict":
-        return commands.predict(
-            args.state_dir, args.name,
-            inputs=parse_filters(args.input),
-            nnodes=args.nnodes,
-            backend=args.backend,
-            as_json=args.as_json,
-        )
-    if args.command == "data":
-        return commands.data(
-            args.state_dir, args.name,
-            appname=args.appname,
-            sku=args.sku,
-            nnodes=args.nnodes,
-            capacity=args.capacity,
-            filters=parse_filters(args.filter),
-            tags=parse_filters(args.tag),
-            measured_only=args.measured_only,
-            limit=args.limit,
-            offset=args.offset,
-            as_json=args.as_json,
-        )
-    if args.command == "export":
-        return commands.export(args.state_dir, args.name, args.output)
-    if args.command == "compare":
-        return commands.compare(args.state_dir, args.a, args.b,
-                                as_json=args.as_json)
-    if args.command == "engines":
-        return commands.engines(args.state_dir, as_json=args.as_json)
-    if args.command == "trace":
-        return commands.trace(args.state_dir, args.name,
-                              show_all=args.show_all,
-                              as_json=args.as_json)
-    if args.command == "gui":
-        return commands.gui(args.state_dir, host=args.host, port=args.port,
-                            once=args.once)
-    if args.command == "serve":
-        return commands.serve(args.state_dir, host=args.host, port=args.port,
-                              workers=args.workers, once=args.once)
-    if args.command == "fleet":
-        return commands.fleet_serve(
-            args.state_dir, host=args.host, port=args.port,
-            workers=args.workers, job_workers=args.job_workers)
-    if args.command == "submit":
-        return commands.submit(
-            args.url, args.name,
-            backend=args.backend,
-            smart_sampling=args.smart_sampling,
-            sampling_policy=args.sampling_policy,
-            delete_pools=args.delete_pools,
-            noise=args.noise,
-            seed=args.seed,
-            budget=args.budget,
-            retry_failed=args.retry_failed,
-            parallel_pools=args.parallel_pools,
-            capacity=args.capacity,
-            recovery=args.recovery,
-            eviction_rate=args.eviction_rate,
-            eviction_seed=args.eviction_seed,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_overhead=args.checkpoint_overhead,
-            engine=args.engine,
-            wait=args.wait,
-            timeout=args.timeout,
-            as_json=args.as_json,
-            state_dir=args.state_dir,
-            trace=args.trace,
-        )
-    if args.command == "status":
-        return commands.status(args.url, args.job_id,
-                               limit=args.limit, offset=args.offset,
-                               as_json=args.as_json)
-    if args.command == "result":
-        return commands.result(args.url, args.job_id, timeout=args.timeout,
-                               as_json=args.as_json)
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
-def parse_filters(items: List[str]) -> Dict[str, str]:
-    """Parse repeated KEY=VALUE filter arguments."""
-    from repro.api.serde import parse_key_values
-
-    return parse_key_values(items)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,7 +30,7 @@ one the object path calls), Pareto selection uses comparisons only,
 and tie-breaking follows the same stable orders.  The contract is
 pinned by goldens and a Hypothesis suite in
 ``tests/test_columnar_advice.py``; the object path stays available as
-the fallback and correctness oracle (``engine="objects"``).
+the correctness oracle (``AdviseRequest(engine="objects")``).
 """
 
 from __future__ import annotations
@@ -60,53 +60,6 @@ _RISK_COLUMNS = global_registry().counter(
     " every row), extended (computed for the appended rows only) or"
     " computed (for every row).",
 )
-
-#: Advice read engines (request vocabulary, mirroring the collect
-#: engines): ``auto`` resolves to ``columnar``; ``objects`` forces the
-#: legacy DataPoint path (the correctness oracle).
-ADVICE_ENGINES = ("auto", "objects", "columnar")
-
-
-def resolve_advice_engine(choice: str) -> Tuple[str, str]:
-    """(effective engine, fallback reason) for a requested engine."""
-    if choice not in ADVICE_ENGINES:
-        raise AdvisorError(
-            f"engine must be one of {ADVICE_ENGINES}, got {choice!r}"
-        )
-    if choice == "objects":
-        return "objects", ""
-    return "columnar", ""
-
-
-def describe_advice_engines() -> List[Dict[str, str]]:
-    """Feature matrix for the CLI ``engines`` listing."""
-    return [
-        {
-            "engine": "auto",
-            "description": "resolves to 'columnar' (the default)",
-            "data_access": "-",
-            "risk_math": "-",
-            "coverage": "delegates",
-        },
-        {
-            "engine": "objects",
-            "description": "legacy per-DataPoint loops (correctness "
-                           "oracle)",
-            "data_access": "full rehydration per request",
-            "risk_math": "per-point closed form + Monte-Carlo",
-            "coverage": "advice, compare, predict, plots",
-        },
-        {
-            "engine": "columnar",
-            "description": "NumPy snapshot columns, cached per store "
-                           "generation",
-            "data_access": "columnar snapshot (LRU, ETag-keyed)",
-            "risk_math": "vectorized; per unique pair, memoized: "
-                         "closed form + batched Monte-Carlo",
-            "coverage": "advice, compare, predict, plots "
-                        "(byte-identical to objects)",
-        },
-    ]
 
 
 @dataclass

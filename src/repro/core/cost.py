@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,9 @@ from repro.core.dataset import DataPoint, Dataset
 from repro.core.query import Query
 from repro.errors import AdvisorError
 from repro.rng import rng_for
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.plotdata import PlotInput
 
 #: infra_metrics key under which capacity views stash the P95 makespan.
 P95_METRIC = "p95_makespan_s"
@@ -884,14 +887,13 @@ def capacity_view(
 
 
 def spot_savings_summary(
-    dataset: Dataset,
+    dataset: PlotInput,
     catalog: PriceCatalog,
     region: Optional[str] = None,
     eviction: Optional[EvictionModel] = None,
     recovery: str = "checkpoint_restart",
     checkpoint_interval_s: float = 600.0,
     checkpoint_overhead_s: float = 60.0,
-    query: Optional[Query] = None,
 ) -> str:
     """Render the on-demand vs spot advice comparison.
 
@@ -905,15 +907,16 @@ def spot_savings_summary(
     capacity views as array ops instead of two per-point rebuild passes
     (the views used to reallocate every point's metric dict twice per
     request) — the advice rows are identical either way, pinned by the
-    columnar equivalence suite.
+    columnar equivalence suite.  ``dataset`` is a :class:`Dataset` or
+    snapshot columns already filtered (``session.snapshot(name).view(q)``,
+    what the advice table read), converted by
+    :func:`repro.core.plotdata.as_columns`.
     """
     from repro.core.columnar import advise_columns, capacity_columns
-    from repro.store.snapshot import ColumnarSnapshot
+    from repro.core.plotdata import as_columns
 
-    if query is not None:
-        dataset = dataset.query(query)
     model = eviction if eviction is not None else EvictionModel(region=region)
-    snap = ColumnarSnapshot.from_points(dataset.points())
+    snap = as_columns(dataset)
     on_demand = advise_columns(
         capacity_columns(snap, catalog, "ondemand", region=region)
     )

@@ -41,7 +41,6 @@ import signal
 import socket
 import sys
 import time
-from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -62,13 +61,17 @@ def _bind_listener(host: str, port: int,
     platforms that lack or refuse the option — callers fall back to a
     single shared listener.
     """
+    # Loaded with this package (repro.fleet imports repro.service); a
+    # module-level import would close an import cycle through the router.
+    from repro.service.app import LISTEN_BACKLOG
+
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         if reuseport:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         listener.bind((host, port))
-        listener.listen(128)
+        listener.listen(LISTEN_BACKLOG)
     except BaseException:
         listener.close()
         raise

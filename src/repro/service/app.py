@@ -34,6 +34,12 @@ from repro.service.router import Router, ServiceState
 #: (the load benchmark uses it to measure the uncached baseline).
 RESPONSE_CACHE_ENV = "REPRO_RESPONSE_CACHE"
 
+#: Listen backlog of every service socket: the standalone server's and
+#: the fleet's pre-bound listeners.  socketserver's default of 5 leaves
+#: a burst of clients connecting before the first accept (a fleet warm-up,
+#: a load test's client pool) waiting out SYN retries.
+LISTEN_BACKLOG = 128
+
 #: Upper bound on accepted request bodies (a config or request payload is
 #: a few KB; anything larger is a client bug, not a bigger config).
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -124,6 +130,7 @@ class AdvisorServiceServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    request_queue_size = LISTEN_BACKLOG
     state: ServiceState
 
     def __init__(self, *args, **kwargs) -> None:

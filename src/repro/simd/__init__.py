@@ -6,8 +6,7 @@ billing substrate around it.
 """
 
 from repro.core.collector import ENGINE_CHOICES
-from repro.simd.engine import (batch_eligibility, describe_engines,
-                               run_batched_sweep)
+from repro.simd.engine import batch_eligibility, run_batched_sweep
 from repro.simd.physics import (ADAPTERS, FastPhysics, ScenarioPhysics,
                                 covers, shared_physics, supported_apps)
 from repro.simd.vector import prime_grid
@@ -19,7 +18,6 @@ __all__ = [
     "ScenarioPhysics",
     "batch_eligibility",
     "covers",
-    "describe_engines",
     "prime_grid",
     "run_batched_sweep",
     "shared_physics",

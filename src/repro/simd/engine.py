@@ -60,46 +60,11 @@ from repro.core.scenarios import Scenario
 from repro.core.taskdb import TaskStatus
 from repro.perf.noise import NO_NOISE
 from repro.simd.physics import (ADAPTERS, RESERVED_ENV, FastPhysics,
-                                shared_physics, supported_apps)
+                                shared_physics)
 from repro.simd.vector import prime_grid, prime_spot_draws
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.collector import CollectionReport, DataCollector
-
-
-def describe_engines() -> List[dict]:
-    """Feature matrix for ``repro engines`` and the service's introspection."""
-    return [
-        {
-            "engine": "auto",
-            "description": ("runs 'batched' when the sweep is eligible, "
-                            "else 'object' (the default)"),
-            "preemption": True,
-            "concurrency": True,
-            "batching": True,
-            "coverage": ("delegates; the fallback reason is recorded on "
-                         "the result"),
-        },
-        {
-            "engine": "object",
-            "description": ("per-object event-driven scheduler "
-                            "(BatchPool/BatchService task objects)"),
-            "preemption": True,
-            "concurrency": True,
-            "batching": False,
-            "coverage": "all backends, all apps, any max_parallel_pools",
-        },
-        {
-            "engine": "batched",
-            "description": ("batched sweep kernel (memoized physics table "
-                            "over the real billing substrate)"),
-            "preemption": True,
-            "concurrency": False,
-            "batching": True,
-            "coverage": ("azurebatch backend, max_parallel_pools=1, "
-                         f"apps: {', '.join(supported_apps())}"),
-        },
-    ]
 
 
 def batch_eligibility(backend: ExecutionBackend, max_parallel_pools: int,

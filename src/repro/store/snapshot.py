@@ -603,7 +603,8 @@ def snapshot_held(store: "SqliteStore",
 
 def snapshot_status(store: "SqliteStore",
                     cache: Optional[SnapshotCache] = None) -> Dict[str, Any]:
-    """Cache/freshness report for one store (for ``repro engines``)."""
+    """What this process's snapshot cache holds for one store: cached,
+    fresh against the store's signature, and its row count."""
     cache = cache if cache is not None else _CACHE
     signature = store.dataset_signature()
     entry = cache.peek(_cache_key(store))

@@ -25,20 +25,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.api.requests import ADVICE_ENGINE_CHOICES, AdviseRequest
+from repro.api.requests import AdviseRequest
 from repro.api.session import AdvisorSession
 from repro.cloud.eviction import EvictionModel
 from repro.cloud.pricing import PriceCatalog
-from repro.core.columnar import (ADVICE_ENGINES, capacity_columns,
-                                 compare_snapshots,
-                                 describe_advice_engines,
-                                 resolve_advice_engine)
+from repro.core.columnar import capacity_columns, compare_snapshots
 from repro.core.compare import compare_datasets
 from repro.core.cost import P95_METRIC, capacity_view
 from repro.core.dataset import Dataset, DataPoint
 from repro.core.query import Query
 from repro.core.statefiles import StateStore
-from repro.errors import AdvisorError, ReproError
+from repro.errors import ReproError
 from repro.predict.predictor import PerformancePredictor
 from repro.store import SqliteStore, open_deployment_store
 from repro.store.snapshot import (ColumnarSnapshot, SnapshotCache,
@@ -126,21 +123,22 @@ def advise_outcome(session, name: str, engine: str, params) -> tuple:
 
 
 class TestEngineRegistry:
-    def test_request_choices_mirror_core_engines(self):
-        assert ADVICE_ENGINE_CHOICES == ADVICE_ENGINES
-
-    def test_auto_resolves_to_columnar(self):
-        assert resolve_advice_engine("auto")[0] == "columnar"
+    def test_auto_resolves_to_columnar(self, tmp_path):
+        """The session reports the engine that served the request."""
+        session = AdvisorSession(store=StateStore(root=str(tmp_path)))
+        name = session.deploy(make_config(skus=[SKUS[0]])).name
+        session.data_store(name).append_points([
+            DataPoint(appname="lammps", sku=SKUS[0], nnodes=1, ppn=4,
+                      exec_time_s=60.0, cost_usd=1.0)])
+        for requested, served in (("auto", "columnar"),
+                                  ("objects", "objects")):
+            result = session.advise(AdviseRequest(deployment=name,
+                                                  engine=requested))
+            assert (result.engine, result.engine_fallback) == (served, "")
 
     def test_bad_engine_is_rejected_everywhere(self):
-        with pytest.raises(AdvisorError):
-            resolve_advice_engine("fortran")
         with pytest.raises(ReproError):
             AdviseRequest(deployment="d", engine="fortran")
-
-    def test_described_engines_cover_choices(self):
-        described = {row["engine"] for row in describe_advice_engines()}
-        assert described == set(ADVICE_ENGINES)
 
 
 class TestAdviceEquivalence:

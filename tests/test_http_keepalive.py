@@ -12,6 +12,7 @@ flight at once.
 import http.client
 import json
 import re
+import socket
 import sys
 import threading
 import time
@@ -169,6 +170,23 @@ class TestServiceConnections:
                     'route="/healthz",status="200"} 1\n') in text
         finally:
             second.stop()
+
+    def test_a_burst_of_connects_before_the_first_accept_all_get_in(
+            self, tmp_path):
+        """The backlog is the fleet listener's 128: with socketserver's
+        default of 5, all but the first few of these connects time out."""
+        server = make_server(str(tmp_path / "state"), port=0, workers=1)
+        clients = []
+        try:
+            for _ in range(32):
+                clients.append(socket.create_connection(
+                    ("127.0.0.1", server.server_address[1]), timeout=0.5))
+        finally:
+            for client in clients:
+                client.close()
+            server.server_close()
+            server.state.close()
+        assert len(clients) == 32
 
 
 # -- a scripted server ------------------------------------------------------

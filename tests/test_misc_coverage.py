@@ -8,12 +8,12 @@ import pytest
 from repro.backends.common import execute_run, execute_setup, shared_dir_for
 from repro.batch.task import TaskOutput
 from repro.appkit.script import AppScript
-from repro.cli import commands
+from repro.cli.main import main
 from repro.cloud.skus import get_sku
 from repro.cluster.filesystem import SharedFilesystem
 from repro.cluster.host import make_hosts
 from repro.core.scenarios import Scenario
-from repro.errors import QuotaExceeded, ReproError
+from repro.errors import QuotaExceeded
 from repro.perf.model import RunShape
 from repro.api.registry import perf_models
 
@@ -134,15 +134,19 @@ class TestCliGuiOnce:
             return httpd
 
         monkeypatch.setattr(gui_server, "make_server", patched)
-        assert commands.gui(str(tmp_path), once=True) == 0
+        assert main(["--state-dir", str(tmp_path), "gui", "--once"]) == 0
         assert "HPCAdvisor GUI" in capsys.readouterr().out
 
 
 class TestCliErrorPaths:
-    def test_collect_unknown_deployment(self, tmp_path):
-        with pytest.raises(ReproError):
-            commands.collect(str(tmp_path), "ghost")
+    """A ReproError from a handler ends the command with exit 2."""
 
-    def test_plot_before_collect(self, tmp_path):
-        with pytest.raises(ReproError, match="run collect first"):
-            commands.plot(str(tmp_path / "s"), "ghost")
+    def test_collect_unknown_deployment(self, tmp_path, capsys):
+        assert main(["--state-dir", str(tmp_path),
+                     "collect", "-n", "ghost"]) == 2
+        assert "ghost" in capsys.readouterr().err
+
+    def test_plot_before_collect(self, tmp_path, capsys):
+        assert main(["--state-dir", str(tmp_path / "s"),
+                     "plot", "-n", "ghost"]) == 2
+        assert "run collect first" in capsys.readouterr().err

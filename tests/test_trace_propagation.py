@@ -153,7 +153,7 @@ def test_untraced_client_still_gets_server_side_trace(live):
 
 
 def test_trace_cli_renders_span_tree(live, capsys):
-    from repro.cli import commands
+    from repro.cli.main import main
 
     remote = RemoteSession(live.url, timeout=15, trace_dir=live.state_dir)
     info = remote.deploy(make_config(rgprefix="clitracerg").to_dict())
@@ -161,20 +161,23 @@ def test_trace_cli_renders_span_tree(live, capsys):
         == "done"
     _await_linked_trace(telemetry.trace_path(live.state_dir, info.name))
 
-    assert commands.trace(live.state_dir, info.name) == 0
+    assert main(["--state-dir", live.state_dir, "trace", "-n", info.name]) \
+        == 0
     out = capsys.readouterr().out
     assert "client.collect" in out
     assert "collect.sweep" in out
     assert "└─" in out or "├─" in out
     assert "ms" in out
 
-    assert commands.trace(live.state_dir, info.name, as_json=True) == 0
+    assert main(["--state-dir", live.state_dir, "trace", "-n", info.name,
+                 "--json"]) == 0
     import json
     payload = json.loads(capsys.readouterr().out)
     assert payload["deployment"] == info.name
     assert any(e["name"] == "collect.sweep" for e in payload["events"])
 
-    assert commands.trace(live.state_dir, "no-such-deployment") == 1
+    assert main(["--state-dir", live.state_dir, "trace", "-n",
+                 "no-such-deployment"]) == 1
     assert "no traces recorded" in capsys.readouterr().out
 
 
