@@ -122,12 +122,12 @@ def run_benchmark(n_points: int, check: bool = True,
 
         # -- single-point append ------------------------------------------
         # The historical JSON path: the whole corpus rewritten per point.
-        legacy = Dataset(points,
-                         path=os.path.join(workdir, "legacy.jsonl"))
+        legacy = Dataset(points)
+        legacy_path = os.path.join(workdir, "legacy.jsonl")
 
         def legacy_append():
             legacy.append(extra)
-            legacy.save()
+            legacy.save(legacy_path)
 
         t_legacy_append = _timed(legacy_append)
         t_sqlite_append = _timed(lambda: sqlite.append_point(extra))

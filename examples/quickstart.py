@@ -17,7 +17,7 @@ from repro.api import AdvisorSession
 # 1. The main configuration file (paper Listing 1), as a dict.  The
 #    "matrix size for the matrix multiplication application" is the
 #    paper's own canonical example of an application input.
-session = AdvisorSession()  # ephemeral: nothing written to disk
+session = AdvisorSession()  # private directory removed with the session
 info = session.deploy({
     "subscription": "my-subscription",
     "skus": ["Standard_HB120rs_v3", "Standard_HC44rs", "Standard_F72s_v2"],

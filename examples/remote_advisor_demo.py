@@ -10,6 +10,7 @@ Run::
     python examples/remote_advisor_demo.py
 """
 
+import shutil
 import tempfile
 import threading
 
@@ -84,6 +85,7 @@ def main() -> int:
         server.server_close()
         server.state.close()
         thread.join(timeout=10)
+        shutil.rmtree(state_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ GUI, the examples, and programmatic callers::
 
     from repro.api import AdvisorSession
 
-    session = AdvisorSession()              # ephemeral (in-memory)
+    session = AdvisorSession()              # private dir, removed with it
     result = session.run(config)            # deploy + collect + advise
     print(result.render_table())
 

@@ -94,8 +94,9 @@ class CollectResult(DictMixin):
     failures: Tuple[str, ...] = ()
     dataset_points: int = 0
     dataset_path: str = ""
-    #: Store the sweep wrote through (``sqlite``; empty for ephemeral,
-    #: in-memory sessions).
+    #: Store the sweep wrote through: always ``sqlite``, the one store
+    #: (kept like ``DataPointsResult.store_backend``, which perfbench's
+    #: ``advise`` workload reads).
     store_backend: str = ""
     #: Smart-sampling extras (empty/zero when no sampler was used).
     sampler_decisions: Tuple[str, ...] = ()
@@ -271,7 +272,8 @@ class DataPointsResult(DictMixin):
     limit: Optional[int] = None
     offset: int = 0
     points: Tuple = ()
-    #: Store that served the page (``sqlite``; empty when ephemeral).
+    #: Store that served the page: always ``sqlite``, the one store
+    #: (perfbench's ``advise`` workload reads the field).
     store_backend: str = ""
 
     _decoders = {"points": _decode_points}

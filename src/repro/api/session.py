@@ -6,16 +6,18 @@ methods, so the CLI, the GUI, examples, and programmatic callers all drive
 the same code path instead of hand-wiring ``Deployer`` + ``DataCollector``
 + ``Advisor`` themselves.
 
-Two modes:
+Every session keeps deployments, datasets, and task DBs in a
+:class:`~repro.core.statefiles.StateStore` (one SQLite database per
+deployment) and reads and writes them the same way:
 
-* **ephemeral** (``AdvisorSession()``) — everything lives in memory; good
-  for examples, notebooks, and tests;
-* **persistent** (``AdvisorSession(state_dir=...)``) — deployments,
-  datasets, and task DBs persist through a
-  :class:`~repro.core.statefiles.StateStore`, so sessions are resumable:
-  a new session reattaches deployments and reloads datasets on demand,
-  and repeated ``collect`` calls reuse pools and append to the same
-  dataset instead of rebuilding from scratch.
+* ``AdvisorSession(state_dir=...)`` persists them in that directory, so
+  sessions are resumable: a new session reattaches deployments and
+  reloads datasets on demand, and repeated ``collect`` calls reuse
+  pools and append to the same dataset instead of rebuilding from
+  scratch;
+* ``AdvisorSession()`` makes a private directory
+  (``tempfile.mkdtemp(prefix="hpcadvisor-")``) and removes it with the
+  session — good for examples, notebooks, and tests.
 
 One-shot convenience::
 
@@ -28,6 +30,9 @@ One-shot convenience::
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
+import weakref
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api import registry
@@ -56,7 +61,7 @@ from repro.core.query import Query
 from repro.api.serde import coerce_request as _coerce_request
 from repro.core.statefiles import StateStore, file_lock, resolve_state_dir
 from repro.core.taskdb import TaskDB
-from repro.errors import ConfigError, ReproError, ResourceNotFound
+from repro.errors import ConfigError, ReproError
 from repro.perf.noise import NoiseModel
 from repro.sampling.planner import SmartSampler
 from repro.store.sqlite import SqliteStore
@@ -79,7 +84,8 @@ class AdvisorSession:
     ----------
     state_dir:
         Directory for persistent state.  ``None`` (default) makes the
-        session ephemeral — nothing is written to disk.
+        session ephemeral: its state lives in a private directory that
+        is removed with the session.
     store:
         An explicit :class:`StateStore` (overrides ``state_dir``).
     store_backend:
@@ -104,13 +110,15 @@ class AdvisorSession:
                 "only store; the legacy JSONL layout is written by "
                 "`hpcadvisor-sim export` and imported on first open"
             )
-        if store is None and state_dir is not None:
-            store = StateStore(root=resolve_state_dir(state_dir))
-        self.store = store
+        #: True when the session made its own state directory.
+        self._private = state_dir is None and not store
+        if self._private:
+            store = StateStore(root=tempfile.mkdtemp(prefix="hpcadvisor-"))
+            weakref.finalize(self, _remove_private_dir, store)
+        self.store: StateStore = (
+            store or StateStore(root=resolve_state_dir(state_dir)))
         self.deployer = deployer or Deployer()
         self._deployments: Dict[str, Deployment] = {}
-        #: An ephemeral session's corpora (a persistent one holds none).
-        self._datasets: Dict[str, Dataset] = {}
         self._taskdbs: Dict[str, TaskDB] = {}
         self._taskdb_sigs: Dict[str, Tuple[int, int]] = {}
         self._count_cache: Dict[str, Tuple[Tuple[int, int], int]] = {}
@@ -124,7 +132,6 @@ class AdvisorSession:
         ``config`` may be a :class:`MainConfig`, a plain mapping, or a
         path to a YAML file.
         """
-        import contextlib
         import dataclasses
 
         cfg = self._coerce_config(config)
@@ -132,14 +139,11 @@ class AdvisorSession:
         # index: hold its lock from the taken-names read to the save, or
         # two concurrent deploys with one prefix could both claim
         # `<prefix>-000` and interleave their sweeps in one task DB.
-        with contextlib.ExitStack() as stack:
-            if self.store is not None:
-                stack.enter_context(file_lock(self.store.deployments_file))
+        with file_lock(self.store.deployments_file):
             deployment = self.deployer.deploy(cfg, taken=self._taken_names())
             archived = self._discard_orphaned_state(deployment.name)
             self._deployments[deployment.name] = deployment
-            if self.store is not None:
-                self.store.save_deployment(deployment)
+            self.store.save_deployment(deployment)
         return dataclasses.replace(self._info(deployment),
                                    archived_data=archived)
 
@@ -149,10 +153,8 @@ class AdvisorSession:
         without these, a second CLI process would re-allocate
         ``<prefix>-000`` and clobber a live deployment's data.
         """
-        taken = set(self._deployments)
-        if self.store is not None:
-            taken |= {str(r["name"]) for r in self.store.list_deployments()}
-        return taken
+        return set(self._deployments) | {
+            str(r["name"]) for r in self.store.list_deployments()}
 
     def _discard_orphaned_state(self, name: str) -> Tuple[str, ...]:
         """Move aside dataset/task DB left by a shut-down deployment of
@@ -161,25 +163,19 @@ class AdvisorSession:
         no-op).  Files are archived, never deleted: the data was paid
         for.  Returns the archive paths (surfaced by ``deploy``).
         """
-        archived = []
-        if self.store is not None:
-            import shutil
-
-            # Close the cached store first: archiving a
-            # live SQLite database under an open connection would leave
-            # writes going to the renamed file.
-            self.store.release_data_store(name)
-            # Take the same locks (same order) a running collect holds
-            # from load to save: archiving mid-sweep would let the
-            # sweep's final save resurrect the old files under the
-            # fresh deployment's name.
-            with file_lock(self.store.taskdb_path(name)), \
-                    file_lock(self.store.dataset_path(name)):
-                for path in self.store.data_files(name):
-                    archived.append(self._archive(path))
-            # Plots are regenerable from the archived dataset.
-            shutil.rmtree(self.store.plots_dir(name), ignore_errors=True)
-        self._datasets.pop(name, None)
+        # Close the cached store first: archiving a live SQLite database
+        # under an open connection would leave writes going to the
+        # renamed file.
+        self.store.release_data_store(name)
+        # Take the same locks (same order) a running collect holds from
+        # load to save: archiving mid-sweep would let the sweep's final
+        # save resurrect the old files under the fresh deployment's name.
+        with file_lock(self.store.taskdb_path(name)), \
+                file_lock(self.store.dataset_path(name)):
+            archived = [self._archive(path)
+                        for path in self.store.data_files(name)]
+        # Plots are regenerable from the archived dataset.
+        shutil.rmtree(self.store.plots_dir(name), ignore_errors=True)
         self._taskdbs.pop(name, None)
         self._taskdb_sigs.pop(name, None)
         self._count_cache.pop(name, None)
@@ -205,10 +201,6 @@ class AdvisorSession:
         a session's deployments share one provider and one price catalog.
         """
         if name not in self._deployments:
-            if self.store is None:
-                raise ResourceNotFound(
-                    f"deployment {name!r} not found in this session"
-                )
             self._deployments[name] = self.store.attach(
                 name, deployer=self.deployer
             )
@@ -216,13 +208,7 @@ class AdvisorSession:
 
     def record(self, name: str) -> Dict:
         """The serializable deployment record (config included)."""
-        if self.store is not None:
-            return self.store.get_deployment_record(name)
-        if name in self._deployments:
-            return self._deployments[name].to_record()
-        raise ResourceNotFound(
-            f"deployment {name!r} not found in this session"
-        )
+        return self.store.get_deployment_record(name)
 
     def list_deployments(self, limit: Optional[int] = None,
                          offset: int = 0) -> List[SessionInfo]:
@@ -238,9 +224,8 @@ class AdvisorSession:
         records: Dict[str, Optional[Mapping]] = {
             name: None for name in self._deployments
         }
-        if self.store is not None:
-            for rec in self.store.list_deployments():
-                records.setdefault(str(rec["name"]), rec)
+        for rec in self.store.list_deployments():
+            records.setdefault(str(rec["name"]), rec)
         names = sorted(records)
         if offset:
             names = names[offset:]
@@ -258,11 +243,7 @@ class AdvisorSession:
     def count_deployments(self) -> int:
         """How many deployments :meth:`list_deployments` would return,
         without building (and point-counting) the listing."""
-        names = set(self._deployments)
-        if self.store is not None:
-            names.update(str(r["name"])
-                         for r in self.store.list_deployments())
-        return len(names)
+        return len(self._taken_names())
 
     def info(self, name: str,
              record: Optional[Mapping] = None) -> SessionInfo:
@@ -288,14 +269,8 @@ class AdvisorSession:
         dataset/task-DB/store files, lock sidecars, and plots too, so
         nothing orphaned stays behind.
         """
-        known = name in self._deployments
-        if self.store is not None:
-            self.store.get_deployment_record(name)  # raises if unknown
-            self.store.remove_deployment(name, purge_data=purge_data)
-        elif not known:
-            raise ResourceNotFound(
-                f"deployment {name!r} not found in this session"
-            )
+        self.store.get_deployment_record(name)  # raises if unknown
+        self.store.remove_deployment(name, purge_data=purge_data)
         deployment = self._deployments.pop(name, None)
         if deployment is not None:
             # Tear down on the provider that owns the deployment (a session
@@ -304,38 +279,43 @@ class AdvisorSession:
         for key in [k for k in self._backends if k[0] == name]:
             del self._backends[key]
         if purge_data:
-            self._datasets.pop(name, None)
             self._taskdbs.pop(name, None)
             self._taskdb_sigs.pop(name, None)
             self._count_cache.pop(name, None)
 
     # -- data access ------------------------------------------------------------
 
-    def data_store(self, name: str) -> Optional[SqliteStore]:
-        """The deployment's store (None when ephemeral)."""
-        if self.store is None:
-            return None
+    def data_store(self, name: str) -> SqliteStore:
+        """The deployment's store."""
         return self.store.data_store(name)
 
-    def _no_data_yet(self, name: str) -> bool:
-        """True when nothing was ever persisted for the deployment.
+    def _stored(self, name: str,
+                must_exist: bool = False) -> Optional[SqliteStore]:
+        """The deployment's store once a dataset was persisted there,
+        else None (a ``ReproError`` when ``must_exist``).
 
-        Read paths check this *before* opening the backend: opening
+        Checks for data files *before* opening the store: opening
         creates the (empty) SQLite database as a side effect, and a
         listing over N never-collected deployments must not litter the
         state dir with N empty databases.
         """
-        return self.store is not None and not self.store.data_files(name)
+        if self.store.data_files(name):
+            stored = self.store.data_store(name)
+            if stored.exists():
+                return stored
+        if must_exist:
+            raise ReproError(
+                f"no dataset for deployment {name!r}; run collect first"
+            )
+        return None
 
     def dataset(self, name: str, must_exist: bool = True) -> Dataset:
         """The deployment's full dataset as :class:`DataPoint` objects.
 
-        An ephemeral session returns its in-memory corpus, which
-        ``collect`` appends to.  A persistent session decodes the
-        store's JSON rows afresh on every call, so a long-lived session
-        (the GUI server) never serves stale data, and appending to the
-        result does not persist: sweeps commit each point together with
-        its task record (``DataCollector``), and
+        Decodes the store's JSON rows afresh on every call, so a
+        long-lived session (the GUI server) never serves stale data.
+        Appending to the result never persists: sweeps commit each point
+        together with its task record (``DataCollector``), and
         ``data_store(name).append_points`` adds points to the store
         directly.  The decode deliberately does not read the columnar
         snapshot, so the objects engine and correctness checks built on
@@ -343,85 +323,47 @@ class AdvisorSession:
         plots, the GUI) use :meth:`snapshot`; filtered reads
         :meth:`query_dataset`.
         """
-        if self.store is None:
-            if name not in self._datasets:
-                if must_exist:
-                    raise ReproError(
-                        f"no dataset for deployment {name!r}; "
-                        "run collect first"
-                    )
-                self._datasets[name] = Dataset()
-            return self._datasets[name]
         return self.query_dataset(name, Query(), must_exist=must_exist)
 
     def query_dataset(self, name: str, query: Query,
                       must_exist: bool = True) -> Dataset:
         """A filtered view of the deployment's dataset.
 
-        For a persistent session the query is pushed down to SQL, so
-        only matching points are deserialized — the read path of the
-        objects engine and of :meth:`datapoints` in a process that holds
-        no snapshot of the store.
+        The query is pushed down to SQL, so only matching points are
+        deserialized — the read path of the objects engine and of
+        :meth:`datapoints` in a process that holds no snapshot of the
+        store.
         """
-        if self.store is None:
-            return self.dataset(name, must_exist=must_exist).query(query)
-        if must_exist and self._no_data_yet(name):
-            raise ReproError(
-                f"no dataset for deployment {name!r}; run collect first"
-            )
-        backend = self.data_store(name)
-        if not backend.exists():
-            if must_exist:
-                raise ReproError(
-                    f"no dataset for deployment {name!r}; "
-                    "run collect first"
-                )
+        stored = self._stored(name, must_exist)
+        if stored is None:
             return Dataset()
-        # Deliberately storeless AND pathless: a filtered view is a
-        # read-only snapshot — saving it anywhere, least of all over the
-        # live store file, is a caller bug this shape makes impossible.
-        return Dataset(backend.query_points(query))
+        return Dataset(stored.query_points(query))
 
     def snapshot(self, name: str, must_exist: bool = True):
         """The deployment's corpus as a :class:`ColumnarSnapshot`.
 
-        Store-backed sessions go through the process-wide generation-
-        keyed LRU (``repro.store.snapshot``): the build cost is paid
-        once per store change, then shared across requests — the
-        columnar engines' read path.  Ephemeral sessions build an
-        ad-hoc snapshot over the in-memory dataset.
+        Goes through the process-wide generation-keyed LRU
+        (``repro.store.snapshot``): the build cost is paid once per
+        store change, then shared across requests — the columnar
+        engines' read path.
         """
         from repro.store.snapshot import (ColumnarSnapshot,
                                           snapshot_for_store)
 
-        if self.store is None:
-            return ColumnarSnapshot.from_points(
-                self.dataset(name, must_exist=must_exist).points())
-        if must_exist and self._no_data_yet(name):
-            raise ReproError(
-                f"no dataset for deployment {name!r}; run collect first"
-            )
-        backend = self.data_store(name)
-        if not backend.exists():
-            if must_exist:
-                raise ReproError(
-                    f"no dataset for deployment {name!r}; "
-                    "run collect first"
-                )
+        stored = self._stored(name, must_exist)
+        if stored is None:
             return ColumnarSnapshot.from_points([])
         with telemetry.span("stage.snapshot", deployment=name,
-                            backend=backend.kind):
-            return snapshot_for_store(backend)
+                            backend=stored.kind):
+            return snapshot_for_store(stored)
 
     def _snapshot_held(self, name: str) -> bool:
         """Does this process hold a snapshot of the deployment's stored
         corpus (of any generation)?"""
         from repro.store.snapshot import snapshot_held
 
-        if self.store is None or self._no_data_yet(name):
-            return False
-        backend = self.data_store(name)
-        return backend.exists() and snapshot_held(backend)
+        stored = self._stored(name)
+        return stored is not None and snapshot_held(stored)
 
     def query_points(self, name: str, query: Optional[Query] = None,
                      must_exist: bool = True) -> List[DataPoint]:
@@ -433,18 +375,8 @@ class AdvisorSession:
     def count_points(self, name: str,
                      query: Optional[Query] = None) -> int:
         """How many stored points match (window ignored; 0 when none)."""
-        if self.store is None:
-            dataset = self._datasets.get(name)
-            if dataset is None:
-                return 0
-            query = (query or Query()).without_window()
-            return sum(1 for p in dataset if query.matches(p))
-        if self._no_data_yet(name):
-            return 0
-        backend = self.data_store(name)
-        if not backend.exists():
-            return 0
-        return backend.count_points(query)
+        stored = self._stored(name)
+        return 0 if stored is None else stored.count_points(query)
 
     def datapoints(self, name: str,
                    query: Optional[Query] = None) -> DataPointsResult:
@@ -474,14 +406,13 @@ class AdvisorSession:
             points = self.query_points(name, query)
             total = self.count_points(name, query)
             _DATAPOINT_READS.labels(source="store").inc()
-        backend = self.data_store(name)
         return DataPointsResult(
             deployment=name,
             total=total,
             limit=query.limit,
             offset=query.offset,
             points=tuple(points),
-            store_backend=backend.kind if backend is not None else "",
+            store_backend=SqliteStore.kind,
         )
 
     def taskdb(self, name: str) -> TaskDB:
@@ -492,17 +423,13 @@ class AdvisorSession:
         task DB would make a resumed ``collect`` re-execute scenarios
         another process already completed, duplicating dataset points.
         """
-        backend = self.data_store(name)
-        if backend is None:
-            if name not in self._taskdbs:
-                self._taskdbs[name] = TaskDB()
-            return self._taskdbs[name]
-        sig = backend.tasks_signature()
+        data_store = self.data_store(name)
+        sig = data_store.tasks_signature()
         if name in self._taskdbs and self._taskdb_sigs.get(name) == sig:
             return self._taskdbs[name]
         self._taskdbs.pop(name, None)
         self._taskdb_sigs.pop(name, None)
-        db = TaskDB.from_records(backend.load_tasks())
+        db = TaskDB.from_records(data_store.load_tasks())
         self._taskdbs[name] = db
         self._taskdb_sigs[name] = sig
         return db
@@ -593,27 +520,18 @@ class AdvisorSession:
         import contextlib
 
         with contextlib.ExitStack() as stack:
-            # Persistent sessions route spans to the deployment's trace
-            # ring; the sink resets *after* the sweep span closes (LIFO
-            # unwind), so the span itself lands in the file.
-            if self.store is not None:
-                sink_token = telemetry.set_sink(
-                    self.store.traces_path(name))
-                stack.callback(telemetry.reset_sink, sink_token)
+            # Spans go to the deployment's trace ring; the sink resets
+            # *after* the sweep span closes (LIFO unwind), so the span
+            # itself lands in the file.
+            sink_token = telemetry.set_sink(self.store.traces_path(name))
+            stack.callback(telemetry.reset_sink, sink_token)
             sweep_span = stack.enter_context(
                 telemetry.span("collect.sweep", deployment=name,
                                backend=req.backend)
             )
-            if self.store is not None:
-                stack.enter_context(
-                    file_lock(self.store.taskdb_path(name)))
-                stack.enter_context(
-                    file_lock(self.store.dataset_path(name)))
-            backend_store = self.data_store(name)
-            # The collector only appends: a persistent sweep starts from
-            # an empty dataset instead of parsing every stored row.
-            dataset = (self.dataset(name, must_exist=False)
-                       if backend_store is None else Dataset())
+            stack.enter_context(file_lock(self.store.taskdb_path(name)))
+            stack.enter_context(file_lock(self.store.dataset_path(name)))
+            data_store = self.data_store(name)
             taskdb = self.taskdb(name)
             sampler, smart = self._make_sampler(req, deployment, config,
                                                 scenarios)
@@ -621,9 +539,11 @@ class AdvisorSession:
             collector = DataCollector(
                 backend=exec_backend,
                 script=registry.apps.create(config.appname),
-                dataset=dataset,
+                # The collector only appends: a sweep starts from an
+                # empty dataset instead of parsing every stored row.
+                dataset=Dataset(),
                 taskdb=taskdb,
-                store=backend_store,
+                store=data_store,
                 deployment_name=name,
                 delete_pool_on_switch=req.delete_pools,
                 sampler=sampler,
@@ -642,8 +562,7 @@ class AdvisorSession:
             except BaseException:
                 # The cached task DB may hold transitions the aborted
                 # sweep could not commit: reload it from the store.
-                if backend_store is not None:
-                    self._taskdbs.pop(name, None)
+                self._taskdbs.pop(name, None)
                 raise
             sweep_span.set("engine", report.engine)
             sweep_span.set("executed", report.executed)
@@ -656,8 +575,7 @@ class AdvisorSession:
             # collect() committed the transitions of our own cached task
             # DB; record the new signature so the next taskdb() call does
             # not reload it.
-            if backend_store is not None:
-                self._taskdb_sigs[name] = backend_store.tasks_signature()
+            self._taskdb_sigs[name] = data_store.tasks_signature()
         return CollectResult(
             deployment=name,
             backend=exec_backend.name,
@@ -681,12 +599,9 @@ class AdvisorSession:
             preemptions=report.preemptions,
             wasted_node_s=report.wasted_node_s,
             failures=tuple(report.failures),
-            dataset_points=(len(dataset) if backend_store is None
-                            else backend_store.count_points()),
-            dataset_path=(backend_store.db_path
-                          if backend_store is not None else ""),
-            store_backend=(backend_store.kind
-                           if backend_store is not None else ""),
+            dataset_points=data_store.count_points(),
+            dataset_path=data_store.db_path,
+            store_backend=data_store.kind,
             sampler_decisions=(tuple(smart.decisions_log) if smart else ()),
             bottleneck_summary=(smart.bottlenecks.summary() if smart else ""),
             budget_spent_usd=(getattr(sampler, "spent_usd", None)
@@ -841,7 +756,9 @@ class AdvisorSession:
         ))
         out_dir = req.output_dir
         if out_dir is None:
-            if self.store is None:
+            if self._private:
+                # A default inside the private directory would vanish
+                # with the session.
                 raise ConfigError(
                     "an ephemeral session needs an explicit plot "
                     "output_dir"
@@ -1075,23 +992,27 @@ class AdvisorSession:
         return str(self.record(name).get("region") or "")
 
     def _point_count(self, name: str) -> int:
-        if self.store is None:
-            return len(self._datasets.get(name, ()))
-        if self._no_data_yet(name):
-            return 0
-        backend = self.store.data_store(name)
-        if not backend.exists():
+        stored = self._stored(name)
+        if stored is None:
             return 0
         # Cache on the store signature: listings (the GUI index polls
         # list_deployments per request) cost a freshness probe, not a
         # count query — and the count itself is a COUNT(*), never a
         # deserialize.
-        sig = backend.dataset_signature()
+        sig = stored.dataset_signature()
         cached = self._count_cache.get(name)
         if cached is None or cached[0] != sig:
-            cached = (sig, backend.count_points())
+            cached = (sig, stored.count_points())
             self._count_cache[name] = cached
         return cached[1]
+
+
+def _remove_private_dir(store: StateStore) -> None:
+    """Close the stores of an ephemeral session's private directory,
+    then delete it (the session's ``weakref.finalize`` callback)."""
+    for name in list(store._data_stores):
+        store.release_data_store(name)
+    shutil.rmtree(store.root, ignore_errors=True)
 
 
 def _generate_scenarios(config: MainConfig):

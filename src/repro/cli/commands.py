@@ -292,7 +292,7 @@ def data(args: argparse.Namespace) -> int:
               f"{p.capacity}{marker}")
     shown = len(result.points)
     print(f"({shown} of {result.total} matching point(s), offset "
-          f"{result.offset}, store: {result.store_backend or 'memory'})")
+          f"{result.offset}, store: {result.store_backend})")
     return 0
 
 

@@ -433,16 +433,11 @@ class DataCollector:
                 self.store.commit(points, changed)
 
     def _save_state(self) -> None:
-        """The end-of-sweep commit, then a durability flush (and the
-        legacy files of a dataset or task DB that has a path)."""
+        """The end-of-sweep commit, then a durability flush."""
         self._commit_held()
         with self._profiler.stage("persist"):
             if self.store is not None:
                 self.store.flush_points()
-            if self.taskdb.path:
-                self.taskdb.save()
-            if self.dataset.path:
-                self.dataset.save()
 
     def _notify(self, report: CollectionReport) -> None:
         if self.on_progress is not None:

@@ -14,8 +14,10 @@ together.  To add points to a deployment's store directly, use
 ``AdvisorSession.data_store(name).append_points``.
 
 :meth:`Dataset.save` and :meth:`Dataset.load` write and read the legacy
-``dataset-<name>.jsonl`` shape (one JSON object per line); the store's
-import and export of the legacy layout use exactly these two.
+``dataset-<name>.jsonl`` shape (one JSON object per line) at a path the
+caller names; a ``Dataset`` remembers no path of its own.  The store's
+import of the legacy layout (``repro.store.open_deployment_store``) and
+its one writer (``repro.store.export_legacy``) use exactly these two.
 """
 
 from __future__ import annotations
@@ -184,10 +186,8 @@ class Dataset:
     docstring).
     """
 
-    def __init__(self, points: Optional[Iterable[DataPoint]] = None,
-                 path: Optional[str] = None) -> None:
+    def __init__(self, points: Optional[Iterable[DataPoint]] = None) -> None:
         self._points: List[DataPoint] = list(points or [])
-        self.path = path
         self._taken = len(self._points)
 
     # -- basic access -------------------------------------------------------------
@@ -257,12 +257,7 @@ class Dataset:
     def query(self, query: Query,
               predicate: Optional[Callable[[DataPoint], bool]] = None,
               ) -> "Dataset":
-        """Apply a :class:`Query` (filter + window) in memory.
-
-        The result never carries a path: the parent's path names the
-        whole corpus, and a stray ``save()`` on a filtered view must not
-        overwrite it with the subset.
-        """
+        """Apply a :class:`Query` (filter + window) in memory."""
         kept = [p for p in self._points
                 if query.matches(p)
                 and (predicate is None or predicate(p))]
@@ -280,8 +275,9 @@ class Dataset:
 
     # -- persistence --------------------------------------------------------------------
 
-    def save(self, path: Optional[str] = None) -> str:
-        """Write this instance's points as a legacy JSON-lines file.
+    def save(self, path: str) -> str:
+        """Write this instance's points to ``path`` as a legacy
+        JSON-lines file; returns ``path``.
 
         The file is rewritten atomically: readers never see a partial
         file, but concurrent *read-modify-write* cycles are the
@@ -289,16 +285,12 @@ class Dataset:
         to save).
         """
         # Imported here: statefiles sits above this module in the layering
-        # (it pulls in the deployer), and save() is called once per sweep.
+        # (it pulls in the deployer), and save() runs only on export.
         from repro.core.statefiles import atomic_write
 
-        target = path or self.path
-        if target is None:
-            raise DatasetError("Dataset has no path to save to")
         text = "".join(point_row(point) + "\n" for point in self._points)
-        atomic_write(target, text)
-        self.path = target
-        return target
+        atomic_write(path, text)
+        return path
 
     @classmethod
     def load(cls, path: str) -> "Dataset":
@@ -317,4 +309,4 @@ class Dataset:
                         ) from exc
         except OSError as exc:
             raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
-        return cls(points, path=path)
+        return cls(points)

@@ -13,9 +13,10 @@ and its task always land together.  A completion is recorded from its
 point (:meth:`TaskDB.mark_completed`), and until the take the task DB
 remembers which point that was, so the commit can store the task row
 as a link to the point's row instead of a copy of its measurements.
-``save()`` atomically rewrites a JSON file and :meth:`TaskDB.load`
-reads one: the legacy ``tasks-<name>.json`` shape, which the store's
-import and export of the legacy layout use.
+:meth:`TaskDB.save` atomically rewrites a JSON file at a path the
+caller names and :meth:`TaskDB.load` reads one: the legacy
+``tasks-<name>.json`` shape, which the store's import of the legacy
+layout and its one writer (``repro.store.export_legacy``) use.
 """
 
 from __future__ import annotations
@@ -123,8 +124,7 @@ class HeldTasks(list):
 class TaskDB:
     """The scenario/task list (module docstring)."""
 
-    def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path
+    def __init__(self) -> None:
         self._records: Dict[str, TaskRecord] = {}
         #: Records changed since the last :meth:`take_held`, by scenario
         #: id, in first-change order.
@@ -243,8 +243,9 @@ class TaskDB:
 
     # -- persistence -----------------------------------------------------------------
 
-    def save(self, path: Optional[str] = None) -> str:
-        """Write this instance's records as a legacy JSON file.
+    def save(self, path: str) -> str:
+        """Write this instance's records to ``path`` as a legacy JSON
+        file; returns ``path``.
 
         The file is rewritten atomically: readers never see a partial
         file, but concurrent *read-modify-write* cycles are the
@@ -252,20 +253,16 @@ class TaskDB:
         to save).
         """
         # Imported here: statefiles sits above this module in the layering
-        # (it pulls in the deployer), and save() is called once per sweep.
+        # (it pulls in the deployer), and save() runs only on export.
         from repro.core.statefiles import atomic_write
 
-        target = path or self.path
-        if target is None:
-            raise DatasetError("TaskDB has no path to save to")
         payload = {"tasks": [r.to_dict() for r in self._records.values()]}
-        atomic_write(target, json.dumps(payload, indent=1))
-        self.path = target
-        return target
+        atomic_write(path, json.dumps(payload, indent=1))
+        return path
 
     @classmethod
     def load(cls, path: str) -> "TaskDB":
-        db = cls(path=path)
+        db = cls()
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)

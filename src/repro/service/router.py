@@ -310,8 +310,6 @@ class Router:
             # Unknown deployments must keep 404-ing (and a bogus name
             # must not create an empty data store as a side effect).
             session.record(deployment)
-            if session.store is None:
-                return compute()
             if not session.store.data_files(deployment):
                 signature: Any = ("no-data",)
             else:
@@ -527,12 +525,11 @@ class Router:
             deployment = data.get("deployment")
             if deployment:
                 self.state.session.record(str(deployment))  # 404 if gone
-                store = getattr(self.state.session, "store", None)
-                if store is not None:
-                    # Route this request's spans (http.request included —
-                    # the sink is read when the span *closes*) to the
-                    # deployment's trace ring.
-                    telemetry.set_sink(store.traces_path(str(deployment)))
+                # Route this request's spans (http.request included —
+                # the sink is read when the span *closes*) to the
+                # deployment's trace ring.
+                telemetry.set_sink(
+                    self.state.session.store.traces_path(str(deployment)))
             # The serialized span context rides on the job record, so
             # whichever worker thread/process claims the job continues
             # this trace.

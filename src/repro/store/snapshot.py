@@ -604,7 +604,11 @@ def snapshot_held(store: "SqliteStore",
 def snapshot_status(store: "SqliteStore",
                     cache: Optional[SnapshotCache] = None) -> Dict[str, Any]:
     """What this process's snapshot cache holds for one store: cached,
-    fresh against the store's signature, and its row count."""
+    fresh against the store's signature, and its row count.
+
+    Its caller outside the tests is perfbench's correctness gate
+    (``perfbench/ingest.py``), which checks after the ``ingest_advise``
+    loop that the snapshot is fresh and holds every stored row."""
     cache = cache if cache is not None else _CACHE
     signature = store.dataset_signature()
     entry = cache.peek(_cache_key(store))

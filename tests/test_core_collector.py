@@ -187,17 +187,3 @@ class TestSamplerIntegration:
         with pytest.raises(ValueError):
             SamplingDecision(action="predict")
 
-
-class TestPersistence:
-    def test_saves_when_paths_set(self, tmp_path):
-        config = make_config(nnodes=[1])
-        deployment = Deployer().deploy(config)
-        collector = DataCollector(
-            backend=AzureBatchBackend(service=deployment.batch),
-            script=apps.create("lammps"),
-            dataset=Dataset(path=str(tmp_path / "d.jsonl")),
-            taskdb=TaskDB(path=str(tmp_path / "t.json")),
-        )
-        collector.collect(generate_scenarios(config))
-        assert Dataset.load(str(tmp_path / "d.jsonl")).points()
-        assert TaskDB.load(str(tmp_path / "t.json")).counts()["completed"] == 1

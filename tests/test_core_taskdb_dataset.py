@@ -74,22 +74,18 @@ class TestTaskDB:
     def test_json_roundtrip(self, tmp_path):
         """Paper: 'This list is recorded and stored in a JSON file.'"""
         path = str(tmp_path / "tasks.json")
-        db = TaskDB(path=path)
+        db = TaskDB()
         db.add_scenarios([scenario("a"), scenario("b", nnodes=4)])
         db.mark_completed("a", point(t=36.0, cost=0.576,
                                      infra_metrics={"cpu_util": 0.8}))
         db.mark_failed("b", "quota")
-        db.save()
+        db.save(path)
         restored = TaskDB.load(path)
         assert len(restored) == 2
         assert restored.get("a").status is TaskStatus.COMPLETED
         assert restored.get("a").infra_metrics == {"cpu_util": 0.8}
         assert restored.get("b").failure_reason == "quota"
         assert restored.get("b").scenario.nnodes == 4
-
-    def test_save_without_path_rejected(self):
-        with pytest.raises(DatasetError):
-            TaskDB().save()
 
     def test_load_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"

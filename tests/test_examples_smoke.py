@@ -6,6 +6,7 @@ state) and is checked for a zero exit code plus its headline output.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -55,6 +56,11 @@ def test_example_runs(name, tmp_path):
     result = run_example(name, *extra, cwd=str(tmp_path))
     assert result.returncode == 0, result.stderr[-2000:]
     assert EXPECTED_OUTPUT[name] in result.stdout
+    if name == "remote_advisor_demo.py":
+        # The server's temporary state directory goes when the demo ends.
+        found = re.search(r"\(state in (\S+)\)", result.stdout)
+        assert found, result.stdout[:500]
+        assert not os.path.exists(found.group(1))
 
 
 def test_lammps_study_writes_five_charts(tmp_path):

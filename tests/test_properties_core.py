@@ -135,7 +135,7 @@ def test_taskdb_json_roundtrip(node_counts, tmp_path_factory):
     from repro.core.scenarios import Scenario
 
     path = str(tmp_path_factory.mktemp("db") / "t.json")
-    db = TaskDB(path=path)
+    db = TaskDB()
     db.add_scenarios([
         Scenario(scenario_id=f"t{i}", sku_name="Standard_HC44rs",
                  nnodes=n, ppn=44, appname="lammps")
@@ -145,7 +145,7 @@ def test_taskdb_json_roundtrip(node_counts, tmp_path_factory):
                                       sku="Standard_HC44rs",
                                       nnodes=node_counts[0], ppn=44,
                                       exec_time_s=1.0, cost_usd=0.1))
-    db.save()
+    db.save(path)
     restored = TaskDB.load(path)
     assert restored.counts() == db.counts()
     assert len(restored) == len(db)

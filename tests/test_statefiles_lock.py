@@ -134,7 +134,7 @@ class TestConcurrentDataWriters:
 
         def writer(worker: int):
             try:
-                db = TaskDB(path=path)
+                db = TaskDB()
                 from repro.core.scenarios import Scenario
 
                 db.add_scenarios([
@@ -144,7 +144,7 @@ class TestConcurrentDataWriters:
                     for i in range(5)
                 ])
                 for _ in range(10):
-                    db.save()
+                    db.save(path)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -170,10 +170,10 @@ class TestConcurrentDataWriters:
 
         def writer(worker: int):
             try:
-                dataset = Dataset(path=path)
+                dataset = Dataset()
                 for i in range(10):
                     dataset.append(self._point(worker * 100 + i))
-                    dataset.save()
+                    dataset.save(path)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 

@@ -303,7 +303,7 @@ class TestJsonlByteCompatibility:
         ]
         store = SqliteStore(str(tmp_path / "store.sqlite"))
         try:
-            legacy = TaskDB(path=str(tmp_path / "legacy.json"))
+            legacy = TaskDB()
             stored = TaskDB()
             for db in (legacy, stored):
                 db.add_scenarios(scenarios)
@@ -311,7 +311,7 @@ class TestJsonlByteCompatibility:
                     appname="lammps", sku=_SKUS[0], nnodes=1, ppn=1,
                     exec_time_s=3.0, cost_usd=0.2))
                 db.mark_failed("s3", "quota")
-            legacy.save()
+            legacy.save(str(tmp_path / "legacy.json"))
             store.sync_tasks(stored.take_held())
             written = export_legacy(store, str(tmp_path / "d.jsonl"),
                                     str(tmp_path / "store-tasks.json"))
@@ -489,22 +489,22 @@ class TestSignatureIndependence:
 class TestQueryViewSaveSafety:
     def test_filtered_view_cannot_overwrite_the_store(self, tmp_path):
         """Regression: query_dataset results used to carry the SQLite
-        file as their path, so a stray save() destroyed the database."""
+        file as their path, so a stray save() destroyed the database.
+        A Dataset now remembers no path: save() needs a target."""
         import sqlite3
 
         from repro.api import AdvisorSession
-        from repro.errors import DatasetError
         from tests.conftest import make_config
 
         session = AdvisorSession(state_dir=str(tmp_path / "state"))
         info = session.deploy(make_config())
         session.collect(deployment=info.name)
         view = session.query_dataset(info.name, Query(nnodes=(1,)))
-        assert view.path is None
-        with pytest.raises(DatasetError, match="no path"):
+        assert not hasattr(view, "path")
+        with pytest.raises(TypeError):
             view.save()
         filtered = session.dataset(info.name).filter(min_nodes=1)
-        assert filtered.path is None
+        assert not hasattr(filtered, "path")
         # The database is still a database.
         db = sqlite3.connect(session.store.db_path(info.name))
         assert db.execute("SELECT COUNT(*) FROM datapoints").fetchone()[0] \
@@ -515,9 +515,8 @@ class TestQueryViewSaveSafety:
             self, tmp_path):
         """A view of a dataset loaded from a legacy file carries no path
         either: a stray save() used to overwrite the whole corpus with
-        the subset."""
-        from repro.errors import DatasetError
-
+        the subset.  Neither the loaded dataset nor its views remember
+        the file: save() needs a target."""
         path = str(tmp_path / "dataset.jsonl")
         points = [DataPoint(appname="lammps", sku=_SKUS[0], nnodes=n,
                             ppn=4, exec_time_s=10.0 / n, cost_usd=1.0)
@@ -526,9 +525,10 @@ class TestQueryViewSaveSafety:
         for view in (Dataset.load(path).filter(min_nodes=2),
                      Dataset.load(path).filter(nnodes=()),
                      Dataset.load(path).query(Query(nnodes=(1,)))):
-            assert view.path is None
-            with pytest.raises(DatasetError, match="no path"):
+            assert not hasattr(view, "path")
+            with pytest.raises(TypeError):
                 view.save()
+        assert not hasattr(Dataset.load(path), "path")
         assert Dataset.load(path).points() == points
 
 
@@ -675,7 +675,7 @@ class TestNonFiniteMeasurements:
 
         reference = AdvisorSession()
         name = reference.deploy(make_config()).name
-        reference.dataset(name, must_exist=False).extend(self.GOOD)
+        reference.data_store(name).append_points(self.GOOD)
         before = reference.advise(AdviseRequest(deployment=name)).rows
 
         session = AdvisorSession(store=StateStore(root=str(tmp_path)))
