@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from repro.appkit.metricvars import format_var
-from repro.batch.task import TaskContext
 from repro.cluster.filesystem import SharedFilesystem
 from repro.cluster.host import Host
 from repro.cluster.mpi import MpiLauncher, MpiRunResult
@@ -114,22 +113,6 @@ class AppRunContext:
             self.last_run and self.last_run.succeeded
         ) else 0.0
         return run_time + self._extra_walltime_s
-
-    @classmethod
-    def from_task_context(
-        cls,
-        task_ctx: TaskContext,
-        shared_dir: str,
-        noise: Optional["NoiseModel"] = None,
-    ) -> "AppRunContext":
-        return cls.from_task_context_like(
-            hosts=task_ctx.hosts,
-            filesystem=task_ctx.filesystem,
-            env=dict(task_ctx.env),
-            workdir=task_ctx.workdir,
-            shared_dir=shared_dir,
-            noise=noise,
-        )
 
     @classmethod
     def from_task_context_like(

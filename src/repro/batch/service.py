@@ -93,9 +93,6 @@ class BatchService:
             raise ResourceNotFound(f"pool {pool_id!r} not found")
         return pool
 
-    def resize_pool(self, pool_id: str, target_nodes: int) -> None:
-        self.get_pool(pool_id).resize(target_nodes)
-
     def delete_pool(self, pool_id: str) -> None:
         self.get_pool(pool_id).delete()
 

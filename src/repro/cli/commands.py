@@ -149,7 +149,7 @@ def collect(args: argparse.Namespace) -> int:
         from repro.core.report import render_report
 
         print()
-        print(render_report(result, session.dataset(args.name),
+        print(render_report(result, session.snapshot(args.name),
                             taskdb=session.taskdb(args.name),
                             title=f"Sweep report for {args.name}"), end="")
     return 0 if result.ok else 1
@@ -335,10 +335,15 @@ def compare(args: argparse.Namespace) -> int:
 
 
 def gui(args: argparse.Namespace) -> int:
-    from repro.gui.server import serve
+    from repro.service.app import make_server, run_server
+    from repro.service.router import ServiceState
 
-    return serve(_session(args.state_dir), host=args.host, port=args.port,
-                 once=args.once)
+    session = _session(args.state_dir)
+    server = make_server(session.store.root, args.host, args.port,
+                         state=ServiceState(session=session))
+    print(f"HPCAdvisor GUI on http://{args.host}:{server.server_address[1]}/"
+          " (Ctrl-C to stop)")
+    return run_server(server, once=args.once)
 
 
 # -- service (extension: advisor-as-a-service) --------------------------------

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     gui.add_argument("--port", type=int, default=8040)
     gui.add_argument("--host", default="127.0.0.1")
     gui.add_argument("--once", action="store_true",
-                     help=argparse.SUPPRESS)  # test hook: handle one request
+                     help=argparse.SUPPRESS)  # test hook: serve one connection
 
     # serve (extension: the advisor as a JSON HTTP service) --------------------
     serve = sub.add_parser(
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4,
                        help="job worker threads (default 4)")
     serve.add_argument("--once", action="store_true",
-                       help=argparse.SUPPRESS)  # test hook: handle one request
+                       help=argparse.SUPPRESS)  # test hook: serve one connection
 
     # fleet (extension: multi-process serving over one state dir) --------------
     fleet = sub.add_parser(

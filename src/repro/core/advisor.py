@@ -211,8 +211,3 @@ def _fmt_cost(value: float) -> str:
     if value < 1e4:
         return f"{value:>8.4f}"
     return f"{value:>8.1e}"
-
-
-def advise_dataset(dataset: Dataset, **kwargs) -> List[AdviceRow]:
-    """Convenience one-shot advice over a dataset."""
-    return Advisor(dataset).advise(**kwargs)

@@ -132,11 +132,6 @@ class Query:
             return self
         return replace(self, limit=None, offset=0)
 
-    @property
-    def is_unfiltered(self) -> bool:
-        """True when every point matches (window aside)."""
-        return self.without_window() == Query()
-
     # -- wire round-tripping -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

@@ -9,10 +9,12 @@ a form suitable for a terminal, a file, or a pull-request comment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
+
+import numpy as np
 
 from repro.core.collector import CollectionReport
-from repro.core.dataset import Dataset
+from repro.core.plotdata import PlotInput, as_columns
 from repro.core.taskdb import TaskDB, TaskStatus
 from repro.units import fmt_duration, fmt_usd
 
@@ -29,27 +31,31 @@ class SkuAggregate:
     best_nodes: int
 
 
-def aggregate_by_sku(dataset: Dataset) -> List[SkuAggregate]:
-    groups: Dict[str, List] = {}
-    for point in dataset:
-        groups.setdefault(point.sku, []).append(point)
+def aggregate_by_sku(data: PlotInput) -> List[SkuAggregate]:
+    """One rollup per SKU spelling, in SKU order.  Totals are summed in
+    row order, and the best run is the first of the fastest rows."""
+    snap = as_columns(data)
     out = []
-    for sku, points in sorted(groups.items()):
-        best = min(points, key=lambda p: p.exec_time_s)
+    for code in sorted(range(len(snap.skus)), key=snap.skus.__getitem__):
+        rows = np.flatnonzero(snap.sku_codes == code)
+        if not rows.size:
+            continue
+        times = snap.exec_time_s[rows].tolist()
+        best = min(range(len(times)), key=times.__getitem__)
         out.append(SkuAggregate(
-            sku=sku,
-            scenarios=len(points),
-            total_time_s=sum(p.exec_time_s for p in points),
-            total_cost_usd=sum(p.cost_usd for p in points),
-            best_time_s=best.exec_time_s,
-            best_nodes=best.nnodes,
+            sku=snap.skus[code],
+            scenarios=len(times),
+            total_time_s=sum(times),
+            total_cost_usd=sum(snap.cost_usd[rows].tolist()),
+            best_time_s=times[best],
+            best_nodes=int(snap.nnodes[rows[best]]),
         ))
     return out
 
 
 def render_report(
     report: CollectionReport,
-    dataset: Dataset,
+    data: PlotInput,
     taskdb: Optional[TaskDB] = None,
     title: str = "Data collection report",
 ) -> str:
@@ -89,7 +95,7 @@ def render_report(
         )
     lines.append("")
 
-    aggregates = aggregate_by_sku(dataset)
+    aggregates = aggregate_by_sku(data)
     if aggregates:
         lines.append(f"{'SKU':<26} {'runs':>5} {'best time':>10} "
                      f"{'@nodes':>7} {'spend':>10}")

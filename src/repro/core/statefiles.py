@@ -275,11 +275,15 @@ class StateStore:
         return store
 
     def release_data_store(self, deployment_name: str) -> None:
-        """Close and forget the cached store (before archive/purge)."""
+        """Close and forget the cached store, and drop the process's
+        snapshot of it (before archive/purge)."""
+        from repro.store.snapshot import forget_snapshot
+
         with self._data_stores_guard:
             store = self._data_stores.pop(deployment_name, None)
         if store is not None:
             store.close()
+            forget_snapshot(store)
 
     def data_files(self, deployment_name: str) -> Tuple[str, ...]:
         """Every *existing* data file of the deployment: the SQLite

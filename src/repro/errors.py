@@ -53,10 +53,6 @@ class PoolStateError(BatchError):
     """A pool operation was attempted in an invalid state."""
 
 
-class TaskFailed(BatchError):
-    """A Batch task exited with a non-zero status."""
-
-
 class AppScriptError(ReproError):
     """An application setup/run script misbehaved."""
 

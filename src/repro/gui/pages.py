@@ -2,9 +2,11 @@
 
 Each page renders from an :class:`repro.api.AdvisorSession` — the same
 facade the CLI and the examples use — so the GUI shows exactly what the
-``advice``/``plot`` commands would say.  The plots and bottlenecks pages
-read the deployment's columnar snapshot (``session.snapshot``), the one
-in-process model of a stored corpus that advice and ``plot`` read too.
+``advice``/``plot`` commands would say.  The advisor service's router
+(:mod:`repro.service.router`) serves them as routes.  The plots and
+bottlenecks pages read the deployment's columnar snapshot
+(``session.snapshot``), the one in-process model of a stored corpus
+that advice and ``plot`` read too.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ def _page(title: str, body: str) -> str:
         "<a href='/'>Deployments</a>"
         "</nav><main>" + body + "</main></body></html>"
     )
+
+
+def render_error(code: int, message: str) -> str:
+    """The page a failed page request answers with."""
+    return (f"<html><body><h1>{code}</h1><p>{html.escape(message)}</p>"
+            "</body></html>")
 
 
 def render_index(session: "AdvisorSession") -> str:

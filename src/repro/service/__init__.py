@@ -7,11 +7,13 @@ Three pieces:
   (:class:`~repro.fleet.manager.FleetJobManager`), which keeps every
   record in the state dir's ``fleet.sqlite`` so listings survive
   restarts;
-* :mod:`repro.service.router` — the HTTP-agnostic JSON router over the
+* :mod:`repro.service.router` — the HTTP-agnostic router over the
   :class:`~repro.api.AdvisorSession` facade, reusing the frozen request/
-  result dataclasses for every payload;
+  result dataclasses for every JSON payload and serving the GUI's HTML
+  pages;
 * :mod:`repro.service.app` — the threaded stdlib HTTP server binding the
-  router to a socket (the ``hpcadvisor-sim serve`` command).
+  router to a socket (the ``hpcadvisor-sim serve`` and ``gui``
+  commands).
 
 The matching typed client lives in :mod:`repro.client`.
 """

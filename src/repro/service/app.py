@@ -1,8 +1,11 @@
-"""The standalone advisor service: a threaded stdlib JSON HTTP server.
+"""The advisor's one HTTP server: a threaded stdlib server.
 
 Socket handling only — every request is delegated to the shared
-:class:`repro.service.router.Router`.  ``ThreadingHTTPServer`` gives one
-thread per connection, so advice/listing calls stay responsive while the
+:class:`repro.service.router.Router`, whose routing table holds the JSON
+API and the GUI's HTML pages: ``serve``, ``gui`` (over a job-less,
+read-only :class:`ServiceState`) and every ``fleet serve`` worker run
+this server.  ``ThreadingHTTPServer`` gives one thread per connection,
+so advice/listing calls and page renders stay responsive while the
 fleet job manager's workers grind through collect sweeps in the
 background.  Connections stay open between requests (HTTP/1.1), with
 Nagle's algorithm off: an answer's headers and body are two sends, and
@@ -205,7 +208,7 @@ def make_server(state_dir: str, host: str = "127.0.0.1", port: int = 8050,
                 state: Optional[ServiceState] = None,
                 socket: Optional[socket_module.socket] = None,
                 worker_id: Optional[str] = None) -> AdvisorServiceServer:
-    """Create (but do not start) the JSON API server.
+    """Create (but do not start) the server.
 
     The socket binds *before* the job manager starts: a bind failure
     (port in use) must not leave worker threads running recovered jobs
@@ -253,9 +256,17 @@ def serve(state_dir: str, host: str = "127.0.0.1", port: int = 8050,
               "reach this address can submit jobs, write plot files, and "
               "shut down deployments.  Bind to 127.0.0.1 or front it with "
               "an authenticating proxy.")
+    return run_server(server, once=once)
+
+
+def run_server(server: AdvisorServiceServer, once: bool = False) -> int:
+    """Serve until interrupted, then close the socket and stop the
+    state's job workers.  ``once`` serves one connection, in this
+    thread: a handler thread would still be reading its request when
+    the close ends every connection's reads."""
     try:
         if once:
-            server.handle_request()
+            server.process_request_thread(*server.get_request())
         else:  # pragma: no cover - interactive loop
             server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover

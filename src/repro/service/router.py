@@ -1,16 +1,20 @@
-"""The advisor service's HTTP-agnostic JSON router.
+"""The advisor service's HTTP-agnostic router.
 
 :class:`Router` maps ``(method, path, query, body)`` to a
-:class:`Response` without touching sockets, so the same routing table
-serves the standalone JSON API server (:mod:`repro.service.app`), the
-GUI's ``/api`` mount (:mod:`repro.gui.server`), and direct in-process
-tests.  All payloads are the frozen request/result dataclasses from
+:class:`Response` without touching sockets, so one routing table
+serves every HTTP server (:mod:`repro.service.app`: ``serve``, ``gui``
+and each ``fleet serve`` worker) and direct in-process tests.  All JSON
+payloads are the frozen request/result dataclasses from
 :mod:`repro.api` serialized through :mod:`repro.api.serde` — the wire
 types cannot drift from the facade because they *are* the facade's
-types.
+types.  The GUI's pages are HTML renderings (:mod:`repro.gui.pages`) of
+the same session.
 
 Routes (see ``docs/SERVICE.md`` for the full contract)::
 
+    GET    /                        (HTML pages)
+    GET    /deployment/<name>       GET    /plots/<name>
+    GET    /bottlenecks/<name>      GET    /advice/<name>[?sort=cost]
     GET    /healthz
     GET    /metrics
     GET    /v1/deployments          POST   /v1/deployments
@@ -24,6 +28,7 @@ Routes (see ``docs/SERVICE.md`` for the full contract)::
     GET    /v1/jobs                 GET    /v1/jobs/<id>
     POST   /v1/jobs/<id>/cancel     DELETE /v1/jobs/<id>
 
+Every route also answers under an ``/api`` prefix (``/api/v1/advice``).
 The listing routes (``/v1/deployments``, ``/v1/jobs``,
 ``/v1/datapoints``) paginate with ``limit``/``offset`` query
 parameters and report the unwindowed ``total`` alongside the page;
@@ -34,6 +39,7 @@ to the deployment's storage engine.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -55,6 +61,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.fleet.cache import ResponseCache, make_key
+from repro.gui import pages
 from repro.service.metrics import Metrics
 from repro import telemetry
 
@@ -70,6 +77,16 @@ API_VERSION = "v1"
 #: ``limit`` — an unbounded default would re-create the very
 #: full-corpus transfers the store pushdown exists to avoid.
 DATAPOINTS_DEFAULT_LIMIT = 500
+
+#: The per-deployment HTML pages, ``/<page>/<name>``.
+_PAGES = {
+    "deployment": pages.render_deployment,
+    "plots": pages.render_plots,
+    "bottlenecks": pages.render_bottlenecks,
+    "advice": pages.render_advice,
+}
+
+_HTML = "text/html; charset=utf-8"
 
 
 @dataclass
@@ -97,8 +114,9 @@ class ServiceState:
     The session is the *control plane* (deploy/advise/listings) and is
     guarded by ``lock``; job execution runs on per-job sessions inside
     the :class:`~repro.fleet.manager.FleetJobManager`, so a slow sweep
-    never blocks an advice request.  ``jobs`` may be ``None`` (e.g. the
-    GUI's read-only mount), in which case job routes answer 503.
+    never blocks an advice request.  ``jobs`` may be ``None`` (the
+    GUI's state): such a state is read-only, every method but GET and
+    HEAD answers 405, and the job routes answer 503.
     """
 
     session: AdvisorSession
@@ -194,6 +212,11 @@ class Router:
 
     def _dispatch(self, method: str, parts: List[str],
                   query: Dict[str, List[str]], body: Optional[str]):
+        if self.state.jobs is None and method not in ("GET", "HEAD"):
+            # A job-less state (the GUI's) serves reads only.
+            return _method_not_allowed(method, ("GET", "HEAD"))
+        if parts[:1] == ["api"]:
+            parts = parts[1:]
         if parts == ["healthz"]:
             self._match("/healthz")
             return self._only(method, "GET", self._healthz)
@@ -201,7 +224,7 @@ class Router:
             self._match("/metrics")
             return self._only(method, "GET", self._metrics)
         if not parts or parts[0] != "v1":
-            raise ResourceNotFound(f"no such route: /{'/'.join(parts)}")
+            return self._page(method, parts, query)
         rest = parts[1:]
         if rest == ["deployments"]:
             self._match("/v1/deployments")
@@ -276,10 +299,39 @@ class Router:
                 allowed=("POST",))
         raise ResourceNotFound(f"no such route: /v1/jobs/{'/'.join(rest)}")
 
+    def _page(self, method: str, parts: List[str],
+              query: Dict[str, List[str]]) -> Response:
+        if not parts:
+            self._match("/")
+            render = pages.render_index
+        elif len(parts) == 2 and parts[0] in _PAGES:
+            self._match(f"/{parts[0]}/<name>")
+            options = {}
+            if parts[0] == "advice":
+                sort_by = _one(query, "sort")
+                options["sort_by"] = "cost" if sort_by == "cost" else "time"
+            render = functools.partial(_PAGES[parts[0]], name=parts[1],
+                                       **options)
+        else:
+            raise ResourceNotFound(f"no such route: /{'/'.join(parts)}")
+        return self._only(method, "GET", lambda: self._render(render))
+
+    def _render(self, render) -> Response:
+        """One HTML page; its errors are HTML pages too."""
+        try:
+            with self.state.lock:
+                text = render(self.state.session)
+        except ReproError as exc:
+            return Response(404, pages.render_error(404, str(exc)), _HTML)
+        except Exception as exc:  # noqa: BLE001 - bugs become 500s
+            return Response(500, pages.render_error(
+                500, f"internal error: {exc}"), _HTML)
+        return Response(payload=text, content_type=_HTML)
+
     def _jobs(self) -> "FleetJobManager":
         if self.state.jobs is None:
             raise ServiceError(
-                "this server has no job manager (read-only API mount)"
+                "this server has no job manager (read-only server)"
             )
         return self.state.jobs
 

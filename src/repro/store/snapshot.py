@@ -509,7 +509,9 @@ class SnapshotCache:
 
     def __init__(self, capacity: int = 8) -> None:
         self.capacity = capacity
-        self._lock = threading.Lock()
+        # Re-entrant: an ephemeral session's finalizer discards entries,
+        # and a GC pass may run it in a thread that holds this lock.
+        self._lock = threading.RLock()
         self._entries: "OrderedDict[Any, Tuple[Tuple, ColumnarSnapshot]]" \
             = OrderedDict()
 
@@ -524,9 +526,10 @@ class SnapshotCache:
 
     def put(self, key: Any, signature: Tuple,
             snapshot: ColumnarSnapshot) -> None:
+        entry = (signature, snapshot)
         with self._lock:
-            self._entries[key] = (signature, snapshot)
-            self._entries.move_to_end(key)
+            self._entries.pop(key, None)
+            self._entries[key] = entry  # most recently used
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
@@ -534,6 +537,10 @@ class SnapshotCache:
         """(signature, snapshot) regardless of freshness, or None."""
         with self._lock:
             return self._entries.get(key)
+
+    def discard(self, key: Any) -> None:
+        with self._lock:
+            self._entries.pop(key, None)
 
     def clear(self) -> None:
         with self._lock:
@@ -550,6 +557,12 @@ def snapshot_cache() -> SnapshotCache:
 
 def _cache_key(store) -> Tuple[str, str]:
     return (store.kind, store.db_path)
+
+
+def forget_snapshot(store: "SqliteStore") -> None:
+    """Drop the LRU's snapshot of ``store``, whose handle is released
+    before its data is archived or removed: no reader asks for it."""
+    _CACHE.discard(_cache_key(store))
 
 
 def snapshot_for_store(store: "SqliteStore",

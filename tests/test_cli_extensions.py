@@ -1,5 +1,7 @@
 """Tests for the CLI extensions: --report, --budget, --spot, predict."""
 
+import re
+
 import pytest
 
 from repro.cli.main import main
@@ -45,6 +47,26 @@ class TestCollectExtensions:
         out = capsys.readouterr().out
         assert "Sweep report for extrg-000" in out
         assert "best time" in out
+
+    def test_report_reads_no_stored_points(self, tmp_path, capsys,
+                                           monkeypatch):
+        """The per-SKU table comes from the snapshot's columns."""
+        from repro.store.sqlite import SqliteStore
+
+        def no_decode(self, query=None):
+            raise AssertionError("the report decoded the stored points")
+
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(CONFIG)
+        state = str(tmp_path / "state")
+        main(["--state-dir", state, "deploy", "create", "-c",
+              str(config_path)])
+        monkeypatch.setattr(SqliteStore, "query_points", no_decode)
+        assert main(["--state-dir", state, "collect", "-n", "extrg-000",
+                     "--report"]) == 0
+        out = capsys.readouterr().out
+        assert "best time" in out
+        assert re.search(r"^Standard_HB120rs_v3 +4 ", out, flags=re.M)
 
     def test_budget_flag_limits_spend(self, tmp_path, capsys):
         config_path = tmp_path / "config.yaml"

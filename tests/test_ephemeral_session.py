@@ -8,11 +8,14 @@ directory does: same store, same snapshot LRU, same response cache.
 
 import gc
 import os
+import threading
 
 from repro.api import AdvisorSession
+from repro.api.session import _remove_private_dir
 from repro.core.statefiles import StateStore
 from repro.fleet.cache import ResponseCache
 from repro.service.router import Router, ServiceState
+from repro.store.snapshot import snapshot_cache, snapshot_status
 from repro.store.sqlite import SqliteStore
 from repro.telemetry import global_registry
 from tests.conftest import make_config
@@ -23,6 +26,11 @@ def collected_session():
     name = session.deploy(make_config()).name
     result = session.collect(deployment=name)
     return session, name, result
+
+
+def cached_paths():
+    """The database paths the process's snapshot LRU holds."""
+    return [path for _, path in snapshot_cache()._entries]
 
 
 def snapshot_counts():
@@ -96,3 +104,48 @@ class TestSameReadPath:
         assert session.count_points(name) == before
         session.data_store(name).append_points(dataset.points()[:1])
         assert session.count_points(name) == before + 1
+
+
+class TestReleasedStoresLeaveTheSnapshotCache:
+    def test_session_collection_drops_its_snapshots(self):
+        session, name, _ = collected_session()
+        session.advise(deployment=name)
+        root = session.store.root
+        assert any(path.startswith(root) for path in cached_paths())
+        del session
+        gc.collect()
+        assert not any(path.startswith(root) for path in cached_paths())
+
+    def test_the_finalizer_runs_inside_a_held_cache_lock(self):
+        """A GC pass can run the finalizer in a thread that is inside
+        the LRU's locked section; the finalizer must not wait on it."""
+        session, name, _ = collected_session()
+        session.advise(deployment=name)
+        root = session.store.root
+        finished = threading.Event()
+
+        def finalize_under_the_lock():
+            with snapshot_cache()._lock:
+                _remove_private_dir(session.store)
+            finished.set()
+
+        threading.Thread(target=finalize_under_the_lock, daemon=True).start()
+        assert finished.wait(timeout=10)
+        assert not any(path.startswith(root) for path in cached_paths())
+
+    def test_purge_drops_the_snapshot(self, tmp_path):
+        session = AdvisorSession(state_dir=str(tmp_path / "state"))
+        name = session.deploy(make_config()).name
+        session.collect(deployment=name)
+        session.advise(deployment=name)
+        db_path = session.store.db_path(name)
+        assert db_path in cached_paths()
+        session.shutdown(name, purge_data=True)
+        assert db_path not in cached_paths()
+
+    def test_a_reopened_handle_has_no_snapshot(self):
+        session, name, _ = collected_session()
+        session.advise(deployment=name)
+        assert snapshot_status(session.data_store(name))["cached"]
+        session.store.release_data_store(name)
+        assert not snapshot_status(session.data_store(name))["cached"]

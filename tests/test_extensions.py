@@ -6,7 +6,7 @@ import pytest
 from repro.cloud.retailprices import RetailPricesApi, catalog_from_api
 from repro.core.compare import compare_datasets, render_comparison
 from repro.core.dataset import DataPoint, Dataset
-from repro.core.report import aggregate_by_sku, render_report
+from repro.core.report import SkuAggregate, aggregate_by_sku, render_report
 from repro.errors import CloudError, DatasetError, SamplingError
 from repro.sampling.budget import BudgetedSampler
 from repro.sampling.planner import SamplerPolicy, SmartSampler
@@ -78,6 +78,22 @@ def dp(sku="Standard_HB120rs_v3", nnodes=2, t=100.0, c=0.2, **kw):
                      cost_usd=c, **defaults)
 
 
+def per_point_aggregates(points):
+    """The per-point rollup ``aggregate_by_sku`` must reproduce."""
+    groups = {}
+    for point in points:
+        groups.setdefault(point.sku, []).append(point)
+    out = []
+    for sku, group in sorted(groups.items()):
+        best = min(group, key=lambda p: p.exec_time_s)
+        out.append(SkuAggregate(
+            sku=sku, scenarios=len(group),
+            total_time_s=sum(p.exec_time_s for p in group),
+            total_cost_usd=sum(p.cost_usd for p in group),
+            best_time_s=best.exec_time_s, best_nodes=best.nnodes))
+    return out
+
+
 class TestReport:
     def make_report(self):
         from repro.core.collector import CollectionReport
@@ -114,6 +130,34 @@ class TestReport:
         assert "out of memory" in text
         assert "Standard_HC44rs" in text
         assert "overhead" in text
+
+    def test_a_snapshot_reports_its_points_bytes(self, tmp_path):
+        """Ties, two spellings of one SKU and predicted rows: a stored
+        corpus's snapshot rolls up as its points do, byte for byte."""
+        from repro.api import AdvisorSession
+        from tests.conftest import make_config
+
+        session = AdvisorSession(state_dir=str(tmp_path))
+        name = session.deploy(make_config()).name
+        session.data_store(name).append_points([
+            dp(nnodes=2, t=200.0, c=0.1),
+            dp(nnodes=4, t=110.0, c=0.2),
+            dp(nnodes=8, t=110.0, c=0.3),  # ties the 4-node run
+            dp(sku="standard_hb120rs_v3", nnodes=1, t=390.0, c=0.7),
+            dp(sku="Standard_HC44rs", nnodes=4, t=0.3, c=1.76,
+               predicted=True),
+            dp(sku="Standard_HC44rs", nnodes=2, t=0.1 + 0.2, c=0.1),
+            dp(sku="Standard_HC44rs", nnodes=1, t=0.3, c=0.2,
+               predicted=True),
+        ])
+        dataset, snapshot = session.dataset(name), session.snapshot(name)
+        aggregates = aggregate_by_sku(snapshot)
+        assert aggregates == per_point_aggregates(dataset)
+        assert [(a.sku, a.best_nodes) for a in aggregates] == [
+            ("Standard_HB120rs_v3", 4), ("Standard_HC44rs", 4),
+            ("standard_hb120rs_v3", 1)]
+        assert (render_report(self.make_report(), snapshot)
+                == render_report(self.make_report(), dataset))
 
     def test_render_with_pending_tasks(self):
         from repro.core.taskdb import TaskDB

@@ -17,9 +17,16 @@ import pytest
 from repro.api import AdvisorSession
 from repro.core.plots import PLOT_TYPES
 from repro.gui import pages
-from repro.gui.server import make_server
 from repro.sampling.bottleneck import BottleneckAnalyzer
+from repro.service.app import make_server as make_service_server
+from repro.service.router import ServiceState
 from tests.conftest import make_config
+
+
+def make_server(session, host="127.0.0.1", port=0):
+    """The ``gui`` command's server: the service over a job-less state."""
+    return make_service_server(session.store.root, host, port,
+                               state=ServiceState(session=session))
 
 
 @pytest.fixture
@@ -265,6 +272,110 @@ class TestApiMount:
             thread.join(timeout=5)
         finally:
             server.server_close()
+
+
+@pytest.fixture
+def served(session):
+    """A GUI server answering on a thread: (session, base URL)."""
+    server = make_server(session)
+    # A short poll keeps shutdown() from waiting out the default 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
+    thread.start()
+    yield session, f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestOneServer:
+    """The GUI is the service's threaded server over a read-only state."""
+
+    def test_healthz_answers_while_a_page_render_is_blocked(
+            self, served, monkeypatch):
+        session, url = served
+        entered, release = threading.Event(), threading.Event()
+        listing = AdvisorSession.list_deployments
+
+        def blocked(self, *args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return listing(self, *args, **kwargs)
+
+        def render_index():
+            with urllib.request.urlopen(f"{url}/", timeout=30) as response:
+                response.read()
+
+        monkeypatch.setattr(AdvisorSession, "list_deployments", blocked)
+        page = threading.Thread(target=render_index)
+        page.start()
+        try:
+            assert entered.wait(timeout=10)
+            with urllib.request.urlopen(f"{url}/healthz",
+                                        timeout=2) as response:
+                assert response.status == 200
+        finally:
+            release.set()
+            page.join(timeout=10)
+        assert not page.is_alive()
+
+    @pytest.mark.parametrize("page", ["deployment", "plots"])
+    def test_a_page_that_cannot_render_is_an_html_404(self, served, page):
+        """An unknown deployment, or one with no data to plot."""
+        session, url = served
+        name = session.deploy(make_config()).name
+        for target in ("ghost", name if page == "plots" else "ghost"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(f"{url}/{page}/{target}", timeout=5)
+            with err.value:
+                assert err.value.code == 404
+                assert err.value.headers["Content-Type"].startswith(
+                    "text/html")
+                assert "<h1>404</h1>" in err.value.read().decode()
+
+    def test_a_page_that_breaks_is_an_html_500(self, served, monkeypatch):
+        _, url = served
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("index went wrong")
+
+        monkeypatch.setattr(AdvisorSession, "list_deployments", broken)
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(f"{url}/", timeout=5)
+        with err.value:
+            assert err.value.code == 500
+            assert err.value.headers["Content-Type"].startswith("text/html")
+            body = err.value.read().decode()
+        assert "<h1>500</h1>" in body
+        assert "internal error: index went wrong" in body
+
+    def test_page_requests_are_counted_by_route(self, served):
+        session, url = served
+        name = session.deploy(make_config()).name
+        with urllib.request.urlopen(f"{url}/deployment/{name}",
+                                    timeout=5) as response:
+            assert response.status == 200
+            assert response.headers["Content-Type"].startswith("text/html")
+        with urllib.request.urlopen(f"{url}/metrics", timeout=5) as response:
+            metrics = response.read().decode()
+        assert ('advisor_http_requests_total{method="GET",'
+                'route="/deployment/<name>",status="200"} 1') in metrics
+
+    @pytest.mark.parametrize("path", ["/", "/v1/deployments",
+                                      "/api/v1/deployments"])
+    @pytest.mark.parametrize("method", ["POST", "PUT", "DELETE", "PATCH"])
+    def test_writes_are_405_and_deploy_nothing(self, served, method, path):
+        session, url = served
+        body = json.dumps({"config": make_config().to_dict()})
+        request = urllib.request.Request(
+            f"{url}{path}", data=body.encode(), method=method,
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=5)
+        err.value.close()
+        assert err.value.code == 405
+        assert session.count_deployments() == 0
 
 
 class TestSweepTimelineEvictionMarkers:

@@ -20,10 +20,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from repro.api import AdvisorSession
 from repro.api.results import AdviceResult
 from repro.client import RemoteError, RemoteSession
 from repro.errors import ConfigError
 from repro.service.app import make_server
+from repro.service.router import ServiceState
 from tests.conftest import make_config
 
 
@@ -171,11 +173,15 @@ class TestServiceConnections:
         finally:
             second.stop()
 
+    @pytest.mark.parametrize("gui", [False, True], ids=["service", "gui"])
     def test_a_burst_of_connects_before_the_first_accept_all_get_in(
-            self, tmp_path):
+            self, tmp_path, gui):
         """The backlog is the fleet listener's 128: with socketserver's
-        default of 5, all but the first few of these connects time out."""
-        server = make_server(str(tmp_path / "state"), port=0, workers=1)
+        default of 5, all but the first few of these connects time out.
+        ``gui`` serves the GUI's job-less state, as ``repro gui`` does."""
+        root = str(tmp_path / "state")
+        state = ServiceState(session=AdvisorSession(root)) if gui else None
+        server = make_server(root, port=0, workers=1, state=state)
         clients = []
         try:
             for _ in range(32):

@@ -116,13 +116,13 @@ class TestBackendCommon:
 class TestCliGuiOnce:
     def test_gui_once_serves_a_request(self, tmp_path, capsys, monkeypatch):
         """`hpcadvisor-sim gui` end to end, one request then exit."""
-        from repro.gui import server as gui_server
+        from repro.service import app
 
         captured = {}
-        original = gui_server.make_server
+        original = app.make_server
 
-        def patched(store, host, port):
-            httpd = original(store, host, 0)  # ephemeral port
+        def patched(root, host, port, state):
+            httpd = original(root, host, 0, state=state)  # ephemeral port
             captured["port"] = httpd.server_address[1]
 
             def hit():
@@ -133,9 +133,47 @@ class TestCliGuiOnce:
             threading.Thread(target=hit, daemon=True).start()
             return httpd
 
-        monkeypatch.setattr(gui_server, "make_server", patched)
+        monkeypatch.setattr(app, "make_server", patched)
         assert main(["--state-dir", str(tmp_path), "gui", "--once"]) == 0
         assert "HPCAdvisor GUI" in capsys.readouterr().out
+
+    def test_serve_once_answers_its_request(self, tmp_path, monkeypatch):
+        """A request sent after the accept is still answered before the
+        server closes."""
+        import http.client
+        import time
+
+        from repro.service import app
+
+        answers = []
+        original = app.make_server
+
+        def patched(state_dir, host, port, workers):
+            httpd = original(state_dir, host=host, port=0, workers=workers)
+
+            def hit():
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", httpd.server_address[1], timeout=5)
+                try:
+                    conn.connect()
+                    time.sleep(0.2)
+                    conn.request("GET", "/healthz",
+                                 headers={"Connection": "close"})
+                    answers.append(conn.getresponse().status)
+                finally:
+                    conn.close()
+
+            client = threading.Thread(target=hit, daemon=True)
+            client.start()
+            threads.append(client)
+            return httpd
+
+        threads = []
+        monkeypatch.setattr(app, "make_server", patched)
+        assert main(["--state-dir", str(tmp_path), "serve", "--once",
+                     "--workers", "1"]) == 0
+        threads[0].join(timeout=10)
+        assert answers == [200]
 
 
 class TestCliErrorPaths:

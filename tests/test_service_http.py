@@ -243,9 +243,11 @@ class TestJobRoutes:
     def test_jobs_unavailable_without_manager(self, tmp_path):
         session = AdvisorSession(state_dir=str(tmp_path / "state"))
         router = Router(ServiceState(session=session, jobs=None))
+        # A job-less state is read-only: a submit is a 405, a listing 503.
         response = router.handle("POST", "/v1/jobs/collect",
                                  json.dumps({"deployment": "x"}))
-        assert response.status == 503
+        assert response.status == 405
+        assert router.handle("GET", "/v1/jobs").status == 503
         # Health still answers, just without job counts.
         health = router.handle("GET", "/healthz")
         assert health.status == 200
