@@ -43,13 +43,13 @@ imported once, on start-up (:meth:`FleetJobStore.import_legacy_jobs`).
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import (
     ConfigError,
@@ -212,33 +212,37 @@ class FleetJobStore:
 
     # -- transactions ------------------------------------------------------------
 
-    def _begin(self) -> None:
-        # BEGIN IMMEDIATE takes the write lock up front, so everything
-        # between it and COMMIT is atomic against *other processes* too
-        # (sqlite3's default autocommit dance would not be).
-        self._conn.execute("BEGIN IMMEDIATE")
+    @contextmanager
+    def _write(self) -> Iterator[None]:
+        """One write transaction under the handle's lock: committed when
+        the body returns, rolled back when it raises."""
+        with self._lock:
+            # BEGIN IMMEDIATE takes the write lock up front, so the body
+            # is atomic against *other processes* too (sqlite3's default
+            # autocommit dance would not be).
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+            except BaseException:
+                self._conn.rollback()
+                raise
+            self._conn.commit()
 
     # -- submission & queries ----------------------------------------------------
 
     def insert(self, record: JobRecord) -> None:
         """Persist a new ``queued`` job."""
-        with self._lock:
-            self._begin()
-            try:
-                self._conn.execute(
-                    "INSERT INTO jobs (id, kind, deployment, state,"
-                    " created_at, worker_id, lease_expires_at, attempts,"
-                    " cancel_requested, payload)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, 0, ?)",
-                    (record.id, record.kind, record.deployment,
-                     record.state, record.created_at, record.worker_id,
-                     record.lease_expires_at, record.attempts,
-                     record.to_json()),
-                )
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
+        with self._write():
+            self._conn.execute(
+                "INSERT INTO jobs (id, kind, deployment, state,"
+                " created_at, worker_id, lease_expires_at, attempts,"
+                " cancel_requested, payload)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, 0, ?)",
+                (record.id, record.kind, record.deployment,
+                 record.state, record.created_at, record.worker_id,
+                 record.lease_expires_at, record.attempts,
+                 record.to_json()),
+            )
 
     def get(self, job_id: str) -> JobRecord:
         with self._lock:
@@ -304,84 +308,70 @@ class FleetJobStore:
         returned record is ``running``, stamped with this worker and a
         fresh lease, its prior ``progress`` intact.
         """
-        with self._lock:
+        with self._write():
             now = self._monotonic_now(now)
             expired_before = now - self.clock_skew_s
-            self._begin()
-            try:
-                # Park crash-looping jobs first, so they stop blocking
-                # their deployment's queue slot.
-                exhausted = self._conn.execute(
-                    "SELECT payload FROM jobs"
-                    " WHERE state = 'running' AND lease_expires_at < ?"
-                    "   AND attempts >= ?",
-                    (expired_before, self.max_attempts),
-                ).fetchall()
-                for (payload,) in exhausted:
-                    record = JobRecord.from_json(payload)
-                    self._write_locked(record, state="stale",
-                                       finished_at=now,
-                                       lease_expires_at=None,
-                                       error=(f"lease expired after "
-                                              f"{record.attempts} claim(s); "
-                                              "giving up"))
-                    _CLAIMS.inc(result="parked")
-                row = self._conn.execute(
-                    "SELECT payload FROM jobs j"
-                    " WHERE ((j.state = 'queued' AND j.cancel_requested = 0)"
-                    "     OR (j.state = 'running'"
-                    "         AND j.lease_expires_at < ?"
-                    "         AND j.attempts < ?))"
-                    "   AND NOT EXISTS ("
-                    "       SELECT 1 FROM jobs r"
-                    "        WHERE r.deployment = j.deployment"
-                    "          AND r.state = 'running'"
-                    "          AND r.lease_expires_at >= ?"
-                    "          AND r.id != j.id)"
-                    " ORDER BY j.created_at, j.id LIMIT 1",
-                    (expired_before, self.max_attempts, expired_before),
-                ).fetchone()
-                if row is None:
-                    self._conn.commit()
-                    return None
-                record = JobRecord.from_json(row[0])
-                claimed = self._write_locked(
-                    record, state="running", worker_id=worker_id,
-                    lease_expires_at=now + self.lease_s,
-                    attempts=record.attempts + 1,
-                    started_at=record.started_at or now,
-                )
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
-            _CLAIMS.inc(result=("claimed" if record.state == "queued"
-                                else "reclaimed"))
-            return claimed
+            # Park crash-looping jobs first, so they stop blocking
+            # their deployment's queue slot.
+            exhausted = self._conn.execute(
+                "SELECT payload FROM jobs"
+                " WHERE state = 'running' AND lease_expires_at < ?"
+                "   AND attempts >= ?",
+                (expired_before, self.max_attempts),
+            ).fetchall()
+            for (payload,) in exhausted:
+                record = JobRecord.from_json(payload)
+                self._write_locked(record, state="stale",
+                                   finished_at=now,
+                                   lease_expires_at=None,
+                                   error=(f"lease expired after "
+                                          f"{record.attempts} claim(s); "
+                                          "giving up"))
+                _CLAIMS.inc(result="parked")
+            row = self._conn.execute(
+                "SELECT payload FROM jobs j"
+                " WHERE ((j.state = 'queued' AND j.cancel_requested = 0)"
+                "     OR (j.state = 'running'"
+                "         AND j.lease_expires_at < ?"
+                "         AND j.attempts < ?))"
+                "   AND NOT EXISTS ("
+                "       SELECT 1 FROM jobs r"
+                "        WHERE r.deployment = j.deployment"
+                "          AND r.state = 'running'"
+                "          AND r.lease_expires_at >= ?"
+                "          AND r.id != j.id)"
+                " ORDER BY j.created_at, j.id LIMIT 1",
+                (expired_before, self.max_attempts, expired_before),
+            ).fetchone()
+            if row is None:
+                return None
+            record = JobRecord.from_json(row[0])
+            claimed = self._write_locked(
+                record, state="running", worker_id=worker_id,
+                lease_expires_at=now + self.lease_s,
+                attempts=record.attempts + 1,
+                started_at=record.started_at or now,
+            )
+        _CLAIMS.inc(result=("claimed" if record.state == "queued"
+                            else "reclaimed"))
+        return claimed
 
     def heartbeat(self, job_id: str, worker_id: str) -> bool:
         """Renew the lease; ``False`` means the claim is gone (lost to a
         re-claim, finished, or the job vanished) and the caller should
         abandon the job."""
-        with self._lock:
+        with self._write():
             # Renew from the monotonic clock: a backward wall-clock
             # step must not shrink a live owner's lease into the past
             # (where a sibling would "reclaim" it mid-run).
             fresh = self._monotonic_now() + self.lease_s
-            self._begin()
-            try:
-                cur = self._conn.execute(
-                    "UPDATE jobs SET lease_expires_at = ?,"
-                    " payload = json_set(payload, '$.lease_expires_at', ?)"
-                    " WHERE id = ? AND worker_id = ? AND state = 'running'",
-                    (fresh, fresh, job_id, worker_id),
-                )
-                renewed = cur.rowcount == 1
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
-            return renewed
+            cur = self._conn.execute(
+                "UPDATE jobs SET lease_expires_at = ?,"
+                " payload = json_set(payload, '$.lease_expires_at', ?)"
+                " WHERE id = ? AND worker_id = ? AND state = 'running'",
+                (fresh, fresh, job_id, worker_id),
+            )
+        return cur.rowcount == 1
 
     def cancel_requested(self, job_id: str) -> bool:
         with self._lock:
@@ -399,30 +389,23 @@ class FleetJobStore:
         should stop cooperatively); raises :class:`LeaseLost` when the
         caller no longer owns the job.
         """
-        with self._lock:
-            self._begin()
-            try:
-                row = self._conn.execute(
-                    "SELECT payload, cancel_requested FROM jobs"
-                    " WHERE id = ? AND worker_id = ? AND state = 'running'",
-                    (job_id, worker_id),
-                ).fetchone()
-                if row is None:
-                    self._conn.commit()
-                    _LEASE_LOST.inc(op="progress")
-                    raise LeaseLost(
-                        f"job {job_id} is no longer owned by {worker_id}"
-                    )
-                record = JobRecord.from_json(row[0])
-                self._write_locked(
-                    record, progress=dict(progress),
-                    lease_expires_at=self._monotonic_now() + self.lease_s,
+        with self._write():
+            row = self._conn.execute(
+                "SELECT payload, cancel_requested FROM jobs"
+                " WHERE id = ? AND worker_id = ? AND state = 'running'",
+                (job_id, worker_id),
+            ).fetchone()
+            if row is None:
+                _LEASE_LOST.inc(op="progress")
+                raise LeaseLost(
+                    f"job {job_id} is no longer owned by {worker_id}"
                 )
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
-            return bool(row[1])
+            record = JobRecord.from_json(row[0])
+            self._write_locked(
+                record, progress=dict(progress),
+                lease_expires_at=self._monotonic_now() + self.lease_s,
+            )
+        return bool(row[1])
 
     def finish(self, job_id: str, worker_id: str, state: str,
                result: Optional[Dict[str, Any]] = None,
@@ -435,101 +418,74 @@ class FleetJobStore:
         """
         if state not in TERMINAL_STATES:
             raise ConfigError(f"finish() got non-terminal state {state!r}")
-        with self._lock:
-            self._begin()
-            try:
-                row = self._conn.execute(
-                    "SELECT payload FROM jobs WHERE id = ?", (job_id,)
-                ).fetchone()
-                if row is None:
-                    self._conn.commit()
-                    raise JobNotFound(f"no job {job_id!r}")
-                record = JobRecord.from_json(row[0])
-                if record.finished:
-                    self._conn.commit()
-                    raise JobStateError(
-                        f"job {job_id} already finished ({record.state})"
-                    )
-                if record.state == "running" \
-                        and record.worker_id != worker_id:
-                    self._conn.commit()
-                    _LEASE_LOST.inc(op="finish")
-                    raise LeaseLost(
-                        f"job {job_id} is owned by {record.worker_id},"
-                        f" not {worker_id}"
-                    )
-                final = self._write_locked(
-                    record, state=state, finished_at=time.time(),
-                    lease_expires_at=None, result=result, error=error,
+        with self._write():
+            row = self._conn.execute(
+                "SELECT payload FROM jobs WHERE id = ?", (job_id,)
+            ).fetchone()
+            if row is None:
+                raise JobNotFound(f"no job {job_id!r}")
+            record = JobRecord.from_json(row[0])
+            if record.finished:
+                raise JobStateError(
+                    f"job {job_id} already finished ({record.state})"
                 )
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
-            return final
+            if record.state == "running" and record.worker_id != worker_id:
+                _LEASE_LOST.inc(op="finish")
+                raise LeaseLost(
+                    f"job {job_id} is owned by {record.worker_id},"
+                    f" not {worker_id}"
+                )
+            return self._write_locked(
+                record, state=state, finished_at=time.time(),
+                lease_expires_at=None, result=result, error=error,
+            )
 
     def request_cancel(self, job_id: str) -> JobRecord:
         """Cancel a job: immediate for ``queued``, cooperative (flag
         polled by the owning worker) for ``running``."""
-        with self._lock:
-            self._begin()
-            try:
-                row = self._conn.execute(
-                    "SELECT payload FROM jobs WHERE id = ?", (job_id,)
-                ).fetchone()
-                if row is None:
-                    self._conn.commit()
-                    raise JobNotFound(f"no job {job_id!r}")
-                record = JobRecord.from_json(row[0])
-                if record.finished:
-                    self._conn.commit()
-                    raise JobStateError(
-                        f"job {job_id} already finished ({record.state})"
-                    )
-                if record.state == "queued":
-                    record = self._write_locked(
-                        record, state="cancelled",
-                        finished_at=time.time(),
-                        error="cancelled while queued",
-                    )
-                else:
-                    self._conn.execute(
-                        "UPDATE jobs SET cancel_requested = 1"
-                        " WHERE id = ?", (job_id,),
-                    )
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
-            return record
+        with self._write():
+            row = self._conn.execute(
+                "SELECT payload FROM jobs WHERE id = ?", (job_id,)
+            ).fetchone()
+            if row is None:
+                raise JobNotFound(f"no job {job_id!r}")
+            record = JobRecord.from_json(row[0])
+            if record.finished:
+                raise JobStateError(
+                    f"job {job_id} already finished ({record.state})"
+                )
+            if record.state == "queued":
+                return self._write_locked(
+                    record, state="cancelled",
+                    finished_at=time.time(),
+                    error="cancelled while queued",
+                )
+            self._conn.execute(
+                "UPDATE jobs SET cancel_requested = 1"
+                " WHERE id = ?", (job_id,),
+            )
+        return record
 
     def prune(self, retention: int) -> int:
         """Drop the oldest finished jobs beyond ``retention``; returns
         how many went."""
         marks = ", ".join("?" for _ in TERMINAL_STATES)
-        with self._lock:
-            self._begin()
-            try:
-                cur = self._conn.execute(
-                    f"DELETE FROM jobs WHERE state IN ({marks})"
-                    " AND id IN ("
-                    f"   SELECT id FROM jobs WHERE state IN ({marks})"
-                    "    ORDER BY created_at DESC, id"
-                    "    LIMIT -1 OFFSET ?)",
-                    (*TERMINAL_STATES, *TERMINAL_STATES, retention),
-                )
-                pruned = cur.rowcount
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
-            return pruned
+        with self._write():
+            cur = self._conn.execute(
+                f"DELETE FROM jobs WHERE state IN ({marks})"
+                " AND id IN ("
+                f"   SELECT id FROM jobs WHERE state IN ({marks})"
+                "    ORDER BY created_at DESC, id"
+                "    LIMIT -1 OFFSET ?)",
+                (*TERMINAL_STATES, *TERMINAL_STATES, retention),
+            )
+        return cur.rowcount
 
     # -- record writing ----------------------------------------------------------
 
     def _write_locked(self, record: JobRecord, **changes) -> JobRecord:
-        """Apply ``changes`` and persist row + payload (caller holds the
-        lock and an open transaction)."""
+        """Apply ``changes`` and persist row + payload (inside
+        :meth:`_write`)."""
         from dataclasses import replace
 
         updated = replace(record, **changes)
@@ -548,49 +504,31 @@ class FleetJobStore:
 
     def register_worker(self, worker_id: str, pid: int) -> None:
         now = time.time()
-        with self._lock:
-            self._begin()
-            try:
-                self._conn.execute(
-                    "INSERT INTO workers"
-                    " (worker_id, pid, started_at, heartbeat_at)"
-                    " VALUES (?, ?, ?, ?)"
-                    " ON CONFLICT(worker_id) DO UPDATE SET"
-                    " pid = excluded.pid,"
-                    " started_at = excluded.started_at,"
-                    " heartbeat_at = excluded.heartbeat_at",
-                    (worker_id, pid, now, now),
-                )
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
+        with self._write():
+            self._conn.execute(
+                "INSERT INTO workers"
+                " (worker_id, pid, started_at, heartbeat_at)"
+                " VALUES (?, ?, ?, ?)"
+                " ON CONFLICT(worker_id) DO UPDATE SET"
+                " pid = excluded.pid,"
+                " started_at = excluded.started_at,"
+                " heartbeat_at = excluded.heartbeat_at",
+                (worker_id, pid, now, now),
+            )
 
     def worker_heartbeat(self, worker_id: str) -> None:
-        with self._lock:
-            self._begin()
-            try:
-                self._conn.execute(
-                    "UPDATE workers SET heartbeat_at = ?"
-                    " WHERE worker_id = ?",
-                    (time.time(), worker_id),
-                )
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
+        with self._write():
+            self._conn.execute(
+                "UPDATE workers SET heartbeat_at = ?"
+                " WHERE worker_id = ?",
+                (time.time(), worker_id),
+            )
 
     def deregister_worker(self, worker_id: str) -> None:
-        with self._lock:
-            self._begin()
-            try:
-                self._conn.execute(
-                    "DELETE FROM workers WHERE worker_id = ?", (worker_id,)
-                )
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
+        with self._write():
+            self._conn.execute(
+                "DELETE FROM workers WHERE worker_id = ?", (worker_id,)
+            )
 
     def live_workers(self,
                      timeout_s: Optional[float] = None) -> List[Dict]:

@@ -130,6 +130,8 @@ def _worker_main(listener: socket.socket, state_dir: str,
 def serve_fleet(state_dir: str, host: str = "127.0.0.1", port: int = 8050,
                 workers: int = 2, job_workers: int = 4) -> int:
     """Run ``workers`` server processes over one state dir until killed."""
+    from repro.service.app import warn_if_exposed  # see _bind_listener
+
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     try:
@@ -146,11 +148,7 @@ def serve_fleet(state_dir: str, host: str = "127.0.0.1", port: int = 8050,
     print(f"FLEET READY url={url} port={actual_port} "
           f"workers={workers} sockets={layout} pid={os.getpid()}",
           flush=True)
-    if host not in ("127.0.0.1", "localhost", "::1"):
-        print("WARNING: the service has no authentication; anyone who can "
-              "reach this address can submit jobs, write plot files, and "
-              "shut down deployments.  Bind to 127.0.0.1 or front it with "
-              "an authenticating proxy.", flush=True)
+    warn_if_exposed(host)
 
     def spawn(index: int) -> multiprocessing.Process:
         # Per-worker layout: worker i accepts on its own reuseport

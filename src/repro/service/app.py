@@ -251,12 +251,19 @@ def serve(state_dir: str, host: str = "127.0.0.1", port: int = 8050,
     actual_port = server.server_address[1]
     print(f"HPCAdvisor service on http://{host}:{actual_port}/ "
           f"({workers} job worker(s), state in {state_dir}; Ctrl-C to stop)")
+    warn_if_exposed(host)
+    return run_server(server, once=once)
+
+
+def warn_if_exposed(host: str) -> None:
+    """Warn that a non-loopback ``host`` exposes an unauthenticated
+    service.  Flushed: ``fleet serve`` forks its workers next, and a
+    buffered line would be copied into each of them."""
     if host not in ("127.0.0.1", "localhost", "::1"):
         print("WARNING: the service has no authentication; anyone who can "
               "reach this address can submit jobs, write plot files, and "
               "shut down deployments.  Bind to 127.0.0.1 or front it with "
-              "an authenticating proxy.")
-    return run_server(server, once=once)
+              "an authenticating proxy.", flush=True)
 
 
 def run_server(server: AdvisorServiceServer, once: bool = False) -> int:

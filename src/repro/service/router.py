@@ -10,23 +10,10 @@ types cannot drift from the facade because they *are* the facade's
 types.  The GUI's pages are HTML renderings (:mod:`repro.gui.pages`) of
 the same session.
 
-Routes (see ``docs/SERVICE.md`` for the full contract)::
-
-    GET    /                        (HTML pages)
-    GET    /deployment/<name>       GET    /plots/<name>
-    GET    /bottlenecks/<name>      GET    /advice/<name>[?sort=cost]
-    GET    /healthz
-    GET    /metrics
-    GET    /v1/deployments          POST   /v1/deployments
-    GET    /v1/deployments/<name>   DELETE /v1/deployments/<name>
-    GET    /v1/datapoints
-    GET    /v1/advice               POST   /v1/advice
-    GET    /v1/predict              POST   /v1/predict
-    GET    /v1/compare
-    POST   /v1/plots
-    POST   /v1/jobs/collect         POST   /v1/jobs/predict
-    GET    /v1/jobs                 GET    /v1/jobs/<id>
-    POST   /v1/jobs/<id>/cancel     DELETE /v1/jobs/<id>
+The routes are one table, :attr:`Router.ROUTES` (``docs/SERVICE.md``
+lists the same entries with their payloads): each entry is a route
+label and its handler per HTTP method, so a route's methods, the
+``allowed`` list of its 405 and its ``/metrics`` label are spelled once.
 
 Every route also answers under an ``/api`` prefix (``/api/v1/advice``).
 The listing routes (``/v1/deployments``, ``/v1/jobs``,
@@ -78,15 +65,11 @@ API_VERSION = "v1"
 #: full-corpus transfers the store pushdown exists to avoid.
 DATAPOINTS_DEFAULT_LIMIT = 500
 
-#: The per-deployment HTML pages, ``/<page>/<name>``.
-_PAGES = {
-    "deployment": pages.render_deployment,
-    "plots": pages.render_plots,
-    "bottlenecks": pages.render_bottlenecks,
-    "advice": pages.render_advice,
-}
-
 _HTML = "text/html; charset=utf-8"
+
+#: A handler's parsed query string and request body.
+_Query = Dict[str, List[str]]
+_Body = Optional[str]
 
 
 @dataclass
@@ -133,6 +116,27 @@ class ServiceState:
     def close(self, wait: bool = True) -> None:
         if self.jobs is not None:
             self.jobs.close(wait=wait)
+
+
+# -- handler wrappers ------------------------------------------------------------
+
+
+def _page_handler(render):
+    """The handler of a page route: ``render`` the session's view of the
+    route's ``<name>`` (the index has none) as an HTML page."""
+    def handler(router: "Router", query: _Query, body: _Body,
+                *name: str) -> Response:
+        return router._render(render, *name)
+    return handler
+
+
+def _cached(handler):
+    """``handler`` served through the response cache
+    (:meth:`Router._maybe_cached`)."""
+    def cached(router: "Router", query: _Query, body: _Body) -> Response:
+        return router._maybe_cached(
+            query, lambda: handler(router, query, body))
+    return cached
 
 
 class Router:
@@ -204,10 +208,6 @@ class Router:
         )
         return response
 
-    def _match(self, route: str) -> str:
-        self._local.route = route
-        return route
-
     # -- routing table -----------------------------------------------------------
 
     def _dispatch(self, method: str, parts: List[str],
@@ -217,110 +217,23 @@ class Router:
             return _method_not_allowed(method, ("GET", "HEAD"))
         if parts[:1] == ["api"]:
             parts = parts[1:]
-        if parts == ["healthz"]:
-            self._match("/healthz")
-            return self._only(method, "GET", self._healthz)
-        if parts == ["metrics"]:
-            self._match("/metrics")
-            return self._only(method, "GET", self._metrics)
-        if not parts or parts[0] != "v1":
-            return self._page(method, parts, query)
-        rest = parts[1:]
-        if rest == ["deployments"]:
-            self._match("/v1/deployments")
-            if method == "GET":
-                return self._list_deployments(query)
-            if method == "POST":
-                return self._create_deployment(body)
-            return _method_not_allowed(method, ("GET", "POST"))
-        if len(rest) == 2 and rest[0] == "deployments":
-            self._match("/v1/deployments/<name>")
-            if method == "GET":
-                return self._get_deployment(rest[1])
-            if method == "DELETE":
-                return self._shutdown_deployment(rest[1], query)
-            return _method_not_allowed(method, ("GET", "DELETE"))
-        if rest == ["datapoints"]:
-            self._match("/v1/datapoints")
-            return self._only(
-                method, "GET",
-                lambda: self._maybe_cached(
-                    "/v1/datapoints", query,
-                    lambda: self._datapoints(query)))
-        if rest == ["advice"]:
-            self._match("/v1/advice")
-            if method == "GET":
-                return self._maybe_cached(
-                    "/v1/advice", query,
-                    lambda: self._advice(method, query, body))
-            if method == "POST":
-                return self._advice(method, query, body)
-            return _method_not_allowed(method, ("GET", "POST"))
-        if rest == ["predict"]:
-            self._match("/v1/predict")
-            if method in ("GET", "POST"):
-                return self._predict(method, query, body)
-            return _method_not_allowed(method, ("GET", "POST"))
-        if rest == ["compare"]:
-            self._match("/v1/compare")
-            return self._only(method, "GET", lambda: self._compare(query))
-        if rest == ["plots"]:
-            self._match("/v1/plots")
-            return self._only(method, "POST", lambda: self._plots(body),
-                              allowed=("POST",))
-        if rest and rest[0] == "jobs":
-            return self._dispatch_jobs(method, rest[1:], query, body)
-        raise ResourceNotFound(f"no such route: /v1/{'/'.join(rest)}")
-
-    def _dispatch_jobs(self, method: str, rest: List[str],
-                       query: Dict[str, List[str]], body: Optional[str]):
-        if rest in (["collect"], ["predict"]):
-            self._match(f"/v1/jobs/{rest[0]}")
-            return self._only(
-                method, "POST",
-                lambda: self._submit_job(rest[0], body), allowed=("POST",))
-        if not rest:
-            self._match("/v1/jobs")
-            return self._only(method, "GET", lambda: self._list_jobs(query))
-        if len(rest) == 1:
-            self._match("/v1/jobs/<id>")
-            jobs = self._jobs()
-            if method == "GET":
-                return Response(payload=jobs.get(rest[0]).to_dict())
-            if method == "DELETE":
-                return Response(payload=jobs.cancel(rest[0]).to_dict())
-            return _method_not_allowed(method, ("GET", "DELETE"))
-        if len(rest) == 2 and rest[1] == "cancel":
-            self._match("/v1/jobs/<id>/cancel")
-            return self._only(
-                method, "POST",
-                lambda: Response(
-                    payload=self._jobs().cancel(rest[0]).to_dict()),
-                allowed=("POST",))
-        raise ResourceNotFound(f"no such route: /v1/jobs/{'/'.join(rest)}")
-
-    def _page(self, method: str, parts: List[str],
-              query: Dict[str, List[str]]) -> Response:
-        if not parts:
-            self._match("/")
-            render = pages.render_index
-        elif len(parts) == 2 and parts[0] in _PAGES:
-            self._match(f"/{parts[0]}/<name>")
-            options = {}
-            if parts[0] == "advice":
-                sort_by = _one(query, "sort")
-                options["sort_by"] = "cost" if sort_by == "cost" else "time"
-            render = functools.partial(_PAGES[parts[0]], name=parts[1],
-                                       **options)
-        else:
+        key = tuple(parts)
+        found = _EXACT.get(key) or _capture(_PATTERNS, key)
+        if found is None:
             raise ResourceNotFound(f"no such route: /{'/'.join(parts)}")
-        return self._only(method, "GET", lambda: self._render(render))
+        label, handlers, segments = found
+        self._local.route = label
+        handler = handlers.get(method)
+        if handler is None:
+            return _method_not_allowed(method, handlers)
+        return handler(self, query, body, *segments)
 
-    def _render(self, render) -> Response:
-        """One HTML page; its errors are HTML pages too."""
+    def _render(self, render, *args, **kwargs) -> Response:
+        """One HTML page, ``render(session, *args, **kwargs)``; its errors
+        are HTML pages too."""
         try:
             with self.state.lock:
-                text = render(self.state.session)
+                text = render(self.state.session, *args, **kwargs)
         except ReproError as exc:
             return Response(404, pages.render_error(404, str(exc)), _HTML)
         except Exception as exc:  # noqa: BLE001 - bugs become 500s
@@ -335,16 +248,9 @@ class Router:
             )
         return self.state.jobs
 
-    @staticmethod
-    def _only(method: str, expected: str, handler, allowed=None) -> Response:
-        if method != expected:
-            return _method_not_allowed(method, allowed or (expected,))
-        return handler()
-
     # -- response caching --------------------------------------------------------
 
-    def _maybe_cached(self, route: str, query: Dict[str, List[str]],
-                      compute) -> Response:
+    def _maybe_cached(self, query: _Query, compute) -> Response:
         """Serve a hot GET read through the generation-keyed cache.
 
         The cache key bundles the deployment's dataset signature, so any
@@ -367,7 +273,7 @@ class Router:
             else:
                 signature = session.data_store(
                     deployment).dataset_signature()
-        key = make_key(route, deployment,
+        key = make_key(self._local.route, deployment,
                        {k: ",".join(vs) for k, vs in query.items()},
                        signature)
         etag = ResponseCache.etag_for(key)
@@ -387,7 +293,7 @@ class Router:
 
     # -- handlers ----------------------------------------------------------------
 
-    def _healthz(self) -> Response:
+    def _healthz(self, query: _Query, body: _Body) -> Response:
         payload = {
             "status": "ok",
             "api": API_VERSION,
@@ -398,7 +304,7 @@ class Router:
             payload["fleet"] = self.state.jobs.fleet_health()
         return Response(payload=payload)
 
-    def _metrics(self) -> Response:
+    def _metrics(self, query: _Query, body: _Body) -> Response:
         gauges = {
             "advisor_uptime_seconds":
                 round(time.time() - self.state.started_at, 3),
@@ -425,7 +331,7 @@ class Router:
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
-    def _list_deployments(self, query: Dict[str, List[str]]) -> Response:
+    def _list_deployments(self, query: _Query, body: _Body) -> Response:
         limit = _nonneg_or_none(_one(query, "limit"))
         offset = _nonneg_or_none(_one(query, "offset")) or 0
         with self.state.lock:
@@ -440,7 +346,7 @@ class Router:
             "offset": offset,
         })
 
-    def _create_deployment(self, body: Optional[str]) -> Response:
+    def _create_deployment(self, query: _Query, body: _Body) -> Response:
         data = _json_body(body)
         config = data.get("config")
         if not isinstance(config, dict):
@@ -451,12 +357,13 @@ class Router:
             info = self.state.session.deploy(config)
         return Response(status=201, payload=info.to_dict())
 
-    def _get_deployment(self, name: str) -> Response:
+    def _get_deployment(self, query: _Query, body: _Body,
+                        name: str) -> Response:
         with self.state.lock:
             info = self.state.session.info(name)
         return Response(payload=info.to_dict())
 
-    def _datapoints(self, query: Dict[str, List[str]]) -> Response:
+    def _datapoints(self, query: _Query, body: _Body) -> Response:
         deployment = _one(query, "deployment")
         if not deployment:
             raise ConfigError("GET /v1/datapoints needs ?deployment=<name>")
@@ -482,8 +389,8 @@ class Router:
             result = self.state.session.datapoints(deployment, data_query)
         return Response(payload=result.to_dict())
 
-    def _shutdown_deployment(self, name: str,
-                             query: Dict[str, List[str]]) -> Response:
+    def _shutdown_deployment(self, query: _Query, body: _Body,
+                             name: str) -> Response:
         # Refuse while jobs are live on the deployment: letting shutdown
         # (and a subsequent name-recycling deploy) proceed would block
         # the global session lock on the sweep's file locks, freezing
@@ -509,48 +416,50 @@ class Router:
             "purged_data": purge,
         })
 
-    def _advice(self, method: str, query: Dict[str, List[str]],
-                body: Optional[str]) -> Response:
-        if method == "POST":
-            request = AdviseRequest.from_dict(_json_body(body))
-        else:
-            request = AdviseRequest(
-                deployment=_one(query, "deployment"),
-                appname=_one(query, "appname") or None,
-                filters=_filters(query),
-                nnodes=_nnodes(query),
-                sku=_one(query, "sku") or None,
-                sort_by=_one(query, "sort") or "time",
-                max_rows=_int_or_none(_one(query, "max_rows")),
-                capacity=_one(query, "capacity"),
-                recovery=_one(query, "recovery") or "checkpoint_restart",
-                eviction_rate=_float_or_none(_one(query, "eviction_rate")),
-                checkpoint_interval_s=_float_or_default(
-                    _one(query, "checkpoint_interval"), 600.0),
-                checkpoint_overhead_s=_float_or_default(
-                    _one(query, "checkpoint_overhead"), 60.0),
-                engine=_one(query, "engine") or "auto",
-            )
+    def _advise_get(self, query: _Query, body: _Body) -> Response:
+        return self._advise(AdviseRequest(**_given(
+            deployment=_one(query, "deployment"),
+            appname=_one(query, "appname"),
+            filters=_filters(query),
+            nnodes=_nnodes(query),
+            sku=_one(query, "sku"),
+            sort_by=_one(query, "sort"),
+            max_rows=_int_or_none(_one(query, "max_rows")),
+            capacity=_one(query, "capacity"),
+            recovery=_one(query, "recovery"),
+            eviction_rate=_float_or_none(_one(query, "eviction_rate")),
+            checkpoint_interval_s=_float_or_none(
+                _one(query, "checkpoint_interval")),
+            checkpoint_overhead_s=_float_or_none(
+                _one(query, "checkpoint_overhead")),
+            engine=_one(query, "engine"),
+        )))
+
+    def _advise_post(self, query: _Query, body: _Body) -> Response:
+        return self._advise(AdviseRequest.from_dict(_json_body(body)))
+
+    def _advise(self, request: AdviseRequest) -> Response:
         with self.state.lock:
             result = self.state.session.advise(request)
         return Response(payload=result.to_dict())
 
-    def _predict(self, method: str, query: Dict[str, List[str]],
-                 body: Optional[str]) -> Response:
-        if method == "POST":
-            request = PredictRequest.from_dict(_json_body(body))
-        else:
-            request = PredictRequest(
-                deployment=_one(query, "deployment"),
-                inputs=_filters(query, key="input"),
-                nnodes=_nnodes(query),
-                model=_one(query, "model") or "ridge",
-            )
+    def _predict_get(self, query: _Query, body: _Body) -> Response:
+        return self._predict(PredictRequest(**_given(
+            deployment=_one(query, "deployment"),
+            inputs=_filters(query, key="input"),
+            nnodes=_nnodes(query),
+            model=_one(query, "model"),
+        )))
+
+    def _predict_post(self, query: _Query, body: _Body) -> Response:
+        return self._predict(PredictRequest.from_dict(_json_body(body)))
+
+    def _predict(self, request: PredictRequest) -> Response:
         with self.state.lock:
             result = self.state.session.predict(request)
         return Response(payload=result.to_dict())
 
-    def _compare(self, query: Dict[str, List[str]]) -> Response:
+    def _compare(self, query: _Query, body: _Body) -> Response:
         name_a, name_b = _one(query, "a"), _one(query, "b")
         if not name_a or not name_b:
             raise ConfigError("GET /v1/compare needs ?a=<name>&b=<name>")
@@ -560,13 +469,13 @@ class Router:
             comparison, deployment_a=name_a, deployment_b=name_b,
         ).to_dict())
 
-    def _plots(self, body: Optional[str]) -> Response:
+    def _plots(self, query: _Query, body: _Body) -> Response:
         request = PlotRequest.from_dict(_json_body(body))
         with self.state.lock:
             result = self.state.session.plot(request)
         return Response(payload=result.to_dict())
 
-    def _submit_job(self, kind: str, body: Optional[str]) -> Response:
+    def _submit_job(self, query: _Query, body: _Body, kind: str) -> Response:
         jobs = self._jobs()
         data = _json_body(body)
         with self.state.lock:
@@ -589,7 +498,7 @@ class Router:
                                  trace=telemetry.current_traceparent())
         return Response(status=202, payload=record.to_dict())
 
-    def _list_jobs(self, query: Dict[str, List[str]]) -> Response:
+    def _list_jobs(self, query: _Query, body: _Body) -> Response:
         limit = _nonneg_or_none(_one(query, "limit"))
         offset = _nonneg_or_none(_one(query, "offset")) or 0
         records = self._jobs().list(
@@ -607,6 +516,90 @@ class Router:
             "limit": limit,
             "offset": offset,
         })
+
+    def _get_job(self, query: _Query, body: _Body, job_id: str) -> Response:
+        return Response(payload=self._jobs().get(job_id).to_dict())
+
+    def _cancel_job(self, query: _Query, body: _Body,
+                    job_id: str) -> Response:
+        return Response(payload=self._jobs().cancel(job_id).to_dict())
+
+    def _advice_page(self, query: _Query, body: _Body,
+                     name: str) -> Response:
+        sort_by = "cost" if _one(query, "sort") == "cost" else "time"
+        return self._render(pages.render_advice, name, sort_by=sort_by)
+
+    #: The routing table: each entry is a route label and its handler per
+    #: method, the methods in the order a 405's ``allowed`` list names
+    #: them.  The label is the route's ``/metrics`` label, and each
+    #: ``<...>`` in it matches one path segment: a handler is called as
+    #: ``handler(router, query, body, *segments)``.  The first entry that
+    #: matches a path serves it.
+    ROUTES = (
+        ("/", {"GET": _page_handler(pages.render_index)}),
+        ("/deployment/<name>",
+         {"GET": _page_handler(pages.render_deployment)}),
+        ("/plots/<name>", {"GET": _page_handler(pages.render_plots)}),
+        ("/bottlenecks/<name>",
+         {"GET": _page_handler(pages.render_bottlenecks)}),
+        ("/advice/<name>", {"GET": _advice_page}),
+        ("/healthz", {"GET": _healthz}),
+        ("/metrics", {"GET": _metrics}),
+        ("/v1/deployments",
+         {"GET": _list_deployments, "POST": _create_deployment}),
+        ("/v1/deployments/<name>",
+         {"GET": _get_deployment, "DELETE": _shutdown_deployment}),
+        ("/v1/datapoints", {"GET": _cached(_datapoints)}),
+        ("/v1/advice", {"GET": _cached(_advise_get), "POST": _advise_post}),
+        ("/v1/predict", {"GET": _predict_get, "POST": _predict_post}),
+        ("/v1/compare", {"GET": _compare}),
+        ("/v1/plots", {"POST": _plots}),
+        ("/v1/jobs/collect",
+         {"POST": functools.partial(_submit_job, kind="collect")}),
+        ("/v1/jobs/predict",
+         {"POST": functools.partial(_submit_job, kind="predict")}),
+        ("/v1/jobs", {"GET": _list_jobs}),
+        ("/v1/jobs/<id>", {"GET": _get_job, "DELETE": _cancel_job}),
+        ("/v1/jobs/<id>/cancel", {"POST": _cancel_job}),
+    )
+
+
+def _index(routes) -> tuple:
+    """Index ``routes``: literal paths by their segments, patterns (with
+    ``None`` for each ``<...>``) by their segment count.  Looking literal
+    paths up first keeps the first-match rule as long as no pattern
+    precedes a literal path it matches, so such an entry is refused."""
+    exact: Dict[tuple, tuple] = {}
+    patterns: Dict[int, List[tuple]] = {}
+    for label, handlers in routes:
+        segments = tuple(None if seg.startswith("<") else seg
+                         for seg in label.split("/") if seg)
+        if None in segments:
+            patterns.setdefault(len(segments), []).append(
+                (segments, label, handlers))
+        elif segments in exact or _capture(patterns, segments):
+            raise ValueError(f"route {label} is shadowed by an earlier entry")
+        else:
+            exact[segments] = (label, handlers, ())
+    return exact, patterns
+
+
+def _capture(patterns, parts: tuple) -> Optional[tuple]:
+    """The first pattern matching ``parts``, as ``(label, handlers,
+    captured segments)``, or ``None``."""
+    for segments, label, handlers in patterns.get(len(parts), ()):
+        captured = []
+        for want, got in zip(segments, parts):
+            if want is None:
+                captured.append(got)
+            elif want != got:
+                break
+        else:
+            return label, handlers, captured
+    return None
+
+
+_EXACT, _PATTERNS = _index(Router.ROUTES)
 
 
 # -- small helpers ---------------------------------------------------------------
@@ -679,9 +672,12 @@ def _float_or_none(raw: str) -> Optional[float]:
         raise ConfigError(f"expected a number, got {raw!r}") from exc
 
 
-def _float_or_default(raw: str, default: float) -> float:
-    value = _float_or_none(raw)
-    return default if value is None else value
+def _given(**fields: Any) -> Dict[str, Any]:
+    """The request fields a GET query carries: a parameter it lacks (or
+    sends empty) parses to ``""``, ``None`` or an empty collection and
+    is left out, so the request dataclass's defaults are the only ones."""
+    return {name: value for name, value in fields.items()
+            if value not in ("", None, {}, ())}
 
 
 def _nnodes(query: Dict[str, List[str]]) -> tuple:

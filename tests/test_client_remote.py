@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from repro.api.results import AdviceResult, SessionInfo
+from repro.api.requests import PredictRequest
+from repro.api.results import AdviceResult, PredictResult, SessionInfo
 from repro.client import (
     JobHandle,
     RemoteError,
@@ -105,6 +106,17 @@ class TestTypedSurface:
         assert comparison.matched == 3
         plots = remote.plot(deployment=info_a.name)
         assert len(plots.paths) == 5
+
+    def test_predict_job_result_is_the_synchronous_prediction(self, remote):
+        info = deploy(remote, prefix="predjobrg", nnodes=[1, 2, 4])
+        remote.collect(deployment=info.name).wait(timeout=60)
+        request = PredictRequest(deployment=info.name)
+        job = remote.predict_job(request)
+        assert job.wait(timeout=60).kind == "predict"
+        result = job.result()
+        assert isinstance(result, PredictResult)
+        assert result.rows
+        assert result == remote.predict(request)
 
     def test_health_and_metrics(self, remote):
         assert remote.health()["status"] == "ok"

@@ -7,6 +7,7 @@ with progress preserved, and zombie writers fenced by LeaseLost.
 """
 
 import json
+import sqlite3
 import threading
 import time
 
@@ -342,6 +343,47 @@ class TestFinishAndCancel:
         assert live.id in remaining
         assert finished[-1].id in remaining and finished[-2].id in remaining
         assert finished[0].id not in remaining
+
+
+class TestWriteTransactions:
+    def test_a_write_that_raises_rolls_back_and_a_retry_lands(
+            self, store, monkeypatch):
+        record = submit(store)
+        store.claim("w1")
+        encode = JobRecord.to_json
+        failures = []
+
+        def fail_once(job, *args, **kwargs):
+            if not failures:
+                failures.append(job.id)
+                raise RuntimeError("encoder failed")
+            return encode(job, *args, **kwargs)
+
+        monkeypatch.setattr(JobRecord, "to_json", fail_once)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            store.finish(record.id, "w1", "done", result={"n": 1})
+        assert failures == [record.id]
+        kept = store.get(record.id)
+        assert (kept.state, kept.worker_id) == ("running", "w1")
+        done = store.finish(record.id, "w1", "done", result={"n": 1})
+        assert done.state == "done"
+        assert store.get(record.id).result == {"n": 1}
+
+    def test_a_locked_database_fails_the_write_and_the_handle_recovers(
+            self, db_path):
+        store = FleetJobStore(db_path, lease_s=5.0, timeout_s=0.1)
+        blocker = sqlite3.connect(db_path)
+        try:
+            blocker.execute("BEGIN IMMEDIATE")
+            record = new_job_record("collect", {"deployment": "dep-000"})
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                store.insert(record)
+            blocker.rollback()
+            store.insert(record)
+            assert store.get(record.id).state == "queued"
+        finally:
+            blocker.close()
+            store.close()
 
 
 class TestWorkersRegistry:

@@ -8,6 +8,9 @@ covered by ``test_client_remote.py`` and ``test_service_e2e.py``.
 
 import json
 import math
+import re
+from pathlib import Path
+from urllib.parse import urlencode
 
 import pytest
 
@@ -21,9 +24,9 @@ from repro.api.results import (
     SessionInfo,
 )
 from repro.core.advisor import AdviceRow
-from repro.service.app import build_state
+from repro.service.app import build_state, warn_if_exposed
 from repro.service.router import Router, ServiceState
-from repro.service.router import Response
+from repro.service.router import Response, _index
 from tests.conftest import make_config
 
 
@@ -307,6 +310,17 @@ class TestShutdownGuards:
             state.close()
 
 
+class TestExposureWarning:
+    @pytest.mark.parametrize("host, warned", [
+        ("127.0.0.1", False), ("localhost", False), ("::1", False),
+        ("0.0.0.0", True),
+    ])
+    def test_only_a_non_loopback_host_is_warned_about(self, capsys, host,
+                                                      warned):
+        warn_if_exposed(host)
+        assert ("no authentication" in capsys.readouterr().out) == warned
+
+
 class TestBindFailure:
     def test_bind_failure_starts_no_workers(self, tmp_path):
         """A port conflict must fail before the job manager starts (no
@@ -475,3 +489,90 @@ class TestResponseBodies:
         assert AdviceResult.from_dict(json.loads(
             router.handle("GET", f"/v1/advice?deployment={info.name}"
                           ).body_bytes())).rows
+
+
+#: Every route as clients see it today: its /metrics label and the
+#: methods it serves, in the order a 405's ``allowed`` list names them.
+ROUTE_METHODS = [
+    ("/", ["GET"]),
+    ("/deployment/<name>", ["GET"]),
+    ("/plots/<name>", ["GET"]),
+    ("/bottlenecks/<name>", ["GET"]),
+    ("/advice/<name>", ["GET"]),
+    ("/healthz", ["GET"]),
+    ("/metrics", ["GET"]),
+    ("/v1/deployments", ["GET", "POST"]),
+    ("/v1/deployments/<name>", ["GET", "DELETE"]),
+    ("/v1/datapoints", ["GET"]),
+    ("/v1/advice", ["GET", "POST"]),
+    ("/v1/predict", ["GET", "POST"]),
+    ("/v1/compare", ["GET"]),
+    ("/v1/plots", ["POST"]),
+    ("/v1/jobs/collect", ["POST"]),
+    ("/v1/jobs/predict", ["POST"]),
+    ("/v1/jobs", ["GET"]),
+    ("/v1/jobs/<id>", ["GET", "DELETE"]),
+    ("/v1/jobs/<id>/cancel", ["POST"]),
+]
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("label, allowed, method", [
+        (label, allowed, method)
+        for label, allowed in ROUTE_METHODS
+        for method in ("GET", "POST", "PUT", "DELETE", "PATCH")
+        if method not in allowed
+    ])
+    def test_a_method_the_route_lacks_is_a_405_under_its_label(
+            self, router, label, allowed, method):
+        response = router.handle(method, re.sub(r"<\w+>", "x", label))
+        assert response.status == 405
+        assert response.payload["allowed"] == allowed
+        assert response.payload["type"] == "MethodNotAllowed"
+        metrics = router.handle("GET", "/metrics").payload
+        assert (f'advisor_http_requests_total{{method="{method}",'
+                f'route="{label}",status="405"}} 1') in metrics
+
+    def test_the_table_serves_exactly_these_routes(self):
+        assert [(label, list(handlers)) for label, handlers
+                in Router.ROUTES] == ROUTE_METHODS
+
+    def test_a_route_an_earlier_pattern_shadows_is_refused(self):
+        # First match wins, so this literal route could never be served.
+        with pytest.raises(ValueError, match="shadowed"):
+            _index((("/v1/jobs/<id>", {}), ("/v1/jobs/collect", {})))
+        with pytest.raises(ValueError, match="shadowed"):
+            _index((("/healthz", {}), ("/healthz", {})))
+
+    def test_service_md_lists_the_table(self):
+        """docs/SERVICE.md's endpoint table has one row per route, with
+        the route's methods, in the table's order."""
+        text = (Path(__file__).resolve().parent.parent
+                / "docs" / "SERVICE.md").read_text(encoding="utf-8")
+        section = text.split("## Endpoints", 1)[1].split("\n## ", 1)[0]
+        rows = []
+        for cell in re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE):
+            methods, path = cell.split(" ", 1)
+            rows.append((re.split(r"[\[?]", path)[0], methods.split("\\|")))
+        assert rows == [(label, list(handlers)) for label, handlers
+                        in Router.ROUTES]
+
+
+class TestGetDecoders:
+    """A GET query builds its request from the parameters it carries,
+    so the request dataclass's defaults are the only defaults."""
+
+    @pytest.mark.parametrize("route, fields", [
+        ("/v1/advice", {}),
+        ("/v1/advice", {"capacity": "spot"}),
+        ("/v1/predict", {}),
+    ], ids=["advice-measured", "advice-spot", "predict"])
+    def test_a_get_answers_what_a_post_of_the_request_answers(
+            self, router, route, fields):
+        info = deploy(router, prefix="getpostrg", nnodes=[1, 2, 4])
+        collect_done(router, info.name)
+        request = {"deployment": info.name, **fields}
+        got = router.handle("GET", f"{route}?{urlencode(request)}")
+        posted = router.handle("POST", route, json.dumps(request))
+        assert got.status == posted.status == 200, got.payload
+        assert got.payload == posted.payload
